@@ -40,7 +40,8 @@
    on one CPU), when B4's
    allocation/peak-heap/agreement gates fail, or when a B5 engine or B6
    live core misses its perf floor or its <= 1e-9
-   differential-agreement gate, or when B8 misses a throughput gate or
+   differential-agreement gate, or a B5 engine's streamed path allocates
+   more words per job than its ceiling, or when B8 misses a throughput gate or
    its socket-vs-in-process agreement, so CI can gate on them.
 
    Usage: dune exec bench/main.exe [-- --quick] [-- --jobs N]
@@ -809,6 +810,8 @@ type b5_engine = {
   e_fast_ns : float;
   e_max_rel_diff : float;  (* worst over m in {1, 2, 8} *)
   e_gate_min : float;
+  e_words_per_job : float;  (* streamed path, Run.measure_stream *)
+  e_max_words : float;
 }
 
 type b5_report = {
@@ -827,24 +830,55 @@ type b5_report = {
    from measured headroom (see EXPERIMENTS.md for typical numbers) with
    ~2x margin so a real regression trips them but scheduler jitter does
    not.  The completion cascades (SJF/FCFS) clear far higher bars than
-   the preemptive engines; SETF pays for group maintenance, and the
-   dense rate-vector kernels (laps, mlfq, wrr-age) remain O(alive) per
-   event like the general loop — their win is structural (no policy
-   closure, no view rebuild), so 2x is the honest floor.  All five
-   classified additions ride the registry defaults. *)
+   the preemptive engines; SETF pays for group maintenance.  The dense
+   rate-vector kernels (laps, mlfq, wrr-age) remain O(alive) per event
+   like the general loop, but keep every per-job float in flat records,
+   so an event allocates nothing, and MLFQ reads a tabled ladder forward
+   from each job's cached level instead of re-deriving it from level 0 —
+   which is what LAPS's and MLFQ's floors now pin; wrr-age still pays a
+   power per job per event and keeps the structural 2x.  All five
+   classified additions ride the registry defaults.
+
+   The third column is the allocation ceiling of each engine's streamed
+   path ({!Run.measure_stream}: raw cursor -> kernel -> sink folds), the
+   B4 measure extended to every closed kernel: ~1.5x the words/job the
+   release profile measures (EXPERIMENTS.md; ~16 of them are the sink
+   folds' share, as in B4).  A boxed float in a per-event write costs
+   two words per job per event per alive job — hundreds of words per job
+   for the dense kernels — so it fails the bench while run-to-run noise
+   does not.  Like B4's, the ceilings assume the release profile. *)
 let b5_cases =
   let classified spec = Rr_policies.Registry.(make spec) in
   [
-    (Rr_policies.Srpt.policy, 5.0);
-    (Rr_policies.Sjf.policy, 4.0);
-    (Rr_policies.Fcfs.policy, 5.0);
-    (Rr_policies.Setf.policy, 2.0);
-    (classified (Rr_policies.Registry.Laps 0.5), 2.0);
-    (classified (Rr_policies.Registry.Mlfq 0.5), 2.0);
-    (classified (Rr_policies.Registry.Wrr_age 2), 2.0);
-    (classified (Rr_policies.Registry.Hdf 2.), 2.0);
-    (classified (Rr_policies.Registry.Hybrid 3.), 2.0);
+    (Rr_policies.Srpt.policy, 5.0, 34.);
+    (Rr_policies.Sjf.policy, 4.0, 34.);
+    (Rr_policies.Fcfs.policy, 5.0, 34.);
+    (Rr_policies.Setf.policy, 2.0, 48.);
+    (classified (Rr_policies.Registry.Laps 0.5), 2.5, 34.);
+    (classified (Rr_policies.Registry.Mlfq 0.5), 2.3, 34.);
+    (classified (Rr_policies.Registry.Wrr_age 2), 2.0, 34.);
+    (classified (Rr_policies.Registry.Hdf 2.), 2.0, 45.);
+    (classified (Rr_policies.Registry.Hybrid 3.), 2.0, 60.);
   ]
+
+(* Allocated words per job on [policy]'s streamed path: one warm-up run
+   sizes the domain's arena, then one measured [Run.measure_stream] over
+   the same [n]-job stream with the result cache off.  Counted with
+   [Gc.minor_words], which includes the minor heap's current fill, as the
+   repository benchmark's [offline.*.words_per_job] does: on this runtime
+   [Gc.allocated_bytes] only advances at minor collections, so a run
+   shorter than the minor heap would read as (almost) free. *)
+let streamed_words_per_job (policy : Rr_engine.Policy.t) ~n =
+  let stream =
+    Rr_workload.Instance.Stream.generate_load ~seed:46
+      ~sizes:(Rr_workload.Distribution.Exponential { mean = 1. })
+      ~load:0.9 ~machines:1 ~n ()
+  in
+  let cfg = Run.config ~cache:false () in
+  ignore (Run.measure_stream cfg policy stream : Run.result);
+  let words0 = Gc.minor_words () in
+  ignore (Run.measure_stream cfg policy stream : Run.result);
+  (Gc.minor_words () -. words0) /. Float.of_int n
 
 let b5_ratio_gate = 3.0
 
@@ -878,7 +912,7 @@ let run_fastpath_bench () =
      overheads eat a larger share of a 2k-job simulation, and the
      full-scale floors are what the real bench enforces. *)
   let gate_scale = if quick then 0.5 else 1.0 in
-  let engine_point ((policy : Rr_engine.Policy.t), full_gate) =
+  let engine_point ((policy : Rr_engine.Policy.t), full_gate, max_words) =
     let gate_min = full_gate *. gate_scale in
     let cfg_fast = Run.config ~cache:false () in
     let cfg_gen = Run.config ~cache:false ~engine:`General () in
@@ -906,10 +940,16 @@ let run_fastpath_bench () =
     let speedup = general_ns /. Float.max 1. fast_ns in
     if speedup < gate_min then
       fail "B5: %s: speedup %.1fx below gate %.1fx" policy.name speedup gate_min;
+    let words = streamed_words_per_job policy ~n in
+    if words > max_words then
+      fail "B5: %s: streamed allocation %.1f words/job exceeds %.0f" policy.name words
+        max_words;
     Printf.printf
       "B5: %-14s n=%d (speed 1.0, m=1): general %7.3f ms | %-15s %7.3f ms | speedup %5.1fx \
-       (gate >=%.1fx) | max rel diff %.2e (m in {1,2,8})\n%!"
-      policy.name n (general_ns /. 1e6) engine (fast_ns /. 1e6) speedup gate_min !max_rel;
+       (gate >=%.1fx) | max rel diff %.2e (m in {1,2,8}) | streamed %5.1f words/job (gate \
+       <=%.0f)\n%!"
+      policy.name n (general_ns /. 1e6) engine (fast_ns /. 1e6) speedup gate_min !max_rel words
+      max_words;
     {
       e_policy = policy.name;
       e_engine = engine;
@@ -917,6 +957,8 @@ let run_fastpath_bench () =
       e_fast_ns = fast_ns;
       e_max_rel_diff = !max_rel;
       e_gate_min = gate_min;
+      e_words_per_job = words;
+      e_max_words = max_words;
     }
   in
   let engines = List.map engine_point b5_cases in
@@ -983,7 +1025,7 @@ let write_fastpaths_json (b5 : b5_report) =
   let buf = Buffer.create 1024 in
   let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   add "{\n";
-  add "  \"schema\": \"bench_fastpaths/v2\",\n";
+  add "  \"schema\": \"bench_fastpaths/v3\",\n";
   add "  \"scale\": %S,\n" (if quick then "quick" else "full");
   add "  \"jobs\": %d, \"rtol\": %.0e, \"machines_checked\": [1, 2, 8],\n" b5.b5_n diff_rtol;
   add "  \"engines\": [\n";
@@ -992,12 +1034,15 @@ let write_fastpaths_json (b5 : b5_report) =
       add
         "    {\"policy\": %S, \"engine\": %S, \"general_ns\": %.1f, \"fast_ns\": %.1f, \
          \"speedup\": %.3f, \"max_rel_flow_diff\": %.3e, \"gate_min_speedup\": %.1f, \
-         \"gate_ok\": %b, \"agree\": %b}%s\n"
+         \"gate_ok\": %b, \"agree\": %b, \"stream_words_per_job\": %.2f, \
+         \"gate_max_words_per_job\": %.0f, \"alloc_ok\": %b}%s\n"
         e.e_policy e.e_engine e.e_general_ns e.e_fast_ns
         (e.e_general_ns /. Float.max 1. e.e_fast_ns)
         e.e_max_rel_diff e.e_gate_min
         (e.e_general_ns /. Float.max 1. e.e_fast_ns >= e.e_gate_min)
         (e.e_max_rel_diff <= diff_rtol)
+        e.e_words_per_job e.e_max_words
+        (e.e_words_per_job <= e.e_max_words)
         (if i = List.length b5.b5_engines - 1 then "" else ","))
     b5.b5_engines;
   add "  ],\n";

@@ -191,29 +191,34 @@ let simulate_stream cfg policy stream ~sink =
     Int.max default_max_events (64 * Rr_workload.Instance.Stream.n stream)
   in
   let speed = cfg.speed and machines = cfg.machines in
-  let selection = selection_for cfg policy in
-  (* The equal-share path takes the unboxed raw cursor — that pairing is
-     the repo's zero-alloc streaming pipeline (gated at ~0 words/job by
-     bench B4); the remaining engines pull boxed jobs. *)
-  match selection with
+  (* Every closed kernel reads the stream through the unboxed raw cursor,
+     so admitting a job builds no [Job.t] (bench B4 gates the equal-share
+     path at ~0 words/job, B5 the others); only the general loop, whose
+     policy views hold whole jobs, and the live engine pull boxed jobs. *)
+  let module S = Rr_workload.Instance.Stream in
+  match selection_for cfg policy with
   | Equal_share ->
       Rr_engine.Simulator.run_equal_share_stream_raw ~speed ~max_events ~machines ~sink
-        (Rr_workload.Instance.Stream.start_raw stream)
-  | _ ->
-  let pull = Rr_workload.Instance.Stream.start stream in
-  match selection with
-  | Equal_share -> assert false
-  | Index kind -> Rr_engine.Index_engine.run_stream ~speed ~max_events ~machines ~kind ~sink pull
-  | Setf_cascade -> Rr_engine.Index_engine.run_setf_stream ~speed ~max_events ~machines ~sink pull
+        (S.start_raw stream)
+  | Index kind ->
+      Rr_engine.Index_engine.run_stream ~speed ~max_events ~machines ~kind ~sink
+        (S.start_raw stream)
+  | Setf_cascade ->
+      Rr_engine.Index_engine.run_setf_stream ~speed ~max_events ~machines ~sink
+        (S.start_raw stream)
   | Classed kind ->
-      Rr_engine.Class_engine.run_stream ~speed ~max_events ~machines ~kind ~sink pull
+      Rr_engine.Class_engine.run_stream ~speed ~max_events ~machines ~kind ~sink
+        (S.start_raw stream)
   | Hybrid { theta } ->
-      Rr_engine.Hybrid_engine.run_stream ~speed ~max_events ~machines ~theta ~sink pull
+      Rr_engine.Hybrid_engine.run_stream ~speed ~max_events ~machines ~theta ~sink
+        (S.start_raw stream)
   | Budget { budget } ->
-      Rr_engine.Budget_engine.run_stream ~speed ~max_events ~machines ~budget ~sink pull
-  | General -> Rr_engine.Simulator.run_stream ~speed ~max_events ~machines ~policy ~sink pull
+      Rr_engine.Budget_engine.run_stream ~speed ~max_events ~machines ~budget ~sink
+        (S.start_raw stream)
+  | General ->
+      Rr_engine.Simulator.run_stream ~speed ~max_events ~machines ~policy ~sink (S.start stream)
   | Live spec ->
-      let q = live_run_stream cfg spec ~max_events ~sink pull in
+      let q = live_run_stream cfg spec ~max_events ~sink (S.start stream) in
       {
         Rr_engine.Simulator.n = q.Rr_engine.Live.completed;
         events = q.Rr_engine.Live.events;
@@ -359,38 +364,40 @@ let power_sum cfg policy inst = (measure cfg policy inst).power_sum
 
 (* Order-of-magnitude per-task cost model for `Auto chunking and
    executor choice, in microseconds.  The fast-path coefficients are
-   calibrated from the B5 benchmark (BENCH_fastpaths.json, fast_ns /
-   jobs at the quick scale): srpt/sjf/fcfs-index 0.16-0.19, hdf-index
-   0.26, setf-cascade 0.53, laps-dense 0.60, mlfq-ladder 1.43,
-   wrr-age-dense 4.18, hybrid-index 0.71.  Kernels B5 does not time
-   (equal-share, quantum, wrr-static, budget) carry estimates
-   interpolated from their event structure.  Only ratios matter —
+   calibrated from the B5 benchmark (the committed BENCH_fastpaths.json,
+   fast_ns / jobs at the quick scale): srpt/sjf/fcfs-index 0.13-0.23,
+   hdf-index 0.35, setf-cascade 0.44, laps-dense 0.57, mlfq-ladder 0.99,
+   wrr-age-dense 2.55, hybrid-index 0.64.  Absolute values drift by up to
+   ~1.5x between runs with the shared host's phase; the ratios hold.
+   Kernels B5 does not time (equal-share, quantum, wrr-static, budget)
+   carry estimates interpolated from their event structure.  Only ratios
+   matter —
    chunking needs to know that a 40-job probe is ~100x cheaper than a
    4000-job one and that a fast-pathed baseline is ~10x cheaper than a
    general-loop one at equal n, not the absolute times. *)
 let estimated_cost_us cfg policy ~jobs =
   let n = Float.of_int jobs in
   let index_cost : Rr_engine.Index_engine.kind -> float = function
-    | Rr_engine.Index_engine.Hdf _ -> 0.3
+    | Rr_engine.Index_engine.Hdf _ -> 0.35
     | Rr_engine.Index_engine.Srpt | Rr_engine.Index_engine.Sjf
     | Rr_engine.Index_engine.Fcfs ->
         0.2
   in
   let classed_cost : Rr_engine.Class_engine.kind -> float = function
-    | Rr_engine.Class_engine.Laps _ -> 0.6
-    | Rr_engine.Class_engine.Ladder _ -> 1.5
+    | Rr_engine.Class_engine.Laps _ -> 0.55
+    | Rr_engine.Class_engine.Ladder _ -> 1.0
     | Rr_engine.Class_engine.Quantum _ -> 1.2
-    | Rr_engine.Class_engine.Aged _ -> 4.0
+    | Rr_engine.Class_engine.Aged _ -> 2.5
     | Rr_engine.Class_engine.Sized _ -> 1.0
   in
   let rec per_job = function
     | Equal_share -> 0.15
     | Index kind -> index_cost kind
-    | Setf_cascade -> 0.55
+    | Setf_cascade -> 0.45
     (* The slot/heap kernels (hybrid, budget) cost a heap operation per
        event like the indexes, plus slot scans (hybrid's three heaps
        make it the dearer of the two). *)
-    | Hybrid _ -> 0.7
+    | Hybrid _ -> 0.65
     | Budget _ -> 0.4
     | Classed kind -> classed_cost kind
     | Live spec -> (

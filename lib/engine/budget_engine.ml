@@ -25,11 +25,20 @@ module Heap = Rr_util.Heap
 module Vec = Rr_util.Vec
 module Source = Simulator.Source
 
-type slot = {
-  mutable id : int;
-  mutable arrival : float;
-  mutable size : float;
-  mutable remaining : float;
+(* A running slot's floats in an all-float (flat) record: the per-event
+   [remaining] write and the resume state copied in when a job is seated
+   are plain unboxed stores. *)
+type slot_fl = { mutable arrival : float; mutable size : float; mutable remaining : float }
+
+type slot = { mutable id : int; f : slot_fl }
+
+(* The closed driver's clock: all-float, hence flat. *)
+type clock = {
+  mutable now : float;
+  mutable dt : float;
+  mutable t_next : float;
+  mutable next_arr : float;
+  mutable makespan : float;
 }
 
 type state = {
@@ -39,8 +48,15 @@ type state = {
   slots : slot array;  (* running jobs, packed in [0, n_run) *)
   mutable n_run : int;
   waiting : Heap.Scalar3.t;  (* key = remaining, aux = arrival, size, remaining *)
-  fresh : Job.t Queue.t;  (* arrivals not yet processed by [refresh] *)
+  (* Arrivals not yet processed by [refresh], in admission order: flat
+     parallel buffers, [n_fresh] live entries.  [refresh] always drains
+     them all, so they never need to wrap. *)
+  mutable fresh_ids : int array;
+  mutable fresh_arrivals : float array;
+  mutable fresh_sizes : float array;
+  mutable n_fresh : int;
   evictions : (int, int) Hashtbl.t;
+  clk : clock;
   mutable alive : int;
 }
 
@@ -58,11 +74,17 @@ let create_in ~waiting ~machines ~speed ~budget =
     budget;
     machines;
     speed;
-    slots = Array.init machines (fun _ -> { id = -1; arrival = 0.; size = 0.; remaining = 0. });
+    slots =
+      Array.init machines (fun _ -> { id = -1; f = { arrival = 0.; size = 0.; remaining = 0. } });
     n_run = 0;
     waiting;
-    fresh = Queue.create ();
+    fresh_ids = [||];
+    fresh_arrivals = [||];
+    fresh_sizes = [||];
+    n_fresh = 0;
     evictions = Hashtbl.create 64;
+    clk =
+      { now = 0.; dt = 0.; t_next = Float.infinity; next_arr = Float.infinity; makespan = 0. };
     alive = 0;
   }
 
@@ -71,97 +93,128 @@ let create ~machines ~speed ~budget =
 
 let alive st = st.alive
 
-let threshold size = 1e-9 *. (1. +. size)
+let[@inline] threshold size = 1e-9 *. (1. +. size)
 
-let admit st (j : Job.t) =
-  Queue.push j st.fresh;
+let admit st ~id ~arrival ~size =
+  let cap = Array.length st.fresh_ids in
+  if st.n_fresh = cap then begin
+    let ncap = Int.max 8 (2 * cap) in
+    let grow_f a = Array.append a (Array.make (ncap - cap) 0.) in
+    st.fresh_ids <- Array.append st.fresh_ids (Array.make (ncap - cap) 0);
+    st.fresh_arrivals <- grow_f st.fresh_arrivals;
+    st.fresh_sizes <- grow_f st.fresh_sizes
+  end;
+  st.fresh_ids.(st.n_fresh) <- id;
+  st.fresh_arrivals.(st.n_fresh) <- arrival;
+  st.fresh_sizes.(st.n_fresh) <- size;
+  st.n_fresh <- st.n_fresh + 1;
   st.alive <- st.alive + 1
 
-let count st id = match Hashtbl.find_opt st.evictions id with Some c -> c | None -> 0
+let count st id = match Hashtbl.find st.evictions id with c -> c | exception Not_found -> 0
 
-let push_waiting st ~id ~arrival ~size ~remaining =
+let[@inline] push_waiting st ~id ~arrival ~size ~remaining =
   Heap.Scalar3.add st.waiting ~key:remaining ~aux1:arrival ~aux2:size ~aux3:remaining id
 
+let push_slot st (s : slot) =
+  push_waiting st ~id:s.id ~arrival:s.f.arrival ~size:s.f.size ~remaining:s.f.remaining
+
 let pop_into_free_slot st =
-  let arrival = Heap.Scalar3.min_aux1_exn st.waiting in
-  let size = Heap.Scalar3.min_aux2_exn st.waiting in
-  let remaining = Heap.Scalar3.min_aux3_exn st.waiting in
-  let id = Heap.Scalar3.pop_exn st.waiting in
   let s = st.slots.(st.n_run) in
-  s.id <- id;
-  s.arrival <- arrival;
-  s.size <- size;
-  s.remaining <- remaining;
+  s.f.arrival <- Heap.Scalar3.min_aux1_exn st.waiting;
+  s.f.size <- Heap.Scalar3.min_aux2_exn st.waiting;
+  s.f.remaining <- Heap.Scalar3.min_aux3_exn st.waiting;
+  s.id <- Heap.Scalar3.pop_exn st.waiting;
   st.n_run <- st.n_run + 1
 
+(* Seat buffered arrival [i] in slot [s], fresh. *)
+let seat_fresh st (s : slot) i =
+  s.id <- st.fresh_ids.(i);
+  s.f.arrival <- st.fresh_arrivals.(i);
+  s.f.size <- st.fresh_sizes.(i);
+  s.f.remaining <- s.f.size
+
 (* Mirror of one [allocate] call: refill from the waiting set, then
-   process buffered arrivals in admission order. *)
-let refresh st ~now:_ =
+   process buffered arrivals in admission order.  The rule never reads
+   the clock. *)
+let refresh_now st =
   while st.n_run < st.machines && Heap.Scalar3.length st.waiting > 0 do
     pop_into_free_slot st
   done;
-  while not (Queue.is_empty st.fresh) do
-    let j = Queue.pop st.fresh in
+  for i = 0 to st.n_fresh - 1 do
     if st.n_run < st.machines then begin
-      let s = st.slots.(st.n_run) in
-      s.id <- j.Job.id;
-      s.arrival <- j.arrival;
-      s.size <- j.size;
-      s.remaining <- j.size;
+      seat_fresh st st.slots.(st.n_run) i;
       st.n_run <- st.n_run + 1
     end
     else begin
       (* Weakest evictable incumbent under (remaining, id). *)
       let weak = ref (-1) in
-      for i = 0 to st.n_run - 1 do
-        let s = st.slots.(i) in
+      for k = 0 to st.n_run - 1 do
+        let s = st.slots.(k) in
         if count st s.id < st.budget then
           match !weak with
-          | -1 -> weak := i
+          | -1 -> weak := k
           | w ->
               let sw = st.slots.(w) in
-              if s.remaining > sw.remaining || (s.remaining = sw.remaining && s.id > sw.id)
-              then weak := i
+              if
+                s.f.remaining > sw.f.remaining
+                || (s.f.remaining = sw.f.remaining && s.id > sw.id)
+              then weak := k
       done;
-      match !weak with
-      | -1 -> push_waiting st ~id:j.Job.id ~arrival:j.arrival ~size:j.size ~remaining:j.size
-      | w ->
-          let sw = st.slots.(w) in
-          if j.Job.size < sw.remaining || (j.Job.size = sw.remaining && j.Job.id < sw.id)
-          then begin
-            push_waiting st ~id:sw.id ~arrival:sw.arrival ~size:sw.size ~remaining:sw.remaining;
-            Hashtbl.replace st.evictions sw.id (count st sw.id + 1);
-            sw.id <- j.Job.id;
-            sw.arrival <- j.arrival;
-            sw.size <- j.size;
-            sw.remaining <- j.size
-          end
-          else push_waiting st ~id:j.Job.id ~arrival:j.arrival ~size:j.size ~remaining:j.size
+      let id = st.fresh_ids.(i) and size = st.fresh_sizes.(i) in
+      let evict =
+        match !weak with
+        | -1 -> -1
+        | w ->
+            let sw = st.slots.(w) in
+            if size < sw.f.remaining || (size = sw.f.remaining && id < sw.id) then w else -1
+      in
+      if evict < 0 then
+        push_waiting st ~id ~arrival:st.fresh_arrivals.(i) ~size ~remaining:size
+      else begin
+        let sw = st.slots.(evict) in
+        push_slot st sw;
+        Hashtbl.replace st.evictions sw.id (count st sw.id + 1);
+        seat_fresh st sw i
+      end
     end
-  done
+  done;
+  st.n_fresh <- 0
 
 (* The policy never emits a horizon: internal events are completions of
-   the running set (rate 1 each). *)
-let next_internal st ~now =
+   the running set (rate 1 each), into [st.clk.t_next]. *)
+let scan_next st =
+  let now = st.clk.now in
   let t = ref Float.infinity in
   for i = 0 to st.n_run - 1 do
-    let c = now +. (st.slots.(i).remaining /. st.speed) in
+    let c = now +. (st.slots.(i).f.remaining /. st.speed) in
     if c < !t then t := c
   done;
-  !t
+  st.clk.t_next <- !t
 
-let advance st ~dt =
-  let adv = st.speed *. dt in
+let refresh st ~now:_ = refresh_now st
+
+let next_internal st ~now =
+  st.clk.now <- now;
+  scan_next st;
+  st.clk.t_next
+
+let advance_dt st =
+  let adv = st.speed *. st.clk.dt in
   for i = 0 to st.n_run - 1 do
-    let s = st.slots.(i) in
-    s.remaining <- s.remaining -. adv
+    let f = st.slots.(i).f in
+    f.remaining <- f.remaining -. adv
   done
 
-let settle st ~now ~complete =
+let advance st ~dt =
+  st.clk.dt <- dt;
+  advance_dt st
+
+let settle_now st (complete : Simulator.sink) =
+  let now = st.clk.now in
   for i = st.n_run - 1 downto 0 do
     let s = st.slots.(i) in
-    if s.remaining <= threshold s.size then begin
-      complete s.id s.arrival now;
+    if s.f.remaining <= threshold s.f.size then begin
+      complete ~id:s.id ~arrival:s.f.arrival ~flow:(now -. s.f.arrival);
       Hashtbl.remove st.evictions s.id;
       st.alive <- st.alive - 1;
       (* Pack the running prefix: swap the retiring slot with the last
@@ -177,31 +230,38 @@ let settle st ~now ~complete =
     end
   done
 
+let settle st ~now ~complete =
+  st.clk.now <- now;
+  settle_now st complete
+
 (* ------------------------------------------------------------------ *)
 (* Closed event loop                                                   *)
 (* ------------------------------------------------------------------ *)
 
 let budget_core ~record_trace ~speed ~max_events ~machines ~budget ~(source : Source.t)
-    ~(complete : int -> float -> float -> unit) =
+    ~(completions : float array) ~(sink : Simulator.sink) =
   let scratch = Arena.borrow () in
   Fun.protect ~finally:(fun () -> Arena.release scratch) @@ fun () ->
   let st = create_in ~waiting:(Arena.scalar3_of scratch) ~machines ~speed ~budget in
-  let next_arr = ref (Source.next_arrival source) in
+  let clk = st.clk in
   let max_alive = ref 0 in
-  let admit_upto now =
-    while !next_arr <= now do
-      (match Source.next source with Some j -> admit st j | None -> ());
-      next_arr := Source.next_arrival source
+  let admit_upto () =
+    while clk.next_arr <= clk.now do
+      admit st ~id:(Source.head_id source) ~arrival:(Source.head_arrival source)
+        ~size:(Source.head_size source);
+      Source.advance source;
+      clk.next_arr <- Source.next_arrival source
     done;
     if st.alive > !max_alive then max_alive := st.alive
   in
   let completed = ref 0 in
-  let makespan = ref 0. in
   let events = ref 0 in
-  let complete' id arrival t =
-    complete id arrival t;
+  let record = Array.length completions > 0 in
+  let complete ~id ~arrival ~flow =
+    if record then completions.(id) <- clk.now;
+    sink ~id ~arrival ~flow;
     incr completed;
-    makespan := t
+    clk.makespan <- clk.now
   in
   let trace_arena : Trace.segment Vec.t = Arena.segments_of scratch in
   let push_trace ~t0 ~t1 =
@@ -209,7 +269,7 @@ let budget_core ~record_trace ~speed ~max_events ~machines ~budget ~(source : So
     let next = ref 0 in
     for i = 0 to st.n_run - 1 do
       let s = st.slots.(i) in
-      entries.(!next) <- { Trace.job = s.id; arrival = s.arrival; rate = 1. };
+      entries.(!next) <- { Trace.job = s.id; arrival = s.f.arrival; rate = 1. };
       incr next
     done;
     Heap.Scalar3.iter
@@ -217,38 +277,38 @@ let budget_core ~record_trace ~speed ~max_events ~machines ~budget ~(source : So
         entries.(!next) <- { Trace.job = id; arrival; rate = 0. };
         incr next)
       st.waiting;
-    Queue.iter
-      (fun (j : Job.t) ->
-        entries.(!next) <- { Trace.job = j.id; arrival = j.arrival; rate = 0. };
-        incr next)
-      st.fresh;
+    for i = 0 to st.n_fresh - 1 do
+      entries.(!next) <- { Trace.job = st.fresh_ids.(i); arrival = st.fresh_arrivals.(i); rate = 0. };
+      incr next
+    done;
     Vec.push trace_arena { Trace.t0; t1; alive = entries }
   in
-  let now = ref (match Source.peek source with Some j -> j.Job.arrival | None -> 0.) in
-  admit_upto !now;
+  clk.now <- (if Source.has_more source then Source.head_arrival source else 0.);
+  clk.next_arr <- Source.next_arrival source;
+  admit_upto ();
   while st.alive > 0 || Source.has_more source do
     incr events;
     if !events > max_events then
-      raise (Simulator.Event_limit_exceeded { limit = max_events; now = !now });
+      raise (Simulator.Event_limit_exceeded { limit = max_events; now = clk.now });
     if st.alive = 0 then begin
-      now := !next_arr;
-      admit_upto !now
+      clk.now <- clk.next_arr;
+      admit_upto ()
     end
     else begin
-      refresh st ~now:!now;
-      let t_next = ref (next_internal st ~now:!now) in
-      if !next_arr < !t_next then t_next := !next_arr;
-      if not (Float.is_finite !t_next) then
+      refresh_now st;
+      scan_next st;
+      if clk.next_arr < clk.t_next then clk.t_next <- clk.next_arr;
+      if not (Float.is_finite clk.t_next) then
         raise
           (Simulator.Invalid_allocation
              "alive jobs receive no service and no arrival or horizon is pending");
-      let dt = !t_next -. !now in
-      assert (dt > 0.);
-      if record_trace then push_trace ~t0:!now ~t1:!t_next;
-      advance st ~dt;
-      now := !t_next;
-      settle st ~now:!now ~complete:complete';
-      admit_upto !now
+      clk.dt <- clk.t_next -. clk.now;
+      assert (clk.dt > 0.);
+      if record_trace then push_trace ~t0:clk.now ~t1:clk.t_next;
+      advance_dt st;
+      clk.now <- clk.t_next;
+      settle_now st complete;
+      admit_upto ()
     end
   done;
   ( {
@@ -256,7 +316,7 @@ let budget_core ~record_trace ~speed ~max_events ~machines ~budget ~(source : So
       events = !events;
       machines;
       speed;
-      makespan = !makespan;
+      makespan = clk.makespan;
       max_alive = !max_alive;
     },
     Vec.to_list trace_arena )
@@ -269,13 +329,9 @@ let run ?(record_trace = false) ?(speed = 1.) ?(max_events = 10_000_000) ?(sink 
   let jobs_arr = Simulator.jobs_by_id jobs n in
   let order = Simulator.release_order jobs n in
   let completions = Array.make n Float.nan in
-  let complete id arrival now =
-    completions.(id) <- now;
-    sink ~id ~arrival ~flow:(now -. arrival)
-  in
   let summary, trace =
     budget_core ~record_trace ~speed ~max_events ~machines ~budget
-      ~source:(Source.of_array order) ~complete
+      ~source:(Source.of_array order) ~completions ~sink
   in
   {
     Simulator.jobs = jobs_arr;
@@ -286,10 +342,9 @@ let run ?(record_trace = false) ?(speed = 1.) ?(max_events = 10_000_000) ?(sink 
     events = summary.Simulator.events;
   }
 
-let run_stream ?(speed = 1.) ?(max_events = 10_000_000) ~machines ~budget ~sink pull =
-  let complete id arrival now = sink ~id ~arrival ~flow:(now -. arrival) in
+let run_stream ?(speed = 1.) ?(max_events = 10_000_000) ~machines ~budget ~sink fill =
   let summary, _trace =
     budget_core ~record_trace:false ~speed ~max_events ~machines ~budget
-      ~source:(Source.of_fn pull) ~complete
+      ~source:(Source.of_raw fill) ~completions:[||] ~sink
   in
   summary

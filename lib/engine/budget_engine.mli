@@ -20,7 +20,7 @@ val create : machines:int -> speed:float -> budget:int -> state
 
 val alive : state -> int
 
-val admit : state -> Job.t -> unit
+val admit : state -> id:int -> arrival:float -> size:float -> unit
 (** Buffer a released job (in non-decreasing arrival order, distinct
     ids); the next {!refresh} processes it after refilling from the
     waiting set. *)
@@ -31,7 +31,9 @@ val refresh : state -> now:float -> unit
 
 val next_internal : state -> now:float -> float
 val advance : state -> dt:float -> unit
-val settle : state -> now:float -> complete:(int -> float -> float -> unit) -> unit
+val settle : state -> now:float -> complete:Simulator.sink -> unit
+(** Retire completed running jobs, reporting each as
+    [complete ~id ~arrival ~flow:(now -. arrival)]. *)
 
 (** {2 Closed runs} *)
 
@@ -52,5 +54,7 @@ val run_stream :
   machines:int ->
   budget:int ->
   sink:Simulator.sink ->
-  (unit -> Job.t option) ->
+  (Simulator.Source.cursor -> int) ->
   Simulator.summary
+(** Streaming run over an unboxed {!Simulator.Source.of_raw} producer:
+    no [Job.t] is built, and slot floats live in flat records. *)

@@ -47,20 +47,43 @@ let class_of_kind = function
   | Sized { gamma } -> Policy_class.Sized_share { gamma }
   | Quantum { quantum } -> Policy_class.Quantum_cycle { quantum }
 
-(* One record per alive job, owned by the engine for the job's whole
-   lifetime.  [rate] caches the last decision so partial advances (the
-   live engine splits intervals at [step] targets) reuse it without a
-   recompute — exactly the general loop's allocate-once-per-event
+(* One job record per alive job, owned by the engine for its whole
+   lifetime.  The floats live in an all-float record ([jfl]), whose
+   representation is flat: the per-event writes of [remaining],
+   [attained] and [rate] are plain unboxed stores.  In a record that also
+   held the int fields every such write would box a fresh float — the
+   build has no flambda to unbox them.  [rate] caches the last decision
+   for the whole inter-event interval, however the live engine splits it
+   at [step] targets — exactly the general loop's allocate-once-per-event
    discipline, which is what keeps WRR-age's drifting weights
    split-safe. *)
-type djob = {
-  id : int;
+type jfl = {
   arrival : float;
   size : float;
   mutable remaining : float;
   mutable attained : float;
   mutable rate : float;
+}
+
+type djob = {
+  id : int;  (* -1 marks a Quantum core's vacant slot *)
   mutable level : int;  (* Ladder only: MLFQ level as of the last refresh *)
+  f : jfl;
+}
+
+(* The engine's clock, decision horizon and event-scan output, plus the
+   closed driver's buffered next arrival and makespan: all-float, hence
+   flat, for the same reason as [jfl].  The incremental entry points
+   below take [now]/[dt] as arguments and park them here; the closed
+   driver writes the fields directly and never passes a float across a
+   call. *)
+type clock = {
+  mutable now : float;
+  mutable dt : float;
+  mutable horizon : float;  (* decision horizon; +inf when none *)
+  mutable t_next : float;  (* earliest internal event, from [scan_next] *)
+  mutable next_arr : float;  (* closed driver: next pending arrival *)
+  mutable makespan : float;  (* closed driver: last completion *)
 }
 
 type state = {
@@ -68,17 +91,22 @@ type state = {
   machines : int;
   speed : float;
   jobs : djob Vec.t;  (* dense cores; class-specific order, see [admit] *)
-  slots : djob option array;  (* Quantum: seated jobs, one per machine *)
+  vacant : djob;  (* Quantum: the empty-slot marker (id -1, never served) *)
+  slots : djob array;  (* Quantum: seated jobs, one per machine *)
   deadlines : float array;  (* Quantum: per-slot quantum deadline *)
   ready : djob Queue.t;  (* Quantum: FIFO ready queue *)
+  ladder : Policy_class.ladder_table;  (* Ladder: thresholds and bands *)
   level_counts : int array;  (* Ladder scratch: alive jobs per level *)
   level_share : float array;  (* Ladder scratch: rate per level *)
   mutable weights : float array;  (* Aged / Sized scratch, capacity >= alive *)
   mutable suffix : float array;  (* capped_rates_into scratch, capacity >= alive + 1 *)
   mutable rates : float array;  (* capped_rates_into output, capacity >= alive *)
-  mutable horizon : float;  (* decision horizon; +inf when none *)
+  clk : clock;
   mutable alive : int;
 }
+
+let[@inline] make_job ~id ~arrival ~size =
+  { id; level = 0; f = { arrival; size; remaining = size; attained = 0.; rate = 0. } }
 
 let create ~machines ~speed kind =
   if machines < 1 then invalid_arg "Class_engine.create: machines must be >= 1";
@@ -87,20 +115,35 @@ let create ~machines ~speed kind =
   (match Policy_class.validate (class_of_kind kind) with
   | Ok () -> ()
   | Error msg -> invalid_arg ("Class_engine.create: " ^ msg));
+  let vacant = make_job ~id:(-1) ~arrival:0. ~size:0. in
   {
     kind;
     machines;
     speed;
     jobs = Vec.create ();
-    slots = (match kind with Quantum _ -> Array.make machines None | _ -> [||]);
+    vacant;
+    slots = (match kind with Quantum _ -> Array.make machines vacant | _ -> [||]);
     deadlines = (match kind with Quantum _ -> Array.make machines Float.infinity | _ -> [||]);
     ready = Queue.create ();
+    ladder =
+      (match kind with
+      | Ladder { base_quantum; factor; levels } ->
+          Policy_class.ladder_table ~base_quantum ~factor ~levels
+      | _ -> { Policy_class.thresholds = [||]; bands = [||] });
     level_counts = (match kind with Ladder { levels; _ } -> Array.make levels 0 | _ -> [||]);
     level_share = (match kind with Ladder { levels; _ } -> Array.make levels 0. | _ -> [||]);
     weights = [||];
     suffix = [||];
     rates = [||];
-    horizon = Float.infinity;
+    clk =
+      {
+        now = 0.;
+        dt = 0.;
+        horizon = Float.infinity;
+        t_next = Float.infinity;
+        next_arr = Float.infinity;
+        makespan = 0.;
+      };
     alive = 0;
   }
 
@@ -120,10 +163,7 @@ let alive st = st.alive
 
 (* Same float as Simulator.completion_threshold, inlined into the hot
    loop. *)
-let threshold size = 1e-9 *. (1. +. size)
-
-let mk_job (j : Job.t) =
-  { id = j.id; arrival = j.arrival; size = j.size; remaining = j.size; attained = 0.; rate = 0.; level = 0 }
+let[@inline] threshold size = 1e-9 *. (1. +. size)
 
 (* Jobs must be admitted in (arrival asc, id asc) order — the order
    every source produces.  LAPS keeps that order directly (the policy
@@ -133,18 +173,17 @@ let mk_job (j : Job.t) =
    order IS (weight desc, id asc) at every instant; WRR-static inserts
    by its static weight; MLFQ's vector is unordered (rates depend only
    on levels). *)
-let admit st (j : Job.t) =
-  let dj = mk_job j in
+let insert st dj =
   (match st.kind with
   | Laps _ | Ladder _ | Aged _ -> Vec.push st.jobs dj
   | Sized { gamma } ->
       (* Keep (weight desc, id asc).  The newcomer has the largest id, so
          it goes after every incumbent of weight >= its own: shift the
          strictly-lighter suffix right by one. *)
-      let w = j.size ** gamma in
+      let w = dj.f.size ** gamma in
       Vec.push st.jobs dj;
       let i = ref (Vec.length st.jobs - 1) in
-      while !i > 0 && (Vec.get st.jobs (!i - 1)).size ** gamma < w do
+      while !i > 0 && (Vec.get st.jobs (!i - 1)).f.size ** gamma < w do
         Vec.set st.jobs !i (Vec.get st.jobs (!i - 1));
         decr i
       done;
@@ -152,11 +191,15 @@ let admit st (j : Job.t) =
   | Quantum _ -> Queue.push dj st.ready);
   st.alive <- st.alive + 1
 
-(* Mirror of one [allocate] call: recompute every cached rate and the
-   decision horizon.  Run exactly once per event, after completions and
-   admissions have settled — the same place the general loop invokes the
-   policy. *)
-let refresh st ~now =
+let admit st ~id ~arrival ~size = insert st (make_job ~id ~arrival ~size)
+
+(* Mirror of one [allocate] call at [st.clk.now]: recompute every cached
+   rate and the decision horizon.  Run exactly once per event, after
+   completions and admissions have settled — the same place the general
+   loop invokes the policy. *)
+let refresh_now st =
+  let clk = st.clk in
+  let now = clk.now in
   match st.kind with
   | Laps { beta } ->
       let n = Vec.length st.jobs in
@@ -165,16 +208,19 @@ let refresh st ~now =
         let share = Float.min 1. (Float.of_int st.machines /. Float.of_int share_count) in
         let first = n - share_count in
         for i = 0 to n - 1 do
-          (Vec.get st.jobs i).rate <- (if i >= first then share else 0.)
+          (Vec.get st.jobs i).f.rate <- (if i >= first then share else 0.)
         done
       end;
-      st.horizon <- Float.infinity
-  | Ladder { base_quantum; factor; levels } ->
+      clk.horizon <- Float.infinity
+  | Ladder { levels; _ } ->
       let n = Vec.length st.jobs in
       Array.fill st.level_counts 0 levels 0;
+      (* Each job's level moves forward from its cached one (see
+         [Policy_class.table_level]): the same level [ladder_level] would
+         compute from 0, at the cost of the levels actually climbed. *)
       for i = 0 to n - 1 do
         let dj = Vec.get st.jobs i in
-        dj.level <- Policy_class.ladder_level ~base_quantum ~factor ~levels dj.attained;
+        dj.level <- Policy_class.table_level st.ladder ~from:dj.level dj.f.attained;
         st.level_counts.(dj.level) <- st.level_counts.(dj.level) + 1
       done;
       (* Serve levels lowest-first; same block arithmetic (and the same
@@ -189,153 +235,157 @@ let refresh st ~now =
         end
         else st.level_share.(lvl) <- 0.
       done;
-      st.horizon <- Float.infinity;
+      let horizon = ref Float.infinity in
       for i = 0 to n - 1 do
         let dj = Vec.get st.jobs i in
-        dj.rate <- st.level_share.(dj.level);
-        if dj.rate > 0. && dj.level < levels - 1 then begin
-          let next = Policy_class.ladder_threshold ~base_quantum ~factor dj.level in
-          let gap = next -. dj.attained in
+        let f = dj.f in
+        f.rate <- st.level_share.(dj.level);
+        if f.rate > 0. && dj.level < levels - 1 then begin
+          let gap = st.ladder.thresholds.(dj.level) -. f.attained in
           if gap > 1e-12 then begin
-            let t = now +. (gap /. (dj.rate *. st.speed)) in
-            if t < st.horizon then st.horizon <- t
+            let t = now +. (gap /. (f.rate *. st.speed)) in
+            if t < !horizon then horizon := t
           end
         end
-      done
+      done;
+      clk.horizon <- !horizon
   | Aged { k; refresh; offset } ->
       let n = Vec.length st.jobs in
       ensure_scratch st n;
       for i = 0 to n - 1 do
         st.weights.(i) <-
-          Rr_util.Floatx.powi ((now -. (Vec.get st.jobs i).arrival) +. offset) (k - 1)
+          Rr_util.Floatx.powi ((now -. (Vec.get st.jobs i).f.arrival) +. offset) (k - 1)
       done;
       Policy_class.capped_rates_into ~machines:st.machines ~n ~weights:st.weights
         ~suffix:st.suffix ~rates:st.rates;
       let youngest = ref Float.infinity in
       for i = 0 to n - 1 do
-        let dj = Vec.get st.jobs i in
-        dj.rate <- st.rates.(i);
-        youngest := Float.min !youngest (now -. dj.arrival)
+        let f = (Vec.get st.jobs i).f in
+        f.rate <- st.rates.(i);
+        youngest := Float.min !youngest (now -. f.arrival)
       done;
-      st.horizon <-
+      clk.horizon <-
         (if k = 1 || n = 0 then Float.infinity
          else now +. Float.max 1e-6 (refresh *. (!youngest +. offset)))
   | Sized { gamma } ->
       let n = Vec.length st.jobs in
       ensure_scratch st n;
       for i = 0 to n - 1 do
-        st.weights.(i) <- (Vec.get st.jobs i).size ** gamma
+        st.weights.(i) <- (Vec.get st.jobs i).f.size ** gamma
       done;
       Policy_class.capped_rates_into ~machines:st.machines ~n ~weights:st.weights
         ~suffix:st.suffix ~rates:st.rates;
       for i = 0 to n - 1 do
-        (Vec.get st.jobs i).rate <- st.rates.(i)
+        (Vec.get st.jobs i).f.rate <- st.rates.(i)
       done;
-      st.horizon <- Float.infinity
+      clk.horizon <- Float.infinity
   | Quantum { quantum } ->
       (* Expired quanta first (incumbent to the back of the queue), then
          refill idle machines — the mirror policy's transition order. *)
       for s = 0 to st.machines - 1 do
-        match st.slots.(s) with
-        | Some dj when now >= st.deadlines.(s) -. 1e-12 ->
-            dj.rate <- 0.;
-            Queue.push dj st.ready;
-            st.slots.(s) <- None
-        | _ -> ()
+        let dj = st.slots.(s) in
+        if dj.id >= 0 && now >= st.deadlines.(s) -. 1e-12 then begin
+          dj.f.rate <- 0.;
+          Queue.push dj st.ready;
+          st.slots.(s) <- st.vacant
+        end
       done;
       for s = 0 to st.machines - 1 do
-        if st.slots.(s) = None then
-          match Queue.take_opt st.ready with
-          | Some dj ->
-              dj.rate <- 1.;
-              st.slots.(s) <- Some dj;
-              st.deadlines.(s) <- now +. quantum
-          | None -> ()
+        if st.slots.(s).id < 0 && not (Queue.is_empty st.ready) then begin
+          let dj = Queue.pop st.ready in
+          dj.f.rate <- 1.;
+          st.slots.(s) <- dj;
+          st.deadlines.(s) <- now +. quantum
+        end
       done;
-      st.horizon <- Float.infinity;
+      let horizon = ref Float.infinity in
       for s = 0 to st.machines - 1 do
-        match st.slots.(s) with
-        | Some _ when st.deadlines.(s) < st.horizon -> st.horizon <- st.deadlines.(s)
-        | _ -> ()
-      done
+        if st.slots.(s).id >= 0 && st.deadlines.(s) < !horizon then horizon := st.deadlines.(s)
+      done;
+      clk.horizon <- !horizon
 
-(* Earliest internal event under the cached decision: analytic
-   completion or decision horizon, whichever first.  The caller folds in
-   the next arrival; the min over all three is the same float whatever
-   the fold order, so the general loop's completion -> arrival ->
-   horizon sequencing needs no replication. *)
-let next_internal st ~now =
-  let t = ref st.horizon in
+(* Earliest internal event under the cached decision, into
+   [st.clk.t_next]: analytic completion or decision horizon, whichever
+   first.  The caller folds in the next arrival; the min over all three
+   is the same float whatever the fold order, so the general loop's
+   completion -> arrival -> horizon sequencing needs no replication. *)
+let scan_next st =
+  let clk = st.clk in
+  let now = clk.now in
+  let t = ref clk.horizon in
   (match st.kind with
   | Quantum _ ->
       for s = 0 to st.machines - 1 do
-        match st.slots.(s) with
-        | Some dj ->
-            let v = dj.rate *. st.speed in
-            if v > 0. then begin
-              let c = now +. (dj.remaining /. v) in
-              if c < !t then t := c
-            end
-        | None -> ()
+        let dj = st.slots.(s) in
+        if dj.id >= 0 then begin
+          let v = dj.f.rate *. st.speed in
+          if v > 0. then begin
+            let c = now +. (dj.f.remaining /. v) in
+            if c < !t then t := c
+          end
+        end
       done
   | _ ->
       let n = Vec.length st.jobs in
       for i = 0 to n - 1 do
-        let dj = Vec.get st.jobs i in
-        let v = dj.rate *. st.speed in
+        let f = (Vec.get st.jobs i).f in
+        let v = f.rate *. st.speed in
         if v > 0. then begin
-          let c = now +. (dj.remaining /. v) in
+          let c = now +. (f.remaining /. v) in
           if c < !t then t := c
         end
       done);
-  !t
+  clk.t_next <- !t
 
-(* Advance every served job by the cached rates; a zero rate is a
-   bit-exact no-op in the general loop, so skipping those jobs changes
-   nothing. *)
-let advance st ~dt =
+(* Advance every served job by the cached rates for [st.clk.dt]; a zero
+   rate is a bit-exact no-op in the general loop, so skipping those jobs
+   changes nothing. *)
+let advance_dt st =
+  let dt = st.clk.dt in
   match st.kind with
   | Quantum _ ->
       for s = 0 to st.machines - 1 do
-        match st.slots.(s) with
-        | Some dj ->
-            let delta = dj.rate *. st.speed *. dt in
-            dj.remaining <- dj.remaining -. delta;
-            dj.attained <- dj.attained +. delta
-        | None -> ()
+        let dj = st.slots.(s) in
+        if dj.id >= 0 then begin
+          let f = dj.f in
+          let delta = f.rate *. st.speed *. dt in
+          f.remaining <- f.remaining -. delta;
+          f.attained <- f.attained +. delta
+        end
       done
   | _ ->
       let n = Vec.length st.jobs in
       for i = 0 to n - 1 do
-        let dj = Vec.get st.jobs i in
-        if dj.rate > 0. then begin
-          let delta = dj.rate *. st.speed *. dt in
-          dj.remaining <- dj.remaining -. delta;
-          dj.attained <- dj.attained +. delta
+        let f = (Vec.get st.jobs i).f in
+        if f.rate > 0. then begin
+          let delta = f.rate *. st.speed *. dt in
+          f.remaining <- f.remaining -. delta;
+          f.attained <- f.attained +. delta
         end
       done
 
-(* Retire completed jobs.  The dense cores check the whole vector (the
-   general loop does too, and it costs nothing extra at O(alive) per
-   event); the quantum core checks its slots — queued jobs have rate 0
-   and cannot cross the threshold. *)
-let settle st ~now ~complete =
+(* Retire completed jobs at [st.clk.now].  The dense cores check the
+   whole vector (the general loop does too, and it costs nothing extra at
+   O(alive) per event); the quantum core checks its slots — queued jobs
+   have rate 0 and cannot cross the threshold. *)
+let settle_now st (complete : Simulator.sink) =
+  let now = st.clk.now in
   match st.kind with
   | Quantum _ ->
       for s = 0 to st.machines - 1 do
-        match st.slots.(s) with
-        | Some dj when dj.remaining <= threshold dj.size ->
-            complete dj.id dj.arrival now;
-            st.slots.(s) <- None;
-            st.alive <- st.alive - 1
-        | _ -> ()
+        let dj = st.slots.(s) in
+        if dj.id >= 0 && dj.f.remaining <= threshold dj.f.size then begin
+          complete ~id:dj.id ~arrival:dj.f.arrival ~flow:(now -. dj.f.arrival);
+          st.slots.(s) <- st.vacant;
+          st.alive <- st.alive - 1
+        end
       done
   | Ladder _ ->
       (* Unordered vector: swap-remove, iterating downwards. *)
       for i = Vec.length st.jobs - 1 downto 0 do
         let dj = Vec.get st.jobs i in
-        if dj.remaining <= threshold dj.size then begin
-          complete dj.id dj.arrival now;
+        if dj.f.remaining <= threshold dj.f.size then begin
+          complete ~id:dj.id ~arrival:dj.f.arrival ~flow:(now -. dj.f.arrival);
           Vec.swap_remove st.jobs i;
           st.alive <- st.alive - 1
         end
@@ -346,8 +396,8 @@ let settle st ~now ~complete =
          stays valid. *)
       for i = Vec.length st.jobs - 1 downto 0 do
         let dj = Vec.get st.jobs i in
-        if dj.remaining <= threshold dj.size then begin
-          complete dj.id dj.arrival now;
+        if dj.f.remaining <= threshold dj.f.size then begin
+          complete ~id:dj.id ~arrival:dj.f.arrival ~flow:(now -. dj.f.arrival);
           let len = Vec.length st.jobs in
           for p = i to len - 2 do
             Vec.set st.jobs p (Vec.get st.jobs (p + 1))
@@ -357,10 +407,29 @@ let settle st ~now ~complete =
         end
       done
 
+(* The incremental interface: each entry point parks its float argument
+   in the clock record and runs the closed driver's primitive. *)
+let refresh st ~now =
+  st.clk.now <- now;
+  refresh_now st
+
+let next_internal st ~now =
+  st.clk.now <- now;
+  scan_next st;
+  st.clk.t_next
+
+let advance st ~dt =
+  st.clk.dt <- dt;
+  advance_dt st
+
+let settle st ~now ~complete =
+  st.clk.now <- now;
+  settle_now st complete
+
 let iter_alive st f =
   match st.kind with
   | Quantum _ ->
-      Array.iter (function Some dj -> f dj | None -> ()) st.slots;
+      Array.iter (fun dj -> if dj.id >= 0 then f dj) st.slots;
       Queue.iter f st.ready
   | _ -> Vec.iter f st.jobs
 
@@ -368,63 +437,73 @@ let iter_alive st f =
 (* Closed event loop                                                   *)
 (* ------------------------------------------------------------------ *)
 
+(* Nothing here is built per event: the driver's clock lives in the
+   state's flat [clock] record, admission reads the source's raw cursor
+   (no [Job.t], no option), the per-run [complete] closure forwards the
+   sink's boxed arguments untouched, and every primitive takes the state
+   alone. *)
 let dense_core ~record_trace ~speed ~max_events ~machines ~kind ~(source : Source.t)
-    ~(complete : int -> float -> float -> unit) =
+    ~(completions : float array) ~(sink : Simulator.sink) =
   let scratch = Arena.borrow () in
   Fun.protect ~finally:(fun () -> Arena.release scratch) @@ fun () ->
   let st = create ~machines ~speed kind in
-  let next_arr = ref (Source.next_arrival source) in
+  let clk = st.clk in
   let max_alive = ref 0 in
-  let admit_upto now =
-    while !next_arr <= now do
-      (match Source.next source with Some j -> admit st j | None -> ());
-      next_arr := Source.next_arrival source
+  let admit_upto () =
+    while clk.next_arr <= clk.now do
+      insert st
+        (make_job ~id:(Source.head_id source) ~arrival:(Source.head_arrival source)
+           ~size:(Source.head_size source));
+      Source.advance source;
+      clk.next_arr <- Source.next_arrival source
     done;
     if st.alive > !max_alive then max_alive := st.alive
   in
   let completed = ref 0 in
-  let makespan = ref 0. in
   let events = ref 0 in
-  let complete' id arrival t =
-    complete id arrival t;
+  let record = Array.length completions > 0 in
+  let complete ~id ~arrival ~flow =
+    if record then completions.(id) <- clk.now;
+    sink ~id ~arrival ~flow;
     incr completed;
-    makespan := t
+    clk.makespan <- clk.now
   in
   let trace_arena : Trace.segment Vec.t = Arena.segments_of scratch in
   let push_trace ~t0 ~t1 =
     let entries = Array.make st.alive { Trace.job = -1; arrival = 0.; rate = 0. } in
     let next = ref 0 in
     iter_alive st (fun dj ->
-        entries.(!next) <- { Trace.job = dj.id; arrival = dj.arrival; rate = dj.rate };
+        entries.(!next) <- { Trace.job = dj.id; arrival = dj.f.arrival; rate = dj.f.rate };
         incr next);
     Vec.push trace_arena { Trace.t0; t1; alive = entries }
   in
-  let now = ref (match Source.peek source with Some j -> j.Job.arrival | None -> 0.) in
-  admit_upto !now;
+  clk.now <- (if Source.has_more source then Source.head_arrival source else 0.);
+  clk.next_arr <- Source.next_arrival source;
+  admit_upto ();
   while st.alive > 0 || Source.has_more source do
     incr events;
     if !events > max_events then
-      raise (Simulator.Event_limit_exceeded { limit = max_events; now = !now });
+      raise (Simulator.Event_limit_exceeded { limit = max_events; now = clk.now });
     if st.alive = 0 then begin
       (* Idle period: jump straight to the next arrival. *)
-      now := !next_arr;
-      admit_upto !now
+      clk.now <- clk.next_arr;
+      admit_upto ()
     end
     else begin
-      refresh st ~now:!now;
-      let t_next = ref (next_internal st ~now:!now) in
-      if !next_arr < !t_next then t_next := !next_arr;
-      if not (Float.is_finite !t_next) then
+      refresh_now st;
+      scan_next st;
+      if clk.next_arr < clk.t_next then clk.t_next <- clk.next_arr;
+      if not (Float.is_finite clk.t_next) then
         raise
           (Simulator.Invalid_allocation
              "alive jobs receive no service and no arrival or horizon is pending");
-      let dt = !t_next -. !now in
-      assert (dt > 0.);
-      if record_trace then push_trace ~t0:!now ~t1:!t_next;
-      advance st ~dt;
-      now := !t_next;
-      settle st ~now:!now ~complete:complete';
-      admit_upto !now
+      clk.dt <- clk.t_next -. clk.now;
+      assert (clk.dt > 0.);
+      if record_trace then push_trace ~t0:clk.now ~t1:clk.t_next;
+      advance_dt st;
+      clk.now <- clk.t_next;
+      settle_now st complete;
+      admit_upto ()
     end
   done;
   ( {
@@ -432,7 +511,7 @@ let dense_core ~record_trace ~speed ~max_events ~machines ~kind ~(source : Sourc
       events = !events;
       machines;
       speed;
-      makespan = !makespan;
+      makespan = clk.makespan;
       max_alive = !max_alive;
     },
     Vec.to_list trace_arena )
@@ -445,13 +524,9 @@ let run ?(record_trace = false) ?(speed = 1.) ?(max_events = 10_000_000) ?(sink 
   let jobs_arr = Simulator.jobs_by_id jobs n in
   let order = Simulator.release_order jobs n in
   let completions = Array.make n Float.nan in
-  let complete id arrival now =
-    completions.(id) <- now;
-    sink ~id ~arrival ~flow:(now -. arrival)
-  in
   let summary, trace =
     dense_core ~record_trace ~speed ~max_events ~machines ~kind
-      ~source:(Source.of_array order) ~complete
+      ~source:(Source.of_array order) ~completions ~sink
   in
   {
     Simulator.jobs = jobs_arr;
@@ -462,10 +537,9 @@ let run ?(record_trace = false) ?(speed = 1.) ?(max_events = 10_000_000) ?(sink 
     events = summary.Simulator.events;
   }
 
-let run_stream ?(speed = 1.) ?(max_events = 10_000_000) ~machines ~kind ~sink pull =
-  let complete id arrival now = sink ~id ~arrival ~flow:(now -. arrival) in
+let run_stream ?(speed = 1.) ?(max_events = 10_000_000) ~machines ~kind ~sink fill =
   let summary, _trace =
     dense_core ~record_trace:false ~speed ~max_events ~machines ~kind
-      ~source:(Source.of_fn pull) ~complete
+      ~source:(Source.of_raw fill) ~completions:[||] ~sink
   in
   summary

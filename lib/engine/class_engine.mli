@@ -7,12 +7,19 @@
     These classes give fractional rates to many jobs at once, so events
     still cost O(alive); the engines win by maintaining jobs in the
     order their class needs (no per-event sort, no view rebuild, no
-    policy closure) and by calling the same shared numeric kernels as
-    the mirror policies ({!Policy_class.capped_rates},
-    {!Policy_class.ladder_level}, ...), so the two sides compute
-    bit-identical floats on the same event sequence.  The differential
-    suite pins agreement with the general loop to <= 1e-9 relative flow
-    time. *)
+    policy closure) and by computing the same floats as the mirror
+    policies: the shared {!Policy_class.capped_rates_into}, and the MLFQ
+    ladder tabled once by {!Policy_class.ladder_table} with exactly the
+    recurrences of {!Policy_class.ladder_level} — each job's level then
+    moves forward from its cached one, which lands on the level the
+    reference recursion computes from 0 (pinned by test_classes).  So
+    the two sides compute bit-identical floats on the same event
+    sequence, and the differential suite pins agreement with the general
+    loop to <= 1e-9 relative flow time.
+
+    The closed loop allocates nothing per event: per-job floats live in
+    all-float (flat) records, the clock and horizon in a flat record of
+    the state, and jobs are admitted from the source's raw cursor. *)
 
 type kind =
   | Laps of { beta : float }
@@ -33,8 +40,8 @@ val class_of_kind : kind -> Policy_class.t
 
     The building blocks the {!Live} engine drives directly: one
     {!refresh} per event (never per split — cached rates are what keep
-    WRR-age's drifting weights split-safe), {!advance} for any prefix of
-    the interval, {!settle} + admissions after each event.  The closed
+    WRR-age's drifting weights split-safe), {!advance} over the interval
+    since the last event, {!settle} + admissions after each event.  The closed
     {!run} / {!run_stream} below drive the same primitives.  The state
     contains no closures, so live snapshots can [Marshal] it. *)
 
@@ -46,7 +53,7 @@ val create : machines:int -> speed:float -> kind -> state
 
 val alive : state -> int
 
-val admit : state -> Job.t -> unit
+val admit : state -> id:int -> arrival:float -> size:float -> unit
 (** Admit a released job.  Jobs must be admitted in (arrival asc,
     id asc) order — the order every {!Simulator.Source} produces. *)
 
@@ -63,9 +70,9 @@ val next_internal : state -> now:float -> float
 val advance : state -> dt:float -> unit
 (** Advance served jobs by the cached rates for [dt > 0]. *)
 
-val settle : state -> now:float -> complete:(int -> float -> float -> unit) -> unit
+val settle : state -> now:float -> complete:Simulator.sink -> unit
 (** Retire completed jobs, reporting each as
-    [complete id arrival now]. *)
+    [complete ~id ~arrival ~flow:(now -. arrival)]. *)
 
 (** {2 Closed runs} *)
 
@@ -89,8 +96,9 @@ val run_stream :
   machines:int ->
   kind:kind ->
   sink:Simulator.sink ->
-  (unit -> Job.t option) ->
+  (Simulator.Source.cursor -> int) ->
   Simulator.summary
-(** Streaming run: jobs are pulled on demand in non-decreasing arrival
-    order with distinct ids, flows go to the sink, and only O(alive)
-    state plus O(1) aggregates stay resident. *)
+(** Streaming run over an unboxed {!Simulator.Source.of_raw} producer:
+    jobs are pulled on demand in non-decreasing arrival order with
+    distinct ids, flows go to the sink, and only O(alive) state plus
+    O(1) aggregates stay resident. *)

@@ -33,13 +33,24 @@ let w_starved = 1
 
 let w_fresh = 2
 
-type hjob = {
-  hid : int;
-  arrival : float;
-  size : float;
-  starve : float;
-  mutable remaining : float;
-  mutable where : int;
+(* Per-job floats in an all-float (flat) record: the per-event
+   [remaining] write of a running job is then a plain unboxed store —
+   in a record that also held [hid] and [where] it would box a fresh
+   float. *)
+type hfl = { arrival : float; size : float; starve : float; mutable remaining : float }
+
+type hjob = { hid : int; (* -1 marks a vacant slot *) mutable where : int; f : hfl }
+
+(* The kernel's clock and horizon, plus the closed driver's event scan,
+   buffered next arrival and makespan: all-float, hence flat.  The
+   incremental entry points park their float arguments here. *)
+type clock = {
+  mutable now : float;
+  mutable dt : float;
+  mutable horizon : float;  (* min starvation instant over fresh jobs; +inf when none *)
+  mutable t_next : float;
+  mutable next_arr : float;
+  mutable makespan : float;
 }
 
 type state = {
@@ -47,11 +58,12 @@ type state = {
   machines : int;
   speed : float;
   info : (int, hjob) Hashtbl.t;  (* every alive job *)
-  slots : hjob option array;  (* running set, <= machines entries *)
+  vacant : hjob;  (* the empty-slot marker *)
+  slots : hjob array;  (* running set, <= machines occupied entries *)
   starved : Heap.Scalar.t;  (* waiting starved: key = arrival, val = id *)
   fresh : Heap.Scalar.t;  (* waiting fresh: key = remaining at push, val = id *)
   promo : Heap.Scalar.t;  (* pending promotions: key = starve, val = id *)
-  mutable horizon : float;
+  clk : clock;
 }
 
 (* The three priority heaps may be caller-supplied (the closed core
@@ -65,16 +77,28 @@ let create_in ~starved ~fresh ~promo ~machines ~speed ~theta =
   (match Policy_class.validate (Policy_class.Starvation_hybrid { theta }) with
   | Ok () -> ()
   | Error msg -> invalid_arg ("Hybrid_engine.create: " ^ msg));
+  let vacant =
+    { hid = -1; where = w_running; f = { arrival = 0.; size = 0.; starve = 0.; remaining = 0. } }
+  in
   {
     theta;
     machines;
     speed;
     info = Hashtbl.create 64;
-    slots = Array.make machines None;
+    vacant;
+    slots = Array.make machines vacant;
     starved;
     fresh;
     promo;
-    horizon = Float.infinity;
+    clk =
+      {
+        now = 0.;
+        dt = 0.;
+        horizon = Float.infinity;
+        t_next = Float.infinity;
+        next_arr = Float.infinity;
+        makespan = 0.;
+      };
   }
 
 let create ~machines ~speed ~theta =
@@ -86,26 +110,30 @@ let create ~machines ~speed ~theta =
 
 let alive st = Hashtbl.length st.info
 
-let threshold size = 1e-9 *. (1. +. size)
+let[@inline] threshold size = 1e-9 *. (1. +. size)
 
-let admit st (j : Job.t) =
-  let starve = Policy_class.starve_time ~theta:st.theta ~arrival:j.arrival ~size:j.size in
-  let h =
-    { hid = j.id; arrival = j.arrival; size = j.size; starve; remaining = j.size; where = w_fresh }
-  in
-  Hashtbl.replace st.info j.id h;
-  Heap.Scalar.add st.fresh ~key:h.remaining j.id;
-  Heap.Scalar.add st.promo ~key:starve j.id
+let[@inline] make_job st ~id ~arrival ~size =
+  let starve = Policy_class.starve_time ~theta:st.theta ~arrival ~size in
+  { hid = id; where = w_fresh; f = { arrival; size; starve; remaining = size } }
 
-(* Strict two-tier order at time [now]: starved (arrival, id) before
+let insert st h =
+  Hashtbl.replace st.info h.hid h;
+  Heap.Scalar.add st.fresh ~key:h.f.remaining h.hid;
+  Heap.Scalar.add st.promo ~key:h.f.starve h.hid
+
+let admit st ~id ~arrival ~size = insert st (make_job st ~id ~arrival ~size)
+
+(* Strict two-tier order at [st.clk.now]: starved (arrival, id) before
    fresh (remaining, id) — the mirror policy's comparator. *)
-let beats ~now (a : hjob) (b : hjob) =
-  let sa = now >= a.starve and sb = now >= b.starve in
+let beats st (a : hjob) (b : hjob) =
+  let now = st.clk.now in
+  let sa = now >= a.f.starve and sb = now >= b.f.starve in
   match (sa, sb) with
   | true, false -> true
   | false, true -> false
-  | true, true -> a.arrival < b.arrival || (a.arrival = b.arrival && a.hid < b.hid)
-  | false, false -> a.remaining < b.remaining || (a.remaining = b.remaining && a.hid < b.hid)
+  | true, true -> a.f.arrival < b.f.arrival || (a.f.arrival = b.f.arrival && a.hid < b.hid)
+  | false, false ->
+      a.f.remaining < b.f.remaining || (a.f.remaining = b.f.remaining && a.hid < b.hid)
 
 let drain_stale st heap which =
   let continue = ref true in
@@ -135,26 +163,28 @@ let seat st s (h : hjob) =
   | w when w = w_starved -> ignore (Heap.Scalar.pop_exn st.starved)
   | _ -> ignore (Heap.Scalar.pop_exn st.fresh));
   h.where <- w_running;
-  st.slots.(s) <- Some h
+  st.slots.(s) <- h
 
-let unseat st s ~now =
-  match st.slots.(s) with
-  | None -> ()
-  | Some h ->
-      if now >= h.starve then begin
-        h.where <- w_starved;
-        Heap.Scalar.add st.starved ~key:h.arrival h.hid
-      end
-      else begin
-        h.where <- w_fresh;
-        Heap.Scalar.add st.fresh ~key:h.remaining h.hid
-      end;
-      st.slots.(s) <- None
+let unseat st s =
+  let h = st.slots.(s) in
+  if h.hid >= 0 then begin
+    if st.clk.now >= h.f.starve then begin
+      h.where <- w_starved;
+      Heap.Scalar.add st.starved ~key:h.f.arrival h.hid
+    end
+    else begin
+      h.where <- w_fresh;
+      Heap.Scalar.add st.fresh ~key:h.f.remaining h.hid
+    end;
+    st.slots.(s) <- st.vacant
+  end
 
-(* Mirror of one [allocate] call: process due promotions, then restore
-   the running set to the top-m of the current order, then recompute the
-   horizon (minimum starvation instant over still-fresh jobs). *)
-let refresh st ~now =
+(* Mirror of one [allocate] call at [st.clk.now]: process due
+   promotions, then restore the running set to the top-m of the current
+   order, then recompute the horizon (minimum starvation instant over
+   still-fresh jobs). *)
+let refresh_now st =
+  let now = st.clk.now in
   while Heap.Scalar.length st.promo > 0 && Heap.Scalar.min_key_exn st.promo <= now do
     let id = Heap.Scalar.pop_exn st.promo in
     match Hashtbl.find_opt st.info id with
@@ -162,12 +192,12 @@ let refresh st ~now =
         (* A waiting job crossed its threshold: move it to the starved
            tier (its old fresh-heap entry goes stale). *)
         h.where <- w_starved;
-        Heap.Scalar.add st.starved ~key:h.arrival h.hid
+        Heap.Scalar.add st.starved ~key:h.f.arrival h.hid
     | _ -> ()  (* running (rank only improves in place) or completed *)
   done;
   (* Fill free slots best-first. *)
   for s = 0 to st.machines - 1 do
-    if st.slots.(s) = None then
+    if st.slots.(s).hid < 0 then
       match best_waiting st with Some h -> seat st s h | None -> ()
   done;
   (* Preempt while some waiting job outranks the weakest incumbent. *)
@@ -175,27 +205,27 @@ let refresh st ~now =
   while !continue do
     match best_waiting st with
     | None -> continue := false
-    | Some w -> (
+    | Some w ->
         let weakest = ref (-1) in
         for s = 0 to st.machines - 1 do
-          match st.slots.(s) with
-          | Some h -> (
-              match !weakest with
-              | -1 -> weakest := s
-              | ws -> (
-                  match st.slots.(ws) with
-                  | Some hw -> if beats ~now hw h then weakest := s
-                  | None -> weakest := s))
-          | None -> ()
+          let h = st.slots.(s) in
+          if h.hid >= 0 then
+            match !weakest with
+            | -1 -> weakest := s
+            | ws ->
+                let hw = st.slots.(ws) in
+                if hw.hid < 0 || beats st hw h then weakest := s
         done;
-        match !weakest with
-        | -1 -> continue := false
-        | ws -> (
-            match st.slots.(ws) with
-            | Some hw when beats ~now w hw ->
-                unseat st ws ~now;
-                seat st ws w
-            | _ -> continue := false))
+        if !weakest < 0 then continue := false
+        else begin
+          let ws = !weakest in
+          let hw = st.slots.(ws) in
+          if hw.hid >= 0 && beats st w hw then begin
+            unseat st ws;
+            seat st ws w
+          end
+          else continue := false
+        end
   done;
   (* Undrained promotion keys are strictly in the future and belong to
      still-fresh jobs — except entries of jobs that completed fresh,
@@ -206,38 +236,58 @@ let refresh st ~now =
   do
     ignore (Heap.Scalar.pop_exn st.promo)
   done;
-  st.horizon <-
+  st.clk.horizon <-
     (if Heap.Scalar.length st.promo > 0 then Heap.Scalar.min_key_exn st.promo
      else Float.infinity)
 
-let next_internal st ~now =
-  let t = ref st.horizon in
+(* Earliest internal event into [st.clk.t_next]: a running job's
+   completion or the horizon. *)
+let scan_next st =
+  let now = st.clk.now in
+  let t = ref st.clk.horizon in
   for s = 0 to st.machines - 1 do
-    match st.slots.(s) with
-    | Some h ->
-        let c = now +. (h.remaining /. st.speed) in
-        if c < !t then t := c
-    | None -> ()
+    let h = st.slots.(s) in
+    if h.hid >= 0 then begin
+      let c = now +. (h.f.remaining /. st.speed) in
+      if c < !t then t := c
+    end
   done;
-  !t
+  st.clk.t_next <- !t
+
+let advance_dt st =
+  let adv = st.speed *. st.clk.dt in
+  for s = 0 to st.machines - 1 do
+    let h = st.slots.(s) in
+    if h.hid >= 0 then h.f.remaining <- h.f.remaining -. adv
+  done
+
+let settle_now st (complete : Simulator.sink) =
+  let now = st.clk.now in
+  for s = 0 to st.machines - 1 do
+    let h = st.slots.(s) in
+    if h.hid >= 0 && h.f.remaining <= threshold h.f.size then begin
+      complete ~id:h.hid ~arrival:h.f.arrival ~flow:(now -. h.f.arrival);
+      Hashtbl.remove st.info h.hid;
+      st.slots.(s) <- st.vacant
+    end
+  done
+
+let refresh st ~now =
+  st.clk.now <- now;
+  refresh_now st
+
+let next_internal st ~now =
+  st.clk.now <- now;
+  scan_next st;
+  st.clk.t_next
 
 let advance st ~dt =
-  let adv = st.speed *. dt in
-  for s = 0 to st.machines - 1 do
-    match st.slots.(s) with
-    | Some h -> h.remaining <- h.remaining -. adv
-    | None -> ()
-  done
+  st.clk.dt <- dt;
+  advance_dt st
 
 let settle st ~now ~complete =
-  for s = 0 to st.machines - 1 do
-    match st.slots.(s) with
-    | Some h when h.remaining <= threshold h.size ->
-        complete h.hid h.arrival now;
-        Hashtbl.remove st.info h.hid;
-        st.slots.(s) <- None
-    | _ -> ()
-  done
+  st.clk.now <- now;
+  settle_now st complete
 
 let iter_alive st f = Hashtbl.iter (fun _ h -> f h) st.info
 
@@ -245,8 +295,11 @@ let iter_alive st f = Hashtbl.iter (fun _ h -> f h) st.info
 (* Closed event loop                                                   *)
 (* ------------------------------------------------------------------ *)
 
+(* Nothing is built per event: the clock is the state's flat record,
+   admission reads the source's raw cursor, and the per-run [complete]
+   closure forwards the sink's boxed arguments untouched. *)
 let hybrid_core ~record_trace ~speed ~max_events ~machines ~theta ~(source : Source.t)
-    ~(complete : int -> float -> float -> unit) =
+    ~(completions : float array) ~(sink : Simulator.sink) =
   let scratch = Arena.borrow () in
   Fun.protect ~finally:(fun () -> Arena.release scratch) @@ fun () ->
   let st =
@@ -256,22 +309,26 @@ let hybrid_core ~record_trace ~speed ~max_events ~machines ~theta ~(source : Sou
       ~promo:(Arena.scalar_of scratch)
       ~machines ~speed ~theta
   in
-  let next_arr = ref (Source.next_arrival source) in
+  let clk = st.clk in
   let max_alive = ref 0 in
-  let admit_upto now =
-    while !next_arr <= now do
-      (match Source.next source with Some j -> admit st j | None -> ());
-      next_arr := Source.next_arrival source
+  let admit_upto () =
+    while clk.next_arr <= clk.now do
+      insert st
+        (make_job st ~id:(Source.head_id source) ~arrival:(Source.head_arrival source)
+           ~size:(Source.head_size source));
+      Source.advance source;
+      clk.next_arr <- Source.next_arrival source
     done;
     if alive st > !max_alive then max_alive := alive st
   in
   let completed = ref 0 in
-  let makespan = ref 0. in
   let events = ref 0 in
-  let complete' id arrival t =
-    complete id arrival t;
+  let record = Array.length completions > 0 in
+  let complete ~id ~arrival ~flow =
+    if record then completions.(id) <- clk.now;
+    sink ~id ~arrival ~flow;
     incr completed;
-    makespan := t
+    clk.makespan <- clk.now
   in
   let trace_arena : Trace.segment Vec.t = Arena.segments_of scratch in
   let push_trace ~t0 ~t1 =
@@ -279,35 +336,36 @@ let hybrid_core ~record_trace ~speed ~max_events ~machines ~theta ~(source : Sou
     let next = ref 0 in
     iter_alive st (fun h ->
         let rate = if h.where = w_running then 1. else 0. in
-        entries.(!next) <- { Trace.job = h.hid; arrival = h.arrival; rate };
+        entries.(!next) <- { Trace.job = h.hid; arrival = h.f.arrival; rate };
         incr next);
     Vec.push trace_arena { Trace.t0; t1; alive = entries }
   in
-  let now = ref (match Source.peek source with Some j -> j.Job.arrival | None -> 0.) in
-  admit_upto !now;
+  clk.now <- (if Source.has_more source then Source.head_arrival source else 0.);
+  clk.next_arr <- Source.next_arrival source;
+  admit_upto ();
   while alive st > 0 || Source.has_more source do
     incr events;
     if !events > max_events then
-      raise (Simulator.Event_limit_exceeded { limit = max_events; now = !now });
+      raise (Simulator.Event_limit_exceeded { limit = max_events; now = clk.now });
     if alive st = 0 then begin
-      now := !next_arr;
-      admit_upto !now
+      clk.now <- clk.next_arr;
+      admit_upto ()
     end
     else begin
-      refresh st ~now:!now;
-      let t_next = ref (next_internal st ~now:!now) in
-      if !next_arr < !t_next then t_next := !next_arr;
-      if not (Float.is_finite !t_next) then
+      refresh_now st;
+      scan_next st;
+      if clk.next_arr < clk.t_next then clk.t_next <- clk.next_arr;
+      if not (Float.is_finite clk.t_next) then
         raise
           (Simulator.Invalid_allocation
              "alive jobs receive no service and no arrival or horizon is pending");
-      let dt = !t_next -. !now in
-      assert (dt > 0.);
-      if record_trace then push_trace ~t0:!now ~t1:!t_next;
-      advance st ~dt;
-      now := !t_next;
-      settle st ~now:!now ~complete:complete';
-      admit_upto !now
+      clk.dt <- clk.t_next -. clk.now;
+      assert (clk.dt > 0.);
+      if record_trace then push_trace ~t0:clk.now ~t1:clk.t_next;
+      advance_dt st;
+      clk.now <- clk.t_next;
+      settle_now st complete;
+      admit_upto ()
     end
   done;
   ( {
@@ -315,7 +373,7 @@ let hybrid_core ~record_trace ~speed ~max_events ~machines ~theta ~(source : Sou
       events = !events;
       machines;
       speed;
-      makespan = !makespan;
+      makespan = clk.makespan;
       max_alive = !max_alive;
     },
     Vec.to_list trace_arena )
@@ -328,13 +386,9 @@ let run ?(record_trace = false) ?(speed = 1.) ?(max_events = 10_000_000) ?(sink 
   let jobs_arr = Simulator.jobs_by_id jobs n in
   let order = Simulator.release_order jobs n in
   let completions = Array.make n Float.nan in
-  let complete id arrival now =
-    completions.(id) <- now;
-    sink ~id ~arrival ~flow:(now -. arrival)
-  in
   let summary, trace =
     hybrid_core ~record_trace ~speed ~max_events ~machines ~theta
-      ~source:(Source.of_array order) ~complete
+      ~source:(Source.of_array order) ~completions ~sink
   in
   {
     Simulator.jobs = jobs_arr;
@@ -345,10 +399,9 @@ let run ?(record_trace = false) ?(speed = 1.) ?(max_events = 10_000_000) ?(sink 
     events = summary.Simulator.events;
   }
 
-let run_stream ?(speed = 1.) ?(max_events = 10_000_000) ~machines ~theta ~sink pull =
-  let complete id arrival now = sink ~id ~arrival ~flow:(now -. arrival) in
+let run_stream ?(speed = 1.) ?(max_events = 10_000_000) ~machines ~theta ~sink fill =
   let summary, _trace =
     hybrid_core ~record_trace:false ~speed ~max_events ~machines ~theta
-      ~source:(Source.of_fn pull) ~complete
+      ~source:(Source.of_raw fill) ~completions:[||] ~sink
   in
   summary

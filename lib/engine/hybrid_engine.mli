@@ -21,7 +21,7 @@ val create : machines:int -> speed:float -> theta:float -> state
 
 val alive : state -> int
 
-val admit : state -> Job.t -> unit
+val admit : state -> id:int -> arrival:float -> size:float -> unit
 (** Admit a released job (in non-decreasing arrival order, distinct
     ids).  Every newcomer starts fresh: theta and size are positive, so
     its starvation instant is strictly after its arrival. *)
@@ -34,7 +34,9 @@ val refresh : state -> now:float -> unit
 
 val next_internal : state -> now:float -> float
 val advance : state -> dt:float -> unit
-val settle : state -> now:float -> complete:(int -> float -> float -> unit) -> unit
+val settle : state -> now:float -> complete:Simulator.sink -> unit
+(** Retire completed running jobs, reporting each as
+    [complete ~id ~arrival ~flow:(now -. arrival)]. *)
 
 (** {2 Closed runs} *)
 
@@ -55,5 +57,8 @@ val run_stream :
   machines:int ->
   theta:float ->
   sink:Simulator.sink ->
-  (unit -> Job.t option) ->
+  (Simulator.Source.cursor -> int) ->
   Simulator.summary
+(** Streaming run over an unboxed {!Simulator.Source.of_raw} producer:
+    no [Job.t] is built, and the loop allocates nothing per event
+    beyond the job store's own bookkeeping. *)

@@ -57,7 +57,7 @@ let key_of_view kind (v : Policy.view) =
 
 (* Shared with Rr_policies.Setf.same_group: attained-service levels within
    this (relative) tolerance count as one sharing group. *)
-let same_attained a b = Float.abs (a -. b) <= 1e-9 *. (1. +. Float.max a b)
+let[@inline] same_attained a b = Float.abs (a -. b) <= 1e-9 *. (1. +. Float.max a b)
 
 let no_sink : Simulator.sink = fun ~id:_ ~arrival:_ ~flow:_ -> ()
 
@@ -66,13 +66,47 @@ let no_sink : Simulator.sink = fun ~id:_ ~arrival:_ ~flow:_ -> ()
 (* ------------------------------------------------------------------ *)
 
 (* One running job; the <= m slots are scanned linearly, so no heap
-   discipline is needed where preemption decisions are made. *)
-type slot = {
-  mutable id : int;
-  mutable arrival : float;
-  mutable size : float;
-  mutable remaining : float;
+   discipline is needed where preemption decisions are made.  The floats
+   sit in an all-float (flat) record: a slot's per-event [remaining]
+   write, and the resume state copied in when a job is seated, are plain
+   unboxed stores — in a record that also held [id] each would box a
+   fresh float. *)
+type slot_fl = { mutable arrival : float; mutable size : float; mutable remaining : float }
+
+type slot = { mutable id : int; f : slot_fl }
+
+let new_slot () = { id = -1; f = { arrival = 0.; size = 0.; remaining = 0. } }
+
+(* The closed drivers' clock: the instant, the next event, the buffered
+   next arrival (+inf once drained) and the makespan.  All-float, hence
+   flat, so the per-event updates never box — as [float ref]s captured by
+   the drivers' closures they would, once per write. *)
+type clock = {
+  mutable now : float;
+  mutable t_next : float;
+  mutable next_arr : float;
+  mutable makespan : float;
 }
+
+let new_clock () = { now = 0.; t_next = 0.; next_arr = Float.infinity; makespan = 0. }
+
+(* Start the clock at the first arrival and buffer it. *)
+let start_clock clk (source : Source.t) =
+  clk.now <- (if Source.has_more source then Source.head_arrival source else 0.);
+  clk.next_arr <- Source.next_arrival source
+
+(* Same float as Simulator.completion_threshold, inlined into the hot
+   loop (the cross-module call is measurable at ~100 ns/event). *)
+let[@inline] threshold size = 1e-9 *. (1. +. size)
+
+(* Same expression as [job_key], on slot fields (running jobs' keys are
+   live: SRPT's decreases as remaining does). *)
+let[@inline] slot_key kind (s : slot) =
+  match kind with
+  | Srpt -> s.f.remaining
+  | Sjf -> s.f.size
+  | Fcfs -> s.f.arrival
+  | Hdf { alpha } -> -.((s.f.size ** alpha) /. s.f.size)
 
 (* Waiting-heap field layout, uniform across kinds (Scalar3): the
    priority key plus the full resume state
@@ -83,199 +117,57 @@ type slot = {
    job is never served, so its key is frozen while in the heap — the
    heap order stays valid without any decrease-key, even for SRPT whose
    key is genuinely "remaining". *)
+let[@inline] push_waiting waiting kind ~id ~arrival ~size ~remaining =
+  Heap.Scalar3.add waiting
+    ~key:(job_key kind ~arrival ~size ~remaining)
+    ~aux1:arrival ~aux2:size ~aux3:remaining id
+
+let push_slot waiting kind (s : slot) =
+  push_waiting waiting kind ~id:s.id ~arrival:s.f.arrival ~size:s.f.size
+    ~remaining:s.f.remaining
+
+(* Seat the source's buffered job in [s] (its resume state is fresh). *)
+let seat_head (s : slot) (source : Source.t) =
+  s.id <- Source.head_id source;
+  s.f.arrival <- Source.head_arrival source;
+  s.f.size <- Source.head_size source;
+  s.f.remaining <- s.f.size
+
+(* Seat the best waiting job in [s], popping it. *)
+let seat_waiting (s : slot) waiting =
+  s.f.arrival <- Heap.Scalar3.min_aux1_exn waiting;
+  s.f.size <- Heap.Scalar3.min_aux2_exn waiting;
+  s.f.remaining <- Heap.Scalar3.min_aux3_exn waiting;
+  s.id <- Heap.Scalar3.pop_exn waiting
+
+(* Report [id]'s completion at [clk.now]: exact instant into the
+   materialized entry point's array (when it has one), flow to the sink. *)
+let[@inline] report clk ~completions ~(sink : Simulator.sink) ~id ~arrival =
+  if Array.length completions > 0 then completions.(id) <- clk.now;
+  sink ~id ~arrival ~flow:(clk.now -. arrival);
+  clk.makespan <- clk.now
 
 let index_core ~record_trace ~speed ~max_events ~machines ~kind ~(source : Source.t)
-    ~(complete : int -> float -> float -> unit) =
+    ~(completions : float array) ~(sink : Simulator.sink) =
   if machines < 1 then invalid_arg "Index_engine.run: machines must be >= 1";
   if not (Float.is_finite speed && speed > 0.) then
     invalid_arg "Index_engine.run: speed must be finite and positive";
   let scratch = Arena.borrow () in
   Fun.protect ~finally:(fun () -> Arena.release scratch) @@ fun () ->
   let waiting = Arena.scalar3_of scratch in
-  let push_waiting ~id ~arrival ~size ~remaining =
-    Heap.Scalar3.add waiting
-      ~key:(job_key kind ~arrival ~size ~remaining)
-      ~aux1:arrival ~aux2:size ~aux3:remaining id
-  in
-  (* Same float as Simulator.completion_threshold, inlined into the hot
-     loop (the cross-module call is measurable at ~100 ns/event). *)
-  let threshold size = 1e-9 *. (1. +. size) in
-  (* The next pending arrival, buffered as a plain float so the per-event
-     tie check costs a load instead of a call; +inf once drained. *)
-  let next_arr = ref (Source.next_arrival source) in
-  let running = Array.init machines (fun _ -> { id = -1; arrival = 0.; size = 0.; remaining = 0. }) in
+  let clk = new_clock () in
+  let running = Array.init machines (fun _ -> new_slot ()) in
   let n_run = ref 0 in
-  (* Same expression as [job_key], on slot fields (running jobs' keys
-     are live: SRPT's decreases as remaining does). *)
-  let slot_key (s : slot) =
-    match kind with
-    | Srpt -> s.remaining
-    | Sjf -> s.size
-    | Fcfs -> s.arrival
-    | Hdf { alpha } -> -.((s.size ** alpha) /. s.size)
-  in
-  let pop_into_free_slot () =
-    let a1 = Heap.Scalar3.min_aux1_exn waiting in
-    let a2 = Heap.Scalar3.min_aux2_exn waiting in
-    let a3 = Heap.Scalar3.min_aux3_exn waiting in
-    let id = Heap.Scalar3.pop_exn waiting in
-    let s = running.(!n_run) in
-    s.id <- id;
-    s.arrival <- a1;
-    s.size <- a2;
-    s.remaining <- a3;
-    incr n_run
-  in
   let completed = ref 0 in
   let max_alive = ref 0 in
-  let makespan = ref 0. in
   let events = ref 0 in
   let trace_arena : Trace.segment Vec.t = Arena.segments_of scratch in
-  let now = ref (match Source.peek source with Some j -> j.Job.arrival | None -> 0.) in
-  if machines = 1 then begin
-    (* Single-machine specialization — the configuration every ratio run
-       hits for its baselines.  The running set is one slot that never
-       moves (retiring at m = 1 cannot swap), so the generic loop's
-       per-event array scans collapse to direct field accesses; the event
-       semantics and arithmetic are identical to the generic path below. *)
-    let s = running.(0) in
-    let busy = ref false in
-    let note_alive () =
-      let alive = (if !busy then 1 else 0) + Heap.Scalar3.length waiting in
-      if alive > !max_alive then max_alive := alive
-    in
-    let fill (j : Job.t) =
-      s.id <- j.id;
-      s.arrival <- j.arrival;
-      s.size <- j.size;
-      s.remaining <- j.size
-    in
-    let admit (j : Job.t) =
-      if not !busy then begin
-        fill j;
-        busy := true
-      end
-      else begin
-        let kj = job_key kind ~arrival:j.arrival ~size:j.size ~remaining:j.size in
-        let ks = slot_key s in
-        if kj < ks || (kj = ks && j.id < s.id) then begin
-          push_waiting ~id:s.id ~arrival:s.arrival ~size:s.size ~remaining:s.remaining;
-          fill j
-        end
-        else push_waiting ~id:j.id ~arrival:j.arrival ~size:j.size ~remaining:j.size
-      end;
-      note_alive ()
-    in
-    let admit_upto now =
-      while !next_arr <= now do
-        (match Source.next source with Some j -> admit j | None -> ());
-        next_arr := Source.next_arrival source
-      done
-    in
-    let push_trace ~t0 ~t1 =
-      let n_alive = (if !busy then 1 else 0) + Heap.Scalar3.length waiting in
-      let entries = Array.make n_alive { Trace.job = -1; arrival = 0.; rate = 0. } in
-      let next = ref 0 in
-      if !busy then begin
-        entries.(0) <- { Trace.job = s.id; arrival = s.arrival; rate = 1. };
-        next := 1
-      end;
-      Heap.Scalar3.iter
-        (fun _key id arrival _size _remaining ->
-          entries.(!next) <- { Trace.job = id; arrival; rate = 0. };
-          incr next)
-        waiting;
-      Vec.push trace_arena { Trace.t0; t1; alive = entries }
-    in
-    admit_upto !now;
-    while !busy || Source.has_more source do
-      incr events;
-      if !events > max_events then
-        raise (Simulator.Event_limit_exceeded { limit = max_events; now = !now });
-      if not !busy then begin
-        now := !next_arr;
-        admit_upto !now
-      end
-      else begin
-        let c = !now +. (s.remaining /. speed) in
-        let t_next = if !next_arr < c then !next_arr else c in
-        let dt = t_next -. !now in
-        if record_trace then push_trace ~t0:!now ~t1:t_next;
-        s.remaining <- s.remaining -. (speed *. dt);
-        now := t_next;
-        if s.remaining <= threshold s.size then begin
-          complete s.id s.arrival !now;
-          incr completed;
-          makespan := !now;
-          if Heap.Scalar3.is_empty waiting then busy := false
-          else begin
-            let a1 = Heap.Scalar3.min_aux1_exn waiting in
-            let a2 = Heap.Scalar3.min_aux2_exn waiting in
-            let a3 = Heap.Scalar3.min_aux3_exn waiting in
-            let id = Heap.Scalar3.pop_exn waiting in
-            s.id <- id;
-            s.arrival <- a1;
-            s.size <- a2;
-            s.remaining <- a3
-          end
-        end;
-        admit_upto !now
-      end
-    done
-  end
-  else begin
-  let note_alive () =
-    let alive = !n_run + Heap.Scalar3.length waiting in
-    if alive > !max_alive then max_alive := alive
-  in
-  (* Admission: a free machine always goes to the newcomer (the waiting
-     heap is empty whenever a machine is idle — promotion below refills
-     eagerly).  Otherwise the newcomer preempts the weakest running job
-     iff it beats it under (key, id) — one comparison against an O(m)
-     scan, which reproduces the general loop's full re-sort because at
-     most one job changes per arrival (the tournament property). *)
-  let admit (j : Job.t) =
-    if !n_run < machines then begin
-      let s = running.(!n_run) in
-      s.id <- j.id;
-      s.arrival <- j.arrival;
-      s.size <- j.size;
-      s.remaining <- j.size;
-      incr n_run
-    end
-    else begin
-      let w = ref 0 in
-      for i = 1 to machines - 1 do
-        let a = running.(i) and b = running.(!w) in
-        let ka = slot_key a and kb = slot_key b in
-        if ka > kb || (ka = kb && a.id > b.id) then w := i
-      done;
-      let s = running.(!w) in
-      let kj = job_key kind ~arrival:j.arrival ~size:j.size ~remaining:j.size in
-      let ks = slot_key s in
-      if kj < ks || (kj = ks && j.id < s.id) then begin
-        push_waiting ~id:s.id ~arrival:s.arrival ~size:s.size ~remaining:s.remaining;
-        s.id <- j.id;
-        s.arrival <- j.arrival;
-        s.size <- j.size;
-        s.remaining <- j.size
-      end
-      else push_waiting ~id:j.id ~arrival:j.arrival ~size:j.size ~remaining:j.size
-    end;
-    note_alive ()
-  in
-  let admit_upto now =
-    while !next_arr <= now do
-      (match Source.next source with Some j -> admit j | None -> ());
-      next_arr := Source.next_arrival source
-    done
-  in
   let push_trace ~t0 ~t1 =
     let n_alive = !n_run + Heap.Scalar3.length waiting in
     let entries = Array.make n_alive { Trace.job = -1; arrival = 0.; rate = 0. } in
     for i = 0 to !n_run - 1 do
       let s = running.(i) in
-      entries.(i) <- { Trace.job = s.id; arrival = s.arrival; rate = 1. }
+      entries.(i) <- { Trace.job = s.id; arrival = s.f.arrival; rate = 1. }
     done;
     let next = ref !n_run in
     Heap.Scalar3.iter
@@ -285,56 +177,134 @@ let index_core ~record_trace ~speed ~max_events ~machines ~kind ~(source : Sourc
       waiting;
     Vec.push trace_arena { Trace.t0; t1; alive = entries }
   in
-  admit_upto !now;
-  while !n_run > 0 || Source.has_more source do
-    incr events;
-    if !events > max_events then
-      raise (Simulator.Event_limit_exceeded { limit = max_events; now = !now });
-    if !n_run = 0 then begin
-      now := !next_arr;
-      admit_upto !now
+  let note_alive () =
+    let alive = !n_run + Heap.Scalar3.length waiting in
+    if alive > !max_alive then max_alive := alive
+  in
+  (* Admission of the source's buffered job: a free machine always goes
+     to the newcomer (the waiting heap is empty whenever a machine is
+     idle — promotion below refills eagerly).  Otherwise the newcomer
+     preempts the weakest running job iff it beats it under (key, id) —
+     one comparison against an O(m) scan, which reproduces the general
+     loop's full re-sort because at most one job changes per arrival (the
+     tournament property).  At m = 1 the scan is the one slot. *)
+  let admit_head () =
+    if !n_run < machines then begin
+      seat_head running.(!n_run) source;
+      incr n_run
     end
     else begin
-      (* Earliest completion among the running slots; same arithmetic as
-         the general loop's [now + remaining / (rate * speed)] at rate 1. *)
-      let t_next = ref Float.infinity in
-      for i = 0 to !n_run - 1 do
-        let c = !now +. (running.(i).remaining /. speed) in
-        if c < !t_next then t_next := c
+      let w = ref 0 in
+      for i = 1 to machines - 1 do
+        let a = running.(i) and b = running.(!w) in
+        let ka = slot_key kind a and kb = slot_key kind b in
+        if ka > kb || (ka = kb && a.id > b.id) then w := i
       done;
-      if !next_arr < !t_next then t_next := !next_arr;
-      let dt = !t_next -. !now in
-      assert (dt > 0.);
-      if record_trace then push_trace ~t0:!now ~t1:!t_next;
-      for i = 0 to !n_run - 1 do
-        let s = running.(i) in
-        s.remaining <- s.remaining -. (speed *. dt)
-      done;
-      now := !t_next;
-      (* Retire finished slots (swap-remove, iterating downwards). *)
-      for i = !n_run - 1 downto 0 do
-        let s = running.(i) in
-        if s.remaining <= threshold s.size then begin
-          complete s.id s.arrival !now;
+      let s = running.(!w) in
+      let id = Source.head_id source in
+      let arrival = Source.head_arrival source and size = Source.head_size source in
+      let kj = job_key kind ~arrival ~size ~remaining:size in
+      let ks = slot_key kind s in
+      if kj < ks || (kj = ks && id < s.id) then begin
+        push_slot waiting kind s;
+        seat_head s source
+      end
+      else push_waiting waiting kind ~id ~arrival ~size ~remaining:size
+    end;
+    note_alive ()
+  in
+  let admit_upto () =
+    while clk.next_arr <= clk.now do
+      admit_head ();
+      Source.advance source;
+      clk.next_arr <- Source.next_arrival source
+    done
+  in
+  start_clock clk source;
+  admit_upto ();
+  if machines = 1 then begin
+    (* Single-machine specialization — the configuration every ratio run
+       hits for its baselines.  The running set is one slot that never
+       moves (retiring at m = 1 cannot swap), so the generic loop's
+       per-event array scans collapse to direct field accesses; the event
+       semantics and arithmetic are identical to the generic path below. *)
+    let s = running.(0) in
+    while !n_run > 0 || Source.has_more source do
+      incr events;
+      if !events > max_events then
+        raise (Simulator.Event_limit_exceeded { limit = max_events; now = clk.now });
+      if !n_run = 0 then begin
+        clk.now <- clk.next_arr;
+        admit_upto ()
+      end
+      else begin
+        let c = clk.now +. (s.f.remaining /. speed) in
+        clk.t_next <- (if clk.next_arr < c then clk.next_arr else c);
+        let dt = clk.t_next -. clk.now in
+        if record_trace then push_trace ~t0:clk.now ~t1:clk.t_next;
+        s.f.remaining <- s.f.remaining -. (speed *. dt);
+        clk.now <- clk.t_next;
+        if s.f.remaining <= threshold s.f.size then begin
+          report clk ~completions ~sink ~id:s.id ~arrival:s.f.arrival;
           incr completed;
-          makespan := !now;
-          decr n_run;
-          if i < !n_run then begin
-            running.(i) <- running.(!n_run);
-            running.(!n_run) <- s
+          if Heap.Scalar3.is_empty waiting then n_run := 0 else seat_waiting s waiting
+        end;
+        admit_upto ()
+      end
+    done
+  end
+  else begin
+    while !n_run > 0 || Source.has_more source do
+      incr events;
+      if !events > max_events then
+        raise (Simulator.Event_limit_exceeded { limit = max_events; now = clk.now });
+      if !n_run = 0 then begin
+        clk.now <- clk.next_arr;
+        admit_upto ()
+      end
+      else begin
+        (* Earliest completion among the running slots; same arithmetic
+           as the general loop's [now + remaining / (rate * speed)] at
+           rate 1. *)
+        let t_next = ref Float.infinity in
+        for i = 0 to !n_run - 1 do
+          let c = clk.now +. (running.(i).f.remaining /. speed) in
+          if c < !t_next then t_next := c
+        done;
+        if clk.next_arr < !t_next then t_next := clk.next_arr;
+        clk.t_next <- !t_next;
+        let dt = clk.t_next -. clk.now in
+        assert (dt > 0.);
+        if record_trace then push_trace ~t0:clk.now ~t1:clk.t_next;
+        for i = 0 to !n_run - 1 do
+          let f = running.(i).f in
+          f.remaining <- f.remaining -. (speed *. dt)
+        done;
+        clk.now <- clk.t_next;
+        (* Retire finished slots (swap-remove, iterating downwards). *)
+        for i = !n_run - 1 downto 0 do
+          let s = running.(i) in
+          if s.f.remaining <= threshold s.f.size then begin
+            report clk ~completions ~sink ~id:s.id ~arrival:s.f.arrival;
+            incr completed;
+            decr n_run;
+            if i < !n_run then begin
+              running.(i) <- running.(!n_run);
+              running.(!n_run) <- s
+            end
           end
-        end
-      done;
-      (* Freed machines pull the best waiting jobs before new arrivals
-         are admitted — at time [t] the running set must be the top-m of
-         the jobs released strictly before any job arriving at [t]
-         (completion beats arrival, as in the general loop). *)
-      while !n_run < machines && not (Heap.Scalar3.is_empty waiting) do
-        pop_into_free_slot ()
-      done;
-      admit_upto !now
-    end
-  done
+        done;
+        (* Freed machines pull the best waiting jobs before new arrivals
+           are admitted — at time [t] the running set must be the top-m
+           of the jobs released strictly before any job arriving at [t]
+           (completion beats arrival, as in the general loop). *)
+        while !n_run < machines && not (Heap.Scalar3.is_empty waiting) do
+          seat_waiting running.(!n_run) waiting;
+          incr n_run
+        done;
+        admit_upto ()
+      end
+    done
   end;
   let trace = Vec.to_list trace_arena in
   ( {
@@ -342,7 +312,7 @@ let index_core ~record_trace ~speed ~max_events ~machines ~kind ~(source : Sourc
       events = !events;
       machines;
       speed;
-      makespan = !makespan;
+      makespan = clk.makespan;
       max_alive = !max_alive;
     },
     trace )
@@ -353,13 +323,9 @@ let run ?(record_trace = false) ?(speed = 1.) ?(max_events = 10_000_000) ?(sink 
   let jobs_arr = Simulator.jobs_by_id jobs n in
   let order = Simulator.release_order jobs n in
   let completions = Array.make n Float.nan in
-  let complete id arrival now =
-    completions.(id) <- now;
-    sink ~id ~arrival ~flow:(now -. arrival)
-  in
   let summary, trace =
     index_core ~record_trace ~speed ~max_events ~machines ~kind
-      ~source:(Source.of_array order) ~complete
+      ~source:(Source.of_array order) ~completions ~sink
   in
   {
     Simulator.jobs = jobs_arr;
@@ -370,11 +336,10 @@ let run ?(record_trace = false) ?(speed = 1.) ?(max_events = 10_000_000) ?(sink 
     events = summary.Simulator.events;
   }
 
-let run_stream ?(speed = 1.) ?(max_events = 10_000_000) ~machines ~kind ~sink pull =
-  let complete id arrival now = sink ~id ~arrival ~flow:(now -. arrival) in
+let run_stream ?(speed = 1.) ?(max_events = 10_000_000) ~machines ~kind ~sink fill =
   let summary, _trace =
     index_core ~record_trace:false ~speed ~max_events ~machines ~kind
-      ~source:(Source.of_fn pull) ~complete
+      ~source:(Source.of_raw fill) ~completions:[||] ~sink
   in
   summary
 
@@ -397,257 +362,318 @@ let run_stream ?(speed = 1.) ?(max_events = 10_000_000) ~machines ~kind ~sink pu
    The per-group member heap is keyed by size (ties by id): equal
    attained service means the least size is also the least remaining, so
    within-group completions cascade in heap order exactly like the
-   equal-share engine's deadline cascade. *)
+   equal-share engine's deadline cascade.
 
-type group = {
+   The lazy level triple is an all-float (flat) record, so materializing
+   it never boxes; the walks below are top-level loops over the list, not
+   closures rebuilt per event. *)
+
+type glevel = {
   mutable level : float;  (* attained service per member at [t_upd] *)
   mutable t_upd : float;
   mutable grate : float;  (* policy rate in [0, 1]; advance = grate * speed *)
+}
+
+type group = {
+  lv : glevel;
   members : Heap.Scalar2.t;  (* key = size, val = id, aux1 = arrival *)
   mutable prev : group option;
   mutable next : group option;
 }
 
-let setf_core ~record_trace ~speed ~max_events ~machines ~(source : Source.t)
-    ~(complete : int -> float -> float -> unit) =
-  if machines < 1 then invalid_arg "Index_engine.run_setf: machines must be >= 1";
-  if not (Float.is_finite speed && speed > 0.) then
-    invalid_arg "Index_engine.run_setf: speed must be finite and positive";
-  let scratch = Arena.borrow () in
-  Fun.protect ~finally:(fun () -> Arena.release scratch) @@ fun () ->
+type setf = {
+  s_machines : int;
+  s_speed : float;
+  clk : clock;
+  scratch : Arena.t option;
+  mutable first : group option;
   (* Group member heaps cycle through a free list: a merged-away or
      emptied group donates its (cleared) heap to the next group opened,
      so in steady state opening a group costs a list cons, not a heap.
      The first few heaps come from the arena and keep their capacity
      across runs. *)
-  let heap_pool : Heap.Scalar2.t list ref = ref [] in
-  let take_members () =
-    match !heap_pool with
-    | h :: tl ->
-        heap_pool := tl;
-        h
-    | [] -> Arena.scalar2_of scratch
+  mutable heap_pool : Heap.Scalar2.t list;
+  mutable alive : int;
+  mutable completed : int;
+  mutable max_alive : int;
+  completions : float array;
+  sink : Simulator.sink;
+}
+
+let take_members st =
+  match st.heap_pool with
+  | h :: tl ->
+      st.heap_pool <- tl;
+      h
+  | [] -> Arena.scalar2_of st.scratch
+
+let recycle_members st (h : Heap.Scalar2.t) =
+  Heap.Scalar2.clear h;
+  st.heap_pool <- h :: st.heap_pool
+
+let[@inline] level_at st (g : group) =
+  g.lv.level +. (g.lv.grate *. st.s_speed *. (st.clk.now -. g.lv.t_upd))
+
+let unlink st (g : group) =
+  (match g.prev with None -> st.first <- g.next | Some p -> p.next <- g.next);
+  match g.next with None -> () | Some nx -> nx.prev <- g.prev
+
+(* Water-filling from the front, identical arithmetic to the general
+   SETF policy: rate min(1, left/count) per group, front first.  [left]
+   stays an exact small integer while groups saturate, so the marginal
+   group's fractional rate is the same float the policy computes; after
+   the marginal group the remaining capacity is exactly zero (the
+   policy's own subtraction may leave an ulp of dust there, feeding
+   rates ~1e-18 to frozen groups — a difference absorbed by the 1e-9
+   differential tolerance).  Rates are non-increasing along the list,
+   so once a previously-frozen group is reached with nothing left, the
+   walk can stop. *)
+let refill st =
+  let now = st.clk.now in
+  let cur = ref st.first in
+  let left = ref (Float.of_int st.s_machines) in
+  let go = ref true in
+  while !go do
+    match !cur with
+    | None -> go := false
+    | Some g ->
+        g.lv.level <- level_at st g;
+        g.lv.t_upd <- now;
+        if !left > 0. then begin
+          let cnt = Float.of_int (Heap.Scalar2.length g.members) in
+          let r = Float.min 1. (!left /. cnt) in
+          g.lv.grate <- r;
+          left := if r < 1. then 0. else !left -. cnt;
+          cur := g.next
+        end
+        else if g.lv.grate > 0. then begin
+          g.lv.grate <- 0.;
+          left := 0.;
+          cur := g.next
+        end
+        else go := false
+  done
+
+(* A newcomer has attained 0: it joins the front group when that group's
+   level is still within the sharing tolerance of 0 (the same
+   [same_group] predicate the policy applies), otherwise it opens a new
+   front group at level 0.  Its rate is set by the next [refill]. *)
+let setf_admit st ~id ~arrival ~size =
+  let joined =
+    match st.first with
+    | Some g when same_attained 0. (level_at st g) ->
+        Heap.Scalar2.add g.members ~key:size ~aux1:arrival ~aux2:0. id;
+        true
+    | _ -> false
   in
-  let recycle_members (h : Heap.Scalar2.t) =
-    Heap.Scalar2.clear h;
-    heap_pool := h :: !heap_pool
-  in
-  let first : group option ref = ref None in
-  let alive = ref 0 in
-  let completed = ref 0 in
-  let max_alive = ref 0 in
-  let makespan = ref 0. in
-  let level_at (g : group) now = g.level +. (g.grate *. speed *. (now -. g.t_upd)) in
-  let unlink (g : group) =
-    (match g.prev with None -> first := g.next | Some p -> p.next <- g.next);
-    match g.next with None -> () | Some nx -> nx.prev <- g.prev
-  in
-  (* Water-filling from the front, identical arithmetic to the general
-     SETF policy: rate min(1, left/count) per group, front first.  [left]
-     stays an exact small integer while groups saturate, so the marginal
-     group's fractional rate is the same float the policy computes; after
-     the marginal group the remaining capacity is exactly zero (the
-     policy's own subtraction may leave an ulp of dust there, feeding
-     rates ~1e-18 to frozen groups — a difference absorbed by the 1e-9
-     differential tolerance).  Rates are non-increasing along the list,
-     so once a previously-frozen group is reached with nothing left, the
-     walk can stop. *)
-  let refill now =
-    let rec go g left =
-      match g with
-      | None -> ()
-      | Some g ->
-          g.level <- level_at g now;
-          g.t_upd <- now;
-          if left > 0. then begin
-            let cnt = Float.of_int (Heap.Scalar2.length g.members) in
-            let r = Float.min 1. (left /. cnt) in
-            g.grate <- r;
-            go g.next (if r < 1. then 0. else left -. cnt)
-          end
-          else if g.grate > 0. then begin
-            g.grate <- 0.;
-            go g.next 0.
-          end
+  if not joined then begin
+    let members = take_members st in
+    Heap.Scalar2.add members ~key:size ~aux1:arrival ~aux2:0. id;
+    let g =
+      {
+        lv = { level = 0.; t_upd = st.clk.now; grate = 0. };
+        members;
+        prev = None;
+        next = st.first;
+      }
     in
-    go !first (Float.of_int machines)
+    (match st.first with None -> () | Some old -> old.prev <- Some g);
+    st.first <- Some g
+  end;
+  st.alive <- st.alive + 1;
+  if st.alive > st.max_alive then st.max_alive <- st.alive
+
+let setf_admit_upto st (source : Source.t) =
+  let clk = st.clk in
+  while clk.next_arr <= clk.now do
+    setf_admit st ~id:(Source.head_id source) ~arrival:(Source.head_arrival source)
+      ~size:(Source.head_size source);
+    Source.advance source;
+    clk.next_arr <- Source.next_arrival source
+  done
+
+(* Next event into [clk.t_next]: earliest within-group completion or
+   earliest adjacent catch-up (both only in the advancing prefix); the
+   caller folds in the next arrival. *)
+let setf_scan st =
+  let now = st.clk.now in
+  let t_next = ref Float.infinity in
+  let cur = ref st.first in
+  let go = ref true in
+  while !go do
+    match !cur with
+    | Some g when g.lv.grate > 0. ->
+        let c =
+          now
+          +. ((Heap.Scalar2.min_key_exn g.members -. g.lv.level) /. (g.lv.grate *. st.s_speed))
+        in
+        if c < !t_next then t_next := c;
+        (match g.next with
+        | Some h ->
+            let closing = (g.lv.grate -. h.lv.grate) *. st.s_speed in
+            let gap = level_at st h -. g.lv.level in
+            if closing > 0. && gap > 0. then begin
+              let t = now +. (gap /. closing) in
+              if t < !t_next then t_next := t
+            end
+        | None -> ());
+        cur := g.next
+    | _ -> go := false
+  done;
+  st.clk.t_next <- !t_next
+
+(* Advance the prefix from [clk.now] to [clk.t_next], materializing
+   levels there. *)
+let setf_advance st =
+  let dt = st.clk.t_next -. st.clk.now in
+  let cur = ref st.first in
+  let go = ref true in
+  while !go do
+    match !cur with
+    | Some g when g.lv.grate > 0. ->
+        g.lv.level <- g.lv.level +. (g.lv.grate *. st.s_speed *. dt);
+        g.lv.t_upd <- st.clk.t_next;
+        cur := g.next
+    | _ -> go := false
+  done
+
+(* Retire every member whose residual [size - level] crossed the shared
+   completion threshold — the cascade pops in (size, id) order. *)
+let setf_retire st =
+  let clk = st.clk in
+  let cur = ref st.first in
+  let go = ref true in
+  while !go do
+    match !cur with
+    | Some g when g.lv.grate > 0. ->
+        let nxt = g.next in
+        while
+          (not (Heap.Scalar2.is_empty g.members))
+          && Heap.Scalar2.min_key_exn g.members -. g.lv.level
+             <= Simulator.completion_threshold (Heap.Scalar2.min_key_exn g.members)
+        do
+          let arrival = Heap.Scalar2.min_aux1_exn g.members in
+          let id = Heap.Scalar2.pop_exn g.members in
+          report clk ~completions:st.completions ~sink:st.sink ~id ~arrival;
+          st.completed <- st.completed + 1;
+          st.alive <- st.alive - 1
+        done;
+        if Heap.Scalar2.is_empty g.members then begin
+          unlink st g;
+          recycle_members st g.members
+        end;
+        cur := nxt
+    | _ -> go := false
+  done
+
+(* Catch-ups: an advancing group whose level reached its neighbour's
+   (within the sharing tolerance) merges into it, small heap into large;
+   the merged node keeps the neighbour region's level and is re-examined
+   against its new neighbour.  Only adjacent pairs in the advancing
+   prefix can meet. *)
+let setf_merge st =
+  let cur = ref st.first in
+  let go = ref true in
+  while !go do
+    match !cur with
+    | Some g when g.lv.grate > 0. -> (
+        match g.next with
+        | Some h when same_attained g.lv.level (level_at st h) ->
+            let lvl = level_at st h in
+            let g_smaller = Heap.Scalar2.length g.members <= Heap.Scalar2.length h.members in
+            let src = if g_smaller then g else h in
+            let keep = if g_smaller then h else g in
+            Heap.Scalar2.add_all keep.members src.members;
+            recycle_members st src.members;
+            keep.lv.level <- lvl;
+            keep.lv.t_upd <- st.clk.now;
+            keep.lv.grate <- Float.max g.lv.grate h.lv.grate;
+            unlink st src;
+            (* [keep] is the live node of the pair; loop on it without
+               wrapping it in a fresh option. *)
+            cur := if g_smaller then g.next else h.prev
+        | _ -> cur := g.next)
+    | _ -> go := false
+  done
+
+let setf_core ~record_trace ~speed ~max_events ~machines ~(source : Source.t)
+    ~(completions : float array) ~(sink : Simulator.sink) =
+  if machines < 1 then invalid_arg "Index_engine.run_setf: machines must be >= 1";
+  if not (Float.is_finite speed && speed > 0.) then
+    invalid_arg "Index_engine.run_setf: speed must be finite and positive";
+  let scratch = Arena.borrow () in
+  Fun.protect ~finally:(fun () -> Arena.release scratch) @@ fun () ->
+  let st =
+    {
+      s_machines = machines;
+      s_speed = speed;
+      clk = new_clock ();
+      scratch;
+      first = None;
+      heap_pool = [];
+      alive = 0;
+      completed = 0;
+      max_alive = 0;
+      completions;
+      sink;
+    }
   in
-  (* A newcomer has attained 0: it joins the front group when that group's
-     level is still within the sharing tolerance of 0 (the same
-     [same_group] predicate the policy applies), otherwise it opens a new
-     front group at level 0.  Its rate is set by the next [refill]. *)
-  let admit (j : Job.t) now =
-    let joined =
-      match !first with
-      | Some g when same_attained 0. (level_at g now) ->
-          Heap.Scalar2.add g.members ~key:j.size ~aux1:j.arrival ~aux2:0. j.id;
-          true
-      | _ -> false
-    in
-    if not joined then begin
-      let members = take_members () in
-      Heap.Scalar2.add members ~key:j.size ~aux1:j.arrival ~aux2:0. j.id;
-      let g = { level = 0.; t_upd = now; grate = 0.; members; prev = None; next = !first } in
-      (match !first with None -> () | Some old -> old.prev <- Some g);
-      first := Some g
-    end;
-    incr alive;
-    if !alive > !max_alive then max_alive := !alive
-  in
-  let admit_upto now =
-    let continue = ref true in
-    while !continue do
-      match Source.peek source with
-      | Some j when j.Job.arrival <= now ->
-          ignore (Source.next source);
-          admit j now
-      | _ -> continue := false
-    done
-  in
+  let clk = st.clk in
   let trace_arena : Trace.segment Vec.t = Arena.segments_of scratch in
   let push_trace ~t0 ~t1 =
-    let entries = Array.make !alive { Trace.job = -1; arrival = 0.; rate = 0. } in
+    let entries = Array.make st.alive { Trace.job = -1; arrival = 0.; rate = 0. } in
     let next = ref 0 in
     let rec go = function
       | None -> ()
       | Some (g : group) ->
           Heap.Scalar2.iter
             (fun _size id arrival _aux2 ->
-              entries.(!next) <- { Trace.job = id; arrival; rate = g.grate };
+              entries.(!next) <- { Trace.job = id; arrival; rate = g.lv.grate };
               incr next)
             g.members;
           go g.next
     in
-    go !first;
+    go st.first;
     Vec.push trace_arena { Trace.t0; t1; alive = entries }
   in
   let events = ref 0 in
-  let now = ref (match Source.peek source with Some j -> j.Job.arrival | None -> 0.) in
-  admit_upto !now;
-  while Option.is_some !first || Source.has_more source do
+  start_clock clk source;
+  setf_admit_upto st source;
+  while Option.is_some st.first || Source.has_more source do
     incr events;
     if !events > max_events then
-      raise (Simulator.Event_limit_exceeded { limit = max_events; now = !now });
-    if Option.is_none !first then begin
-      now := Source.next_arrival source;
-      admit_upto !now
+      raise (Simulator.Event_limit_exceeded { limit = max_events; now = clk.now });
+    if Option.is_none st.first then begin
+      clk.now <- clk.next_arr;
+      setf_admit_upto st source
     end
     else begin
       (* Rates reflect the structure left by the previous event. *)
-      refill !now;
-      (* Next event: earliest within-group completion, earliest adjacent
-         catch-up (both only in the advancing prefix), or next arrival —
-         completion/catch-up beats an arrival tie, as everywhere. *)
-      let t_next = ref Float.infinity in
-      let rec scan = function
-        | None -> ()
-        | Some (g : group) ->
-            if g.grate > 0. then begin
-              let c =
-                !now +. ((Heap.Scalar2.min_key_exn g.members -. g.level) /. (g.grate *. speed))
-              in
-              if c < !t_next then t_next := c;
-              (match g.next with
-              | Some h ->
-                  let closing = (g.grate -. h.grate) *. speed in
-                  let gap = level_at h !now -. g.level in
-                  if closing > 0. && gap > 0. then begin
-                    let t = !now +. (gap /. closing) in
-                    if t < !t_next then t_next := t
-                  end
-              | None -> ());
-              scan g.next
-            end
-      in
-      scan !first;
-      let next_arrival = Source.next_arrival source in
-      if next_arrival < !t_next then t_next := next_arrival;
-      if not (Float.is_finite !t_next) then
+      refill st;
+      (* Completion/catch-up beats an arrival tie, as everywhere. *)
+      setf_scan st;
+      if clk.next_arr < clk.t_next then clk.t_next <- clk.next_arr;
+      if not (Float.is_finite clk.t_next) then
         raise
           (Simulator.Invalid_allocation
              "alive jobs receive no service and no arrival or horizon is pending");
-      let dt = !t_next -. !now in
-      assert (dt > 0.);
-      if record_trace then push_trace ~t0:!now ~t1:!t_next;
-      (* Advance the prefix (materializing levels at t_next), then retire
-         every member whose residual [size - level] crossed the shared
-         completion threshold — the cascade pops in (size, id) order. *)
-      let rec advance = function
-        | None -> ()
-        | Some (g : group) ->
-            if g.grate > 0. then begin
-              g.level <- g.level +. (g.grate *. speed *. dt);
-              g.t_upd <- !t_next;
-              advance g.next
-            end
-      in
-      advance !first;
-      now := !t_next;
-      let rec retire = function
-        | None -> ()
-        | Some (g : group) ->
-            if g.grate > 0. then begin
-              let nxt = g.next in
-              while
-                (not (Heap.Scalar2.is_empty g.members))
-                && Heap.Scalar2.min_key_exn g.members -. g.level
-                   <= Simulator.completion_threshold (Heap.Scalar2.min_key_exn g.members)
-              do
-                let arrival = Heap.Scalar2.min_aux1_exn g.members in
-                let id = Heap.Scalar2.pop_exn g.members in
-                complete id arrival !now;
-                incr completed;
-                decr alive;
-                makespan := !now
-              done;
-              if Heap.Scalar2.is_empty g.members then begin
-                unlink g;
-                recycle_members g.members
-              end;
-              retire nxt
-            end
-      in
-      retire !first;
-      (* Catch-ups: an advancing group whose level reached its neighbour's
-         (within the sharing tolerance) merges into it, small heap into
-         large; the merged node keeps the neighbour region's level.  Only
-         adjacent pairs in the advancing prefix can meet. *)
-      let rec merge_pass = function
-        | None -> ()
-        | Some (g : group) ->
-            if g.grate > 0. then
-              match g.next with
-              | Some h when same_attained g.level (level_at h !now) ->
-                  let lvl = level_at h !now in
-                  let src, keep =
-                    if Heap.Scalar2.length g.members <= Heap.Scalar2.length h.members then
-                      (g, h)
-                    else (h, g)
-                  in
-                  Heap.Scalar2.iter
-                    (fun size id arrival _ ->
-                      Heap.Scalar2.add keep.members ~key:size ~aux1:arrival ~aux2:0. id)
-                    src.members;
-                  recycle_members src.members;
-                  keep.level <- lvl;
-                  keep.t_upd <- !now;
-                  keep.grate <- Float.max g.grate h.grate;
-                  unlink src;
-                  merge_pass (Some keep)
-              | _ -> merge_pass g.next
-      in
-      merge_pass !first;
-      admit_upto !now
+      assert (clk.t_next -. clk.now > 0.);
+      if record_trace then push_trace ~t0:clk.now ~t1:clk.t_next;
+      setf_advance st;
+      clk.now <- clk.t_next;
+      setf_retire st;
+      setf_merge st;
+      setf_admit_upto st source
     end
   done;
   let trace = Vec.to_list trace_arena in
   ( {
-      Simulator.n = !completed;
+      Simulator.n = st.completed;
       events = !events;
       machines;
       speed;
-      makespan = !makespan;
-      max_alive = !max_alive;
+      makespan = clk.makespan;
+      max_alive = st.max_alive;
     },
     trace )
 
@@ -657,13 +683,9 @@ let run_setf ?(record_trace = false) ?(speed = 1.) ?(max_events = 10_000_000) ?(
   let jobs_arr = Simulator.jobs_by_id jobs n in
   let order = Simulator.release_order jobs n in
   let completions = Array.make n Float.nan in
-  let complete id arrival now =
-    completions.(id) <- now;
-    sink ~id ~arrival ~flow:(now -. arrival)
-  in
   let summary, trace =
     setf_core ~record_trace ~speed ~max_events ~machines ~source:(Source.of_array order)
-      ~complete
+      ~completions ~sink
   in
   {
     Simulator.jobs = jobs_arr;
@@ -674,10 +696,9 @@ let run_setf ?(record_trace = false) ?(speed = 1.) ?(max_events = 10_000_000) ?(
     events = summary.Simulator.events;
   }
 
-let run_setf_stream ?(speed = 1.) ?(max_events = 10_000_000) ~machines ~sink pull =
-  let complete id arrival now = sink ~id ~arrival ~flow:(now -. arrival) in
+let run_setf_stream ?(speed = 1.) ?(max_events = 10_000_000) ~machines ~sink fill =
   let summary, _trace =
-    setf_core ~record_trace:false ~speed ~max_events ~machines ~source:(Source.of_fn pull)
-      ~complete
+    setf_core ~record_trace:false ~speed ~max_events ~machines ~source:(Source.of_raw fill)
+      ~completions:[||] ~sink
   in
   summary

@@ -25,8 +25,11 @@
 
     Like the engines in {!Simulator}, each engine has a materialized
     entry point (job list in, {!Simulator.result} out, optional [?sink])
-    and a streaming one (pull function in, mandatory [~sink], O(alive)
-    live memory, {!Simulator.summary} out). *)
+    and a streaming one (raw cursor in, mandatory [~sink], O(alive)
+    live memory, {!Simulator.summary} out).  Neither loop builds anything
+    per event: slot and group floats live in all-float (flat) records,
+    the clock in a flat record, and jobs are admitted from the source's
+    raw cursor. *)
 
 type kind = Srpt | Sjf | Fcfs | Hdf of { alpha : float }
 (** The static-while-waiting keys the kernel can rank by; one-to-one
@@ -83,11 +86,12 @@ val run_stream :
   machines:int ->
   kind:kind ->
   sink:Simulator.sink ->
-  (unit -> Job.t option) ->
+  (Simulator.Source.cursor -> int) ->
   Simulator.summary
-(** Streaming counterpart of {!run}: the slot array plus the waiting heap
-    (with each job's arrival and resume state as satellites) is the
-    entire live state.  [pull] as in {!Simulator.run_stream}. *)
+(** Streaming counterpart of {!run} over an unboxed
+    {!Simulator.Source.of_raw} producer: the slot array plus the waiting
+    heap (with each job's arrival and resume state as satellites) is the
+    entire live state, and no [Job.t] is ever built. *)
 
 val run_setf :
   ?record_trace:bool ->
@@ -105,7 +109,8 @@ val run_setf_stream :
   ?max_events:int ->
   machines:int ->
   sink:Simulator.sink ->
-  (unit -> Job.t option) ->
+  (Simulator.Source.cursor -> int) ->
   Simulator.summary
-(** Streaming counterpart of {!run_setf}: live memory is the group list
+(** Streaming counterpart of {!run_setf} over an unboxed
+    {!Simulator.Source.of_raw} producer: live memory is the group list
     and member heaps, O(alive jobs). *)

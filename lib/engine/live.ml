@@ -13,11 +13,12 @@
    the same shared completion threshold, the same
    completion-beats-arrival tie rule ([next_arrival < t_complete] picks
    the arrival), and the same admission, retirement and merge orders.  On
-   a submit-everything-upfront feed the event sequence is identical; the
+   a submit-everything-upfront feed the event sequence is identical.  The
    only divergence is that [advance] may split an inter-event interval at
-   an arbitrary horizon, accumulating the advance in pieces — a rounding
-   difference bounded well inside the 1e-9 relative tolerance the
-   differential suite (test_live.ml) pins.
+   an arbitrary horizon: the three private kernels accumulate the advance
+   in pieces — a rounding difference bounded well inside the 1e-9
+   relative tolerance the differential suite (test_live.ml) pins — while
+   the classified cores defer it to the next event (see [step]).
 
    Everything in [state] is plain mutable data — heaps of float arrays,
    a Queue of scalars, records, an option-linked group list — with no
@@ -129,10 +130,10 @@ type setf_state = { mutable first : group option; mutable setf_alive : int }
 
 (* The classified cores reuse the closed engines' incremental state
    directly (class_engine.ml, hybrid_engine.ml, budget_engine.ml): one
-   [refresh] per event — never per horizon split, so cached rates carry
-   partial advances exactly like the general loop's
-   allocate-once-per-event discipline, which is what keeps WRR-age's
-   drifting weights split-safe. *)
+   [refresh] per event — never per horizon split — and one advance per
+   inter-event interval, so the core replays the general loop's
+   allocate-once-per-event discipline (which is what keeps WRR-age's
+   drifting weights split-safe) and its arithmetic (see [step]). *)
 type core =
   | Eq of eq_state
   | Idx of idx_state
@@ -156,6 +157,10 @@ type state = {
      recomputed before the next event scan (after every processed event,
      admission or idle jump; never after a pure horizon split). *)
   mutable rates_dirty : bool;
+  (* Classified cores only: the instant of the last processed event, up
+     to which the core's jobs have been advanced.  Horizon splits move
+     [now] past it without advancing anything (see [step]). *)
+  mutable seg_start : float;
   (* Submitted jobs not yet admitted, in submission = (arrival, id)
      order; arrivals are validated non-decreasing at [submit]. *)
   pending : (int * float * float) Queue.t;
@@ -250,6 +255,7 @@ let create ?(machines = 1) ?(speed = 1.) ?(k = 2) ?(max_events = max_int) ?(sink
       max_events;
       core;
       rates_dirty = true;
+      seg_start = 0.;
       pending = Queue.create ();
       now = 0.;
       last_arrival = 0.;
@@ -476,13 +482,13 @@ let admit (st : state) ~id ~arrival ~size =
   | Idx i -> idx_admit st i ~id ~arrival ~size
   | Setf s -> setf_admit st s ~id ~arrival ~size
   | Cls c ->
-      Class_engine.admit c (Job.make ~id ~arrival ~size);
+      Class_engine.admit c ~id ~arrival ~size;
       note_alive st
   | Hyb h ->
-      Hybrid_engine.admit h (Job.make ~id ~arrival ~size);
+      Hybrid_engine.admit h ~id ~arrival ~size;
       note_alive st
   | Bud b ->
-      Budget_engine.admit b (Job.make ~id ~arrival ~size);
+      Budget_engine.admit b ~id ~arrival ~size;
       note_alive st
 
 let admit_upto (st : state) now =
@@ -730,7 +736,21 @@ let step (t : t) ~target =
         (* One shared skeleton: refresh the cached decision only when the
            state changed since the last event (admission, settle, idle
            jump) — a pure horizon split keeps the rates, exactly like the
-           general loop's allocate-once-per-event discipline. *)
+           general loop's allocate-once-per-event discipline.
+
+           The core is advanced lazily, at events only: the next event is
+           computed from [seg_start], the last event's instant, and the
+           jobs are advanced by the whole interval since then in one
+           step.  A horizon split therefore moves [now] and nothing else,
+           and however a caller splits time, the core performs the same
+           float operations as the closed engine on the same jobs.
+           Advancing at every split instead accumulates each interval in
+           pieces, and the rounding of the pieces decides knife edges the
+           closed engine decides the other way: a job whose residual work
+           lands exactly on its completion threshold as an equal-share
+           neighbour finishes (MLFQ sizes on a threshold T and on
+           T - 1e-9 (1 + T)) completes a whole shared-rate interval
+           early or late. *)
         let refresh () =
           match st.core with
           | Cls c -> Class_engine.refresh c ~now:st.now
@@ -740,9 +760,9 @@ let step (t : t) ~target =
         in
         let next_internal () =
           match st.core with
-          | Cls c -> Class_engine.next_internal c ~now:st.now
-          | Hyb h -> Hybrid_engine.next_internal h ~now:st.now
-          | Bud b -> Budget_engine.next_internal b ~now:st.now
+          | Cls c -> Class_engine.next_internal c ~now:st.seg_start
+          | Hyb h -> Hybrid_engine.next_internal h ~now:st.seg_start
+          | Bud b -> Budget_engine.next_internal b ~now:st.seg_start
           | _ -> assert false
         in
         let advance_by dt =
@@ -753,7 +773,7 @@ let step (t : t) ~target =
           | _ -> assert false
         in
         let settle () =
-          let complete' id arrival _now = complete t ~id ~arrival in
+          let complete' ~id ~arrival ~flow:_ = complete t ~id ~arrival in
           match st.core with
           | Cls c -> Class_engine.settle c ~now:st.now ~complete:complete'
           | Hyb h -> Hybrid_engine.settle h ~now:st.now ~complete:complete'
@@ -762,20 +782,19 @@ let step (t : t) ~target =
         in
         if st.rates_dirty then begin
           refresh ();
+          st.seg_start <- st.now;
           st.rates_dirty <- false
         end;
         let t_internal = next_internal () in
         let next_arrival = next_pending st in
         let t_next = if next_arrival < t_internal then next_arrival else t_internal in
         if t_next > target then begin
-          let dt = target -. st.now in
-          if dt > 0. then advance_by dt;
           st.now <- target;
           false
         end
         else begin
           bump_events st;
-          let dt = t_next -. st.now in
+          let dt = t_next -. st.seg_start in
           if dt > 0. then advance_by dt;
           st.now <- t_next;
           settle ();
@@ -837,9 +856,14 @@ let k t = t.st.k
 (* [state] is closure-free, so Marshal round-trips it; the default flags
    keep sharing on, which is what resolves the SETF group list's
    prev/next cycles.  A short magic header versions the format so a junk
-   file fails loudly instead of segfaulting the unmarshaller. *)
+   file fails loudly instead of segfaulting the unmarshaller.  The
+   version names the memory layout of [state] and of the kernel states
+   it embeds: any change to either must bump it, or an older build's
+   snapshot would be unmarshalled into the new layout.  v3: the class,
+   hybrid and budget kernels keep their floats in flat all-float
+   records. *)
 
-let snapshot_magic = "rr-live-snapshot-v2\n"
+let snapshot_magic = "rr-live-snapshot-v3\n"
 
 let to_bytes t =
   Bytes.cat (Bytes.of_string snapshot_magic) (Marshal.to_bytes t.st [])

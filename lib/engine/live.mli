@@ -18,10 +18,14 @@
     SETF group cascade ({!Index_engine.run_setf}).  Each event costs
     O(m + log alive); live memory is O(alive + pending), independent of
     how many jobs have passed through.  On a submit-everything-upfront
-    feed the event sequence matches the closed engines exactly; horizons
-    that split inter-event intervals accumulate the analytic advance in
-    pieces, a rounding difference bounded well inside the 1e-9 relative
-    flow-time tolerance pinned by the differential suite (test_live.ml).
+    feed the event sequence matches the closed engines exactly.  The
+    classified cores ({!Class_engine}, {!Hybrid_engine},
+    {!Budget_engine}) advance their jobs only at events, by the whole
+    interval since the last one, so horizon splits change none of their
+    floats; the three kernels above accumulate a split interval's advance
+    in pieces, a rounding difference bounded well inside the 1e-9
+    relative flow-time tolerance pinned by the differential suite
+    (test_live.ml) away from completion-threshold knife edges.
 
     Engine state is closure-free, so a whole engine — mid-run, with jobs
     alive and pending — serializes with {!to_bytes}/{!save} and resumes

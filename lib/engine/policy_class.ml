@@ -96,13 +96,13 @@ let capped_rates_into ~machines ~n ~weights ~suffix ~rates =
     for i = n - 1 downto 0 do
       suffix.(i) <- suffix.(i + 1) +. weights.(i)
     done;
-    let rec find_cap c =
-      if c >= machines then machines
-      else
-        let theta = (m -. Float.of_int c) /. suffix.(c) in
-        if weights.(c) *. theta > 1. then find_cap (c + 1) else c
-    in
-    let c = find_cap 0 in
+    (* A loop rather than a local recursive function: the latter would
+       allocate its closure on every call, i.e. once per engine event. *)
+    let c = ref 0 in
+    while !c < machines && weights.(!c) *. ((m -. Float.of_int !c) /. suffix.(!c)) > 1. do
+      incr c
+    done;
+    let c = !c in
     let theta = if c = machines then 0. else (m -. Float.of_int c) /. suffix.(c) in
     for i = 0 to n - 1 do
       rates.(i) <- (if i < c then 1. else Float.min 1. (weights.(i) *. theta))
@@ -164,6 +164,38 @@ let ladder_threshold ~base_quantum ~factor level =
     if l > level then acc else go (l + 1) (acc +. quantum) (quantum *. factor)
   in
   go 0 0. base_quantum
+
+(* The ladder tabled once: the thresholds and their tolerance bands for
+   every non-absorbing level, built with exactly the recurrences above
+   (T_{l+1} = T_l + q_l f, q_{l+1} = q_l f, band = T - 1e-9 (1 + T)), so
+   each entry is the float [ladder_level] compares against and
+   [ladder_threshold] returns.  An engine that caches each job's level
+   then only scans forward from it: attained service never decreases, and
+   every band below a job's cached level was already passed at the smaller
+   attained value that put it there, so the scan stops at the level
+   [ladder_level] would find from 0. *)
+type ladder_table = { thresholds : float array; bands : float array }
+
+let ladder_table ~base_quantum ~factor ~levels =
+  let n = Int.max 0 (levels - 1) in
+  let thresholds = Array.make n 0. and bands = Array.make n 0. in
+  let threshold = ref base_quantum and quantum = ref base_quantum in
+  for l = 0 to n - 1 do
+    thresholds.(l) <- !threshold;
+    bands.(l) <- !threshold -. (1e-9 *. (1. +. !threshold));
+    let q = !quantum *. factor in
+    threshold := !threshold +. q;
+    quantum := q
+  done;
+  { thresholds; bands }
+
+let[@inline] table_level t ~from attained =
+  let top = Array.length t.bands in
+  let l = ref from in
+  while !l < top && not (attained < t.bands.(!l)) do
+    incr l
+  done;
+  !l
 
 let validate = function
   | Equal_share | Attained_cascade -> Ok ()

@@ -120,6 +120,28 @@ val ladder_threshold : base_quantum:float -> factor:float -> int -> float
 (** The cumulative demotion threshold of a level: the attained service
     at which a job leaves it (sum of the first level+1 quanta). *)
 
+type ladder_table = {
+  thresholds : float array;
+      (** [thresholds.(l)] = [ladder_threshold l], for [l < levels - 1]. *)
+  bands : float array;
+      (** [bands.(l)] = [thresholds.(l) -. 1e-9 *. (1. +. thresholds.(l))]:
+          attained service at or above it has left level [l]. *)
+}
+(** A ladder's non-absorbing levels, tabled once by {!ladder_table} with
+    exactly the float recurrences of {!ladder_level} and
+    {!ladder_threshold}, so both read bit-identical values off it. *)
+
+val ladder_table : base_quantum:float -> factor:float -> levels:int -> ladder_table
+
+val table_level : ladder_table -> from:int -> float -> int
+(** [table_level t ~from attained] scans forward from a cached level
+    [from] (any level at most the answer — e.g. the level of a smaller
+    attained service, or [0]) and returns
+    [ladder_level ~base_quantum ~factor ~levels attained] for the ladder
+    [t] was built from.  Attained service never decreases, so an engine
+    that caches each job's level pays for the levels a job actually
+    climbs, not for the whole ladder on every event. *)
+
 val validate : t -> (unit, string) result
 (** Parameter sanity ([Error] carries a human-readable diagnostic). *)
 

@@ -599,13 +599,6 @@ let run_equal_share ?(record_trace = false) ?(speed = 1.) ?(max_events = 10_000_
   in
   { jobs = jobs_arr; completions; trace; machines; speed; events = summary.events }
 
-let run_equal_share_stream ?(speed = 1.) ?(max_events = 10_000_000) ~machines ~sink pull =
-  let summary, _trace =
-    equal_share_core ~record_trace:false ~speed ~max_events ~machines
-      ~source:(Source.of_fn pull) ~completions:[||] ~sink
-  in
-  summary
-
 let run_equal_share_stream_raw ?(speed = 1.) ?(max_events = 10_000_000) ~machines ~sink fill =
   let summary, _trace =
     equal_share_core ~record_trace:false ~speed ~max_events ~machines

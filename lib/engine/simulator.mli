@@ -29,7 +29,7 @@
       job list, return the full {!result} with per-job completion times,
       and additionally feed an optional [?sink];
     - the {e streaming} entry points ({!run_stream},
-      {!run_equal_share_stream}) take a pull function, feed every
+      {!run_equal_share_stream_raw}) take a pull function, feed every
       completion to a mandatory [~sink], and return only a {!summary} —
       live memory is O(alive jobs), independent of how many jobs the
       source produces, so million- to ten-million-job instances run in a
@@ -98,6 +98,20 @@ module Source : sig
   (** Arrival time of {!peek}'s job; [infinity] when exhausted. *)
 
   val has_more : t -> bool
+
+  (** {3 Raw view}
+
+      The buffered job without a [Job.t]: after {!has_more} returned
+      [true] (or {!next_arrival} returned a finite time), [head_id],
+      [head_arrival] and [head_size] read the job {!peek} would return,
+      and [advance] consumes it.  Once inlined these are plain field
+      accesses, which is how the closed kernels admit jobs without
+      allocating — combined with {!of_raw}, nothing is built per job. *)
+
+  val head_id : t -> int
+  val head_arrival : t -> float
+  val head_size : t -> float
+  val advance : t -> unit
 end
 
 type result = {
@@ -172,18 +186,6 @@ val run_equal_share :
     to floating-point rounding; traces carry the same segments (entry order
     within a segment may differ).  Parameters and errors as in {!run}. *)
 
-val run_equal_share_stream :
-  ?speed:float ->
-  ?max_events:int ->
-  machines:int ->
-  sink:sink ->
-  (unit -> Job.t option) ->
-  summary
-(** Streaming counterpart of {!run_equal_share}: the deadline heap (with
-    each job's arrival and size as satellites) is the {e entire} live
-    state, so a 10M-job instance runs in O(max alive) heap.  [pull] as in
-    {!run_stream}. *)
-
 val run_equal_share_stream_raw :
   ?speed:float ->
   ?max_events:int ->
@@ -191,12 +193,14 @@ val run_equal_share_stream_raw :
   sink:sink ->
   (Source.cursor -> int) ->
   summary
-(** Like {!run_equal_share_stream} but over an unboxed {!Source.of_raw}
-    producer: the source hands over (id, arrival, size) through a flat
-    cursor instead of a [Job.t option], which removes the last per-job
-    allocation from the equal-share streaming path.  Combined with the
-    per-domain scratch {!Arena} this entry point runs at ~0 words
-    allocated per job in steady state (the B4 benchmark gate). *)
+(** Streaming counterpart of {!run_equal_share} over an unboxed
+    {!Source.of_raw} producer: the source hands over (id, arrival, size)
+    through a flat cursor instead of a [Job.t option], and the deadline
+    heap (with each job's arrival and size as satellites) is the
+    {e entire} live state, so a 10M-job instance runs in O(max alive)
+    heap.  Combined with the per-domain scratch {!Arena} this entry point
+    runs at ~0 words allocated per job in steady state (the B4 benchmark
+    gate). *)
 
 val flows : result -> float array
 (** Flow times [F_j = C_j - r_j], indexed by job id. *)

@@ -279,6 +279,11 @@ module Scalar2 = struct
     for i = 0 to t.size - 1 do
       f t.keys.(i) t.vals.(i) t.aux1.(i) t.aux2.(i)
     done
+
+  let add_all dst src =
+    for i = 0 to src.size - 1 do
+      add dst ~key:src.keys.(i) ~aux1:src.aux1.(i) ~aux2:src.aux2.(i) src.vals.(i)
+    done
 end
 
 (* ------------------------------------------------------------------ *)

@@ -109,8 +109,14 @@ module Scalar2 : sig
   val iter : (float -> int -> float -> float -> unit) -> t -> unit
   (** [iter f t] applies [f key value aux1 aux2] to every element in
       unspecified (heap-array) order.  The priority-index engines use it
-      to enumerate waiting jobs for trace segments and to merge SETF
-      groups small-into-large; do not add or pop during iteration. *)
+      to enumerate waiting jobs for trace segments; do not add or pop
+      during iteration. *)
+
+  val add_all : t -> t -> unit
+  (** [add_all dst src] adds every element of [src] to [dst] — exactly
+      the [add]s an {!iter} over [src] would make, in the same order, but
+      without a closure or a boxed float per element.  [src] is left
+      unchanged; the SETF cascade merges groups small-into-large with it. *)
 end
 
 (** {!Scalar2} with a third unboxed float satellite per element.

@@ -131,6 +131,86 @@ let test_hybrid_tradeoff_monotone () =
   close "l2" limit.Run.norm srpt.Run.norm;
   close "max flow" limit.Run.max_flow srpt.Run.max_flow
 
+(* ------------------------------------------------------------------ *)
+(* The tabled MLFQ ladder against the reference recursions             *)
+(* ------------------------------------------------------------------ *)
+
+(* The dense MLFQ kernel reads levels and thresholds off
+   [Policy_class.ladder_table] and moves each job's level forward from a
+   cached one; the mirror policy recomputes them with [ladder_level] /
+   [ladder_threshold] from level 0.  Both must give bit-identical answers
+   at every band edge, or the two engines could classify a promotion
+   landing differently. *)
+let ladder_params =
+  [
+    (0.5, 2., 24);  (* the registry default *)
+    (0.5, 1., 24);  (* factor 1: equal quanta *)
+    (0.5, 2., 1);  (* a single, absorbing level *)
+    (1e-10, 2., 24);  (* band 0 negative: a fresh job sits above level 0 *)
+    (1e-10, 1., 24);
+    (3., 1.5, 7);
+  ]
+
+let bits = Int64.bits_of_float
+
+let test_ladder_table_matches_reference () =
+  List.iter
+    (fun (base_quantum, factor, levels) ->
+      let name = Printf.sprintf "q=%g f=%g levels=%d" base_quantum factor levels in
+      let t = Policy_class.ladder_table ~base_quantum ~factor ~levels in
+      let reference a = Policy_class.ladder_level ~base_quantum ~factor ~levels a in
+      Alcotest.(check int) (name ^ ": one entry per non-absorbing level") (levels - 1)
+        (Array.length t.Policy_class.thresholds);
+      Alcotest.(check int) (name ^ ": one band per threshold") (levels - 1)
+        (Array.length t.Policy_class.bands);
+      Array.iteri
+        (fun l thr ->
+          let want = Policy_class.ladder_threshold ~base_quantum ~factor l in
+          if bits thr <> bits want then
+            Alcotest.failf "%s: threshold %d is %.17g, reference %.17g" name l thr want;
+          let band = t.Policy_class.bands.(l) in
+          if bits band <> bits (thr -. (1e-9 *. (1. +. thr))) then
+            Alcotest.failf "%s: band %d is %.17g" name l band)
+        t.Policy_class.thresholds;
+      (* Every band and threshold, one ulp either side of each, and the
+         ends of the range. *)
+      let probes =
+        [ 0.; Float.min_float; 1e300 ]
+        @ List.concat_map
+            (fun x -> [ Float.pred x; x; Float.succ x ])
+            (Array.to_list t.Policy_class.bands @ Array.to_list t.Policy_class.thresholds)
+        |> List.filter (fun a -> a >= 0.)
+        |> List.sort_uniq Float.compare
+      in
+      List.iter
+        (fun a ->
+          let want = reference a in
+          (* From every cached level at or below the answer. *)
+          for from = 0 to want do
+            let got = Policy_class.table_level t ~from a in
+            if got <> want then
+              Alcotest.failf "%s: attained %.17g from level %d gives %d, reference %d" name a
+                from got want
+          done)
+        probes;
+      (* Along a non-decreasing attained sequence, carrying the cached
+         level forward exactly as the kernel does. *)
+      let cached = ref 0 in
+      List.iter
+        (fun a ->
+          cached := Policy_class.table_level t ~from:!cached a;
+          if !cached <> reference a then
+            Alcotest.failf "%s: cached scan at %.17g gives %d, reference %d" name a !cached
+              (reference a))
+        probes;
+      if base_quantum = 1e-10 then begin
+        Alcotest.(check bool) (name ^ ": band 0 is negative") true (t.Policy_class.bands.(0) < 0.);
+        Alcotest.(check bool) (name ^ ": a fresh job sits above level 0") true (reference 0. > 0);
+        Alcotest.(check int) (name ^ ": fresh job level") (reference 0.)
+          (Policy_class.table_level t ~from:0 0.)
+      end)
+    ladder_params
+
 let () =
   Alcotest.run "rr_classes"
     [
@@ -141,4 +221,9 @@ let () =
         ] );
       ( "hybrid",
         [ Alcotest.test_case "l2/l1 tradeoff vs theta" `Quick test_hybrid_tradeoff_monotone ] );
+      ( "ladder",
+        [
+          Alcotest.test_case "table matches ladder_level/ladder_threshold" `Quick
+            test_ladder_table_matches_reference;
+        ] );
     ]

@@ -131,6 +131,31 @@ let prop_interleaved_matches_run spec policy =
 let interleaved_props =
   List.map (fun (spec, policy) -> prop_interleaved_matches_run spec policy) live_specs
 
+(* Live MLFQ on knife-edge instances (mlfq_knife.ml): fed upfront and
+   interleaved with horizon splits — the splits accumulate attained
+   service in different pieces, right where a promotion lands on a
+   threshold — it must agree with the general loop. *)
+let prop_live_mlfq_knife_edge =
+  QCheck2.Test.make ~name:"live mlfq-ladder matches general on ladder knife edges" ~count:200
+    ~print:(fun (c, frac) -> Printf.sprintf "%s frac=%h" (Mlfq_knife.print c) frac)
+    QCheck2.Gen.(pair Mlfq_knife.gen (float_range 0. 1.))
+    (fun (c, frac) ->
+      let inst = Instance.of_jobs (Mlfq_knife.pairs c) in
+      let machines = c.Mlfq_knife.machines in
+      let policy = Mlfq_knife.policy c in
+      let spec = Live.Classified (Option.get policy.Rr_engine.Policy.klass) in
+      let reference =
+        Run.flows (Run.config ~machines ~cache:false ~engine:`General ()) policy inst
+      in
+      let agree flows = Array.for_all2 (fun a b -> rel_diff a b <= flow_rtol) flows reference in
+      let upfront, _ = live_flows ~machines ~speed:1. ~k:2 spec inst in
+      let interleave live (j : Rr_engine.Job.t) =
+        let now = Live.now live in
+        Live.advance live (now +. (frac *. (j.arrival -. now)))
+      in
+      let split, _ = live_flows ~interleave ~machines ~speed:1. ~k:2 spec inst in
+      agree upfront && agree split)
+
 (* ------------------------------------------------------------------ *)
 (* Snapshot / restore round-trip                                       *)
 (* ------------------------------------------------------------------ *)
@@ -185,6 +210,30 @@ let test_snapshot_file_roundtrip () =
   Alcotest.check_raises "of_bytes rejects garbage"
     (Failure "Live.of_bytes: not a live-engine snapshot") (fun () ->
       ignore (Live.of_bytes (Bytes.of_string "definitely not a snapshot")))
+
+(* A snapshot from an older build carries an older layout: re-heading a
+   current snapshot with the previous version's magic must be refused by
+   the header check, before any unmarshalling. *)
+let test_snapshot_rejects_old_version () =
+  List.iter
+    (fun (spec, _) ->
+      let live = Live.create ~machines:2 spec in
+      ignore (Live.submit live ~arrival:0. ~size:2.);
+      ignore (Live.submit live ~arrival:0.5 ~size:1.);
+      Live.advance live 1.;
+      let current = Live.to_bytes live in
+      let magic = "rr-live-snapshot-v3\n" in
+      Alcotest.(check string)
+        (Live.spec_name spec ^ " carries the current magic")
+        magic
+        (Bytes.sub_string current 0 (String.length magic));
+      let old = Bytes.copy current in
+      Bytes.blit_string "rr-live-snapshot-v2\n" 0 old 0 (String.length magic);
+      Alcotest.check_raises
+        (Live.spec_name spec ^ " v2 snapshot rejected")
+        (Failure "Live.of_bytes: not a live-engine snapshot")
+        (fun () -> ignore (Live.of_bytes old)))
+    live_specs
 
 (* ------------------------------------------------------------------ *)
 (* Submit validation and resumability                                  *)
@@ -273,7 +322,9 @@ let test_live_measure_stream_agrees () =
   Alcotest.(check bool) "stream norm agrees" true
     (rel_diff auto.Run.norm live.Run.norm <= flow_rtol)
 
-let qsuite = List.map QCheck_alcotest.to_alcotest interleaved_props
+let qsuite =
+  List.map QCheck_alcotest.to_alcotest interleaved_props
+  @ [ Mlfq_knife.to_alcotest ~seed:20150601 prop_live_mlfq_knife_edge ]
 
 let () =
   Alcotest.run "rr_live"
@@ -289,6 +340,8 @@ let () =
           Alcotest.test_case "mid-flight bytes round-trip" `Quick test_snapshot_roundtrip;
           Alcotest.test_case "file round-trip + garbage rejection" `Quick
             test_snapshot_file_roundtrip;
+          Alcotest.test_case "older snapshot version rejected" `Quick
+            test_snapshot_rejects_old_version;
         ] );
       ( "lifecycle",
         [ Alcotest.test_case "submit validation and resume after drain" `Quick test_submit_validation ] );

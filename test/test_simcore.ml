@@ -118,6 +118,25 @@ let prop_engine_matches_general (spec, engine) =
 
 let engine_props = List.map prop_engine_matches_general fast_policies
 
+(* The closed mlfq-ladder kernel on knife-edge instances (sizes on the
+   ladder's thresholds and tolerance bands, see mlfq_knife.ml) must agree
+   with the general loop running the mirror policy. *)
+let prop_mlfq_knife_edge =
+  QCheck2.Test.make ~name:"mlfq-ladder matches general on ladder knife edges" ~count:300
+    ~print:Mlfq_knife.print Mlfq_knife.gen (fun c ->
+      let inst = instance_of_pairs (Mlfq_knife.pairs c) in
+      let machines = c.Mlfq_knife.machines in
+      let cfg = Run.config ~machines () in
+      if Run.engine_name cfg (Mlfq_knife.policy c) <> "mlfq-ladder" then
+        QCheck2.Test.fail_report "auto does not select the mlfq-ladder kernel";
+      let fast = Run.simulate cfg (Mlfq_knife.policy c) inst in
+      let general =
+        Run.simulate (Run.config ~machines ~engine:`General ()) (Mlfq_knife.policy c) inst
+      in
+      let ff = Simulator.flows fast and fg = Simulator.flows general in
+      Array.length ff = Array.length fg
+      && Array.for_all2 (fun a b -> rel_diff a b <= flow_rtol) ff fg)
+
 (* ------------------------------------------------------------------ *)
 (* Differential edge-case corpus, every (fast engine, general) pair    *)
 (* ------------------------------------------------------------------ *)
@@ -429,6 +448,7 @@ let qsuite =
        prop_fast_path_inert_for_unclassified;
      ]
     @ engine_props)
+  @ [ Mlfq_knife.to_alcotest ~seed:20150601 prop_mlfq_knife_edge ]
 
 let () =
   Alcotest.run "rr_simcore"
