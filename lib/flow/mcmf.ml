@@ -12,14 +12,30 @@ type t = {
   mutable n_edges : int;
   (* Warm-start state: Johnson potentials survive the solve so a
      perturbed network can continue augmenting from the previous basis
-     instead of re-deriving shortest-path distances from scratch. *)
-  mutable pot : float array;
+     instead of re-deriving shortest-path distances from scratch.
+     [perturbed] records an [add_edge] since the last augmentation — the
+     only event that can leave a residual reduced cost negative. *)
+  pot : float array;
   mutable solved : bool;
+  mutable perturbed : bool;
   mutable acc_flow : float;
   acc_cost : Rr_util.Kahan.t;
+  (* Dijkstra scratch, reused across augmentations and calls: distance and
+     predecessor labels plus an indexed binary min-heap on [dist] —
+     [heap.(i)] is the node in heap slot i, [pos.(v)] the slot of node v
+     or [unseen]/[settled].  Between searches every [dist] is infinite
+     and every [pos] is [unseen]. *)
+  dist : float array;
+  prev_edge : int array;
+  heap : int array;
+  pos : int array;
+  mutable heap_size : int;
 }
 
 type outcome = { flow : float; cost : float }
+
+let unseen = -1
+let settled = -2
 
 let create ~n_nodes =
   if n_nodes < 1 then invalid_arg "Mcmf.create: need at least one node";
@@ -31,10 +47,16 @@ let create ~n_nodes =
     next_edge = Array.make 16 (-1);
     first = Array.make n_nodes (-1);
     n_edges = 0;
-    pot = [||];
+    pot = Array.make n_nodes 0.;
     solved = false;
+    perturbed = false;
     acc_flow = 0.;
     acc_cost = Rr_util.Kahan.create ();
+    dist = Array.make n_nodes Float.infinity;
+    prev_edge = Array.make n_nodes (-1);
+    heap = Array.make n_nodes 0;
+    pos = Array.make n_nodes unseen;
+    heap_size = 0;
   }
 
 let ensure_capacity t =
@@ -72,6 +94,7 @@ let add_edge t ~src ~dst ~capacity ~cost =
   t.next_edge.(e + 1) <- t.first.(dst);
   t.first.(dst) <- e + 1;
   t.n_edges <- t.n_edges + 2;
+  t.perturbed <- true;
   e
 
 (* An edge counts as residual only when its capacity clears the rounding
@@ -87,134 +110,144 @@ let check_endpoints name t ~source ~sink =
   if source < 0 || source >= t.n || sink < 0 || sink >= t.n then
     invalid_arg (name ^ ": node out of range")
 
+(* Indexed heap: move the node in slot [i] towards the root while its
+   parent is farther.  Keys are read from [dist], so nothing is boxed. *)
+let sift_up t i =
+  let heap = t.heap and pos = t.pos and dist = t.dist in
+  let v = heap.(i) in
+  let d = dist.(v) in
+  let i = ref i in
+  let continue = ref true in
+  while !continue && !i > 0 do
+    let p = (!i - 1) / 2 in
+    let u = heap.(p) in
+    if dist.(u) > d then begin
+      heap.(!i) <- u;
+      pos.(u) <- !i;
+      i := p
+    end
+    else continue := false
+  done;
+  heap.(!i) <- v;
+  pos.(v) <- !i
+
+(* Remove the nearest node from the heap and mark it settled. *)
+let pop_min t =
+  let heap = t.heap and pos = t.pos and dist = t.dist in
+  let top = heap.(0) in
+  pos.(top) <- settled;
+  let size = t.heap_size - 1 in
+  t.heap_size <- size;
+  if size > 0 then begin
+    let v = heap.(size) in
+    let d = dist.(v) in
+    let i = ref 0 in
+    let continue = ref true in
+    while !continue do
+      let l = (2 * !i) + 1 in
+      if l >= size then continue := false
+      else begin
+        let c = if l + 1 < size && dist.(heap.(l + 1)) < dist.(heap.(l)) then l + 1 else l in
+        let u = heap.(c) in
+        if dist.(u) < d then begin
+          heap.(!i) <- u;
+          pos.(u) <- !i;
+          i := c
+        end
+        else continue := false
+      end
+    done;
+    heap.(!i) <- v;
+    pos.(v) <- !i
+  end;
+  top
+
+(* Dijkstra on reduced costs from [source], stopping as soon as [sink]
+   settles; returns whether it did.  Each node sits in the heap at most
+   once and a shorter label moves it up in place (decrease-key). *)
+let shortest_path t ~source ~sink =
+  let pot = t.pot and dist = t.dist and prev_edge = t.prev_edge and pos = t.pos in
+  let head = t.head and cap = t.cap and cost = t.cost in
+  let next_edge = t.next_edge and first = t.first in
+  dist.(source) <- 0.;
+  t.heap.(0) <- source;
+  pos.(source) <- 0;
+  t.heap_size <- 1;
+  let found = ref false in
+  while (not !found) && t.heap_size > 0 do
+    let u = pop_min t in
+    if u = sink then found := true
+    else begin
+      let du = dist.(u) and pu = pot.(u) in
+      let e = ref first.(u) in
+      while !e >= 0 do
+        let edge = !e in
+        (* [residual], inlined. *)
+        let c = cap.(edge) in
+        if c > 1e-12 *. (1. +. c +. cap.(edge lxor 1)) then begin
+          let v = head.(edge) in
+          let pv = pos.(v) in
+          if pv <> settled then begin
+            (* Reduced cost is non-negative by the potential invariant;
+               clamp tiny negative rounding noise. *)
+            let rc = cost.(edge) +. pu -. pot.(v) in
+            let nd = if rc > 0. then du +. rc else du in
+            if nd < dist.(v) then begin
+              dist.(v) <- nd;
+              prev_edge.(v) <- edge;
+              if pv = unseen then begin
+                let i = t.heap_size in
+                t.heap_size <- i + 1;
+                t.heap.(i) <- v;
+                sift_up t i
+              end
+              else sift_up t pv
+            end
+          end
+        end;
+        e := next_edge.(edge)
+      done
+    end
+  done;
+  !found
+
 (* Successive shortest augmenting paths on reduced costs, continuing from
    the potentials in [t.pot] (which must make every residual reduced cost
    non-negative up to rounding).  Pushes at most [extra_max] additional
-   flow; accumulates into [t.acc_flow] / [t.acc_cost].
+   flow from [source]; accumulates into [t.acc_flow] / [t.acc_cost].
 
    The Dijkstra stops as soon as the sink settles; potentials then
    advance by [min dist.(v) dist.(sink)] with unreached nodes counting as
    infinitely far, which preserves the reduced-cost invariant on every
    residual edge (see the comment at the update below), so the next
-   augmentation — or a warm {!resolve} — starts from a valid dual. *)
+   augmentation — or a warm {!resolve}, from this source or any other —
+   starts from a valid dual. *)
 let augment t ~source ~sink ~extra_max =
-  let pot = t.pot in
+  let pot = t.pot and dist = t.dist and pos = t.pos and prev_edge = t.prev_edge in
   let head = t.head and cap = t.cap and cost = t.cost in
-  let next_edge = t.next_edge and first = t.first in
-  let dist = Array.make t.n Float.infinity in
-  let prev_edge = Array.make t.n (-1) in
-  let settled = Array.make t.n false in
-  (* Inline binary min-heap over (distance, node) as two parallel arrays:
-     no tuple boxing, no comparator closure, reused across augmentations. *)
-  let hkey = ref (Array.make 1024 0.) in
-  let hnode = ref (Array.make 1024 0) in
-  let hn = ref 0 in
-  let heap_push d v =
-    if !hn = Array.length !hkey then begin
-      let nk = Array.make (2 * !hn) 0. and nv = Array.make (2 * !hn) 0 in
-      Array.blit !hkey 0 nk 0 !hn;
-      Array.blit !hnode 0 nv 0 !hn;
-      hkey := nk;
-      hnode := nv
-    end;
-    let k = !hkey and nd = !hnode in
-    let i = ref !hn in
-    incr hn;
-    (* Sift up. *)
-    let continue = ref true in
-    while !continue && !i > 0 do
-      let p = (!i - 1) / 2 in
-      if k.(p) > d then begin
-        k.(!i) <- k.(p);
-        nd.(!i) <- nd.(p);
-        i := p
-      end
-      else continue := false
-    done;
-    k.(!i) <- d;
-    nd.(!i) <- v
-  in
-  let heap_pop () =
-    let k = !hkey and nd = !hnode in
-    let top = nd.(0) and topd = k.(0) in
-    decr hn;
-    if !hn > 0 then begin
-      let d = k.(!hn) and v = nd.(!hn) in
-      (* Sift down from the root. *)
-      let i = ref 0 in
-      let continue = ref true in
-      while !continue do
-        let l = (2 * !i) + 1 in
-        if l >= !hn then continue := false
-        else begin
-          let c = if l + 1 < !hn && k.(l + 1) < k.(l) then l + 1 else l in
-          if k.(c) < d then begin
-            k.(!i) <- k.(c);
-            nd.(!i) <- nd.(c);
-            i := c
-          end
-          else continue := false
-        end
-      done;
-      k.(!i) <- d;
-      nd.(!i) <- v
-    end;
-    (topd, top)
-  in
+  t.perturbed <- false;
   let pushed = ref 0. in
   let continue = ref true in
   while !continue && !pushed < extra_max do
-    Array.fill dist 0 t.n Float.infinity;
-    Array.fill prev_edge 0 t.n (-1);
-    Array.fill settled 0 t.n false;
-    hn := 0;
-    dist.(source) <- 0.;
-    heap_push 0. source;
-    (* Dijkstra on reduced costs; stop once the sink settles. *)
-    let found = ref false in
-    while (not !found) && !hn > 0 do
-      let d, u = heap_pop () in
-      if not settled.(u) && d <= dist.(u) then begin
-        settled.(u) <- true;
-        if u = sink then found := true
-        else begin
-          let pu = pot.(u) in
-          let e = ref first.(u) in
-          while !e >= 0 do
-            let edge = !e in
-            let c = cap.(edge) in
-            if c > 1e-12 *. (1. +. c +. cap.(edge lxor 1)) then begin
-              let v = head.(edge) in
-              if not settled.(v) then begin
-                (* Reduced cost is non-negative by the potential invariant;
-                   clamp tiny negative rounding noise. *)
-                let rc = cost.(edge) +. pu -. pot.(v) in
-                let nd = if rc > 0. then d +. rc else d in
-                if nd < dist.(v) then begin
-                  dist.(v) <- nd;
-                  prev_edge.(v) <- edge;
-                  heap_push nd v
-                end
-              end
-            end;
-            e := next_edge.(edge)
-          done
-        end
-      end
-    done;
-    if not !found then continue := false
-    else begin
-      let dsink = dist.(sink) in
-      (* Advance every node's potential by min(dist, dist_sink) — nodes
-         the stopped Dijkstra never reached count as infinitely far and
-         advance by dist_sink.  This is what keeps the reduced-cost
-         invariant global: a settled node's residual out-edges all point
-         at reached nodes (settling relaxed them), and every other pair
-         moves by at least as much at the tail as at the head. *)
-      for v = 0 to t.n - 1 do
+    let found = shortest_path t ~source ~sink in
+    let dsink = dist.(sink) in
+    (* Advance every node's potential by min(dist, dist_sink) — nodes
+       the stopped Dijkstra never reached count as infinitely far and
+       advance by dist_sink.  This is what keeps the reduced-cost
+       invariant global: a settled node's residual out-edges all point
+       at reached nodes (settling relaxed them), and every other pair
+       moves by at least as much at the tail as at the head.  The same
+       pass clears the labels for the next search. *)
+    for v = 0 to t.n - 1 do
+      if found then begin
         let dv = dist.(v) in
         pot.(v) <- pot.(v) +. (if dv < dsink then dv else dsink)
-      done;
+      end;
+      dist.(v) <- Float.infinity;
+      pos.(v) <- unseen
+    done;
+    if not found then continue := false
+    else begin
       (* Bottleneck along the augmenting path. *)
       let bottleneck = ref (extra_max -. !pushed) in
       let v = ref sink in
@@ -244,13 +277,14 @@ let solve ?(max_flow = Float.infinity) t ~source ~sink =
        previous solve); build a fresh network, or use Mcmf.resolve to continue this one \
        after a perturbation";
   check_endpoints "Mcmf.solve" t ~source ~sink;
-  t.pot <- Array.make t.n 0.;
+  (* The potentials are still all zero, a valid dual for non-negative
+     costs. *)
   augment t ~source ~sink ~extra_max:max_flow;
   t.solved <- true;
   { flow = t.acc_flow; cost = Rr_util.Kahan.total t.acc_cost }
 
-(* After a perturbation (edges added since the last solve) the stored
-   potentials may leave some residual reduced costs negative.  One
+(* After a perturbation (edges added since the last augmentation) the
+   stored potentials may leave some residual reduced costs negative.  One
    Bellman-Ford fixpoint over the residual edges restores the invariant;
    failing to converge within [n] rounds means the perturbation created a
    negative residual cycle, i.e. the existing flow is no longer optimal at
@@ -289,7 +323,7 @@ let resolve ?(max_flow = Float.infinity) t ~source ~sink =
   if not t.solved then
     invalid_arg "Mcmf.resolve: network not solved yet; call Mcmf.solve first";
   check_endpoints "Mcmf.resolve" t ~source ~sink;
-  repair_potentials t;
+  if t.perturbed then repair_potentials t;
   augment t ~source ~sink ~extra_max:max_flow;
   { flow = t.acc_flow; cost = Rr_util.Kahan.total t.acc_cost }
 

@@ -6,9 +6,12 @@
     transportation problem, which is solved here by successive shortest
     augmenting paths with Johnson potentials (Dijkstra on reduced costs).
     With non-negative costs the algorithm returns an exact optimum for the
-    amount of flow it pushes; capacities within a relative [1e-9] of zero
-    are treated as saturated to keep the augmentation count finite in
-    floating point.
+    amount of flow it pushes.  To keep the augmentation count finite in
+    floating point, an edge whose residual capacity [r] satisfies
+    [r <= 1e-12 *. (1. +. r +. r')] counts as saturated, where [r'] is the
+    residual capacity of its reverse twin — so [r + r'] is the edge's
+    original capacity and the threshold scales per edge, not with the
+    largest capacity in the network.
 
     {2 Warm starts}
 
@@ -23,7 +26,24 @@
     as the perturbation does not make the existing flow suboptimal at its
     own value (no negative residual cycle — {!resolve} detects and refuses
     that case), the warm result equals a cold solve of the perturbed
-    network, differential-tested to <= 1e-9 in the suite. *)
+    network, differential-tested to <= 1e-9 in the suite.
+
+    {2 Several sources}
+
+    The potentials are a property of the residual network, not of the
+    node a search starts from: every augmentation keeps each residual
+    reduced cost non-negative, whichever node its path began at.  So any
+    node may be the [source] of a later {!resolve}, and supplies placed
+    at different nodes can be routed one at a time — [solve ~max_flow:s1
+    ~source:v1], then [resolve ~max_flow:s2 ~source:v2], and so on —
+    which is successive shortest paths with node imbalances: every
+    intermediate state is a min-cost flow for the supplies routed so far,
+    and once every supply is routed the cost equals a super-source solve
+    of the same supplies.
+    A later path may cancel flow an earlier one routed, through a reverse
+    edge.  {!resolve} runs its Bellman-Ford repair only when {!add_edge}
+    was called since the last augmentation, so routing supply after
+    supply costs one Dijkstra per augmenting path and nothing more. *)
 
 type t
 
@@ -55,10 +75,11 @@ val solve : ?max_flow:float -> t -> source:int -> sink:int -> outcome
     continue a consumed network with {!resolve} instead. *)
 
 val resolve : ?max_flow:float -> t -> source:int -> sink:int -> outcome
-(** Warm-started continuation after a perturbation: repairs the stored
-    potentials (one Bellman-Ford fixpoint over the residual edges), then
-    keeps augmenting — up to [max_flow] {e additional} units — from the
-    previous basis.  The returned outcome is {e cumulative} over every
+(** Warm-started continuation: when edges were added since the last
+    augmentation, repairs the stored potentials (one Bellman-Ford fixpoint
+    over the residual edges); then keeps augmenting — up to [max_flow]
+    {e additional} units, from [source], which need not be the node
+    earlier calls started from — from the previous basis.  The returned outcome is {e cumulative} over every
     solve/resolve on this network, so it is directly comparable to a cold
     {!solve} of the perturbed network.
     @raise Invalid_argument when the network has not been solved yet, when

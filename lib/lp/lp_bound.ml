@@ -48,30 +48,45 @@ let busy_periods (jobs : Rr_engine.Job.t array) =
   if n > 0 then periods := (!period_start, n - 1, !busy_end) :: !periods;
   List.rev !periods
 
-(* Solved transportation network of one component: the Mcmf network plus
-   its (job, slot_start, edge) arc handles, for solution extraction. *)
-type part = { net : Rr_flow.Mcmf.t; arcs : (int * float * int) list }
+(* Slots of width [delta] cover [0, horizon) with horizon = last arrival
+   + W/m + 2 delta: capacity after the last arrival absorbs all remaining
+   work, so the transportation problem is feasible.  The one place the
+   slot count and its 200_000 limit are decided, shared by the solver's
+   rejection and the refinement's stop rule: [Error n] when the grid
+   would need [n > 200_000] slots. *)
+let slot_count ~machines ~delta inst =
+  let max_arrival =
+    List.fold_left
+      (fun acc (j : Rr_engine.Job.t) -> Float.max acc j.arrival)
+      0. (Rr_workload.Instance.jobs inst)
+  in
+  let total_work = Rr_workload.Instance.total_work inst in
+  let horizon = max_arrival +. (total_work /. Float.of_int machines) +. (2. *. delta) in
+  let n_slots = int_of_float (Float.ceil (horizon /. delta)) in
+  if n_slots > 200_000 then Error n_slots else Ok n_slots
 
 (* Solve the LP restricted to one group of jobs and one range of slots
    [s_lo, s_hi_init) (global slot indices; the component owns the nodes up
    to [s_reach] so the belt-and-braces widening loop below can grow into
    the idle gap after the busy period without rebuilding).  [members] are
-   global job indices.  Returns the component's objective and its part. *)
+   global job indices.  Returns the component's objective; [on_arc], when
+   given, receives [(job, slot_start, flow)] for every job arc of the
+   solved network, which is dropped on return.
+
+   There is no super source: each member's p_j is routed from its own
+   node (successive shortest paths with node imbalances), in release
+   order and, among jobs sharing a first slot, smallest first.  Every
+   intermediate flow is a min-cost flow for the supplies routed so far,
+   so the order cannot change the optimum; it only decides how often a
+   later path must cancel earlier flow through a reverse arc, and this
+   one is the order the optimum tends to fill slots in. *)
 let solve_part ~mode ~gamma ~k ~machines ~delta ~(jobs : Rr_engine.Job.t array) ~members
-    ~s_lo ~s_hi_init ~s_reach =
+    ~s_lo ~s_hi_init ~s_reach ~on_arc =
   let nm = Array.length members in
-  let source = 0 in
-  let slot_node s = 1 + nm + (s - s_lo) in
-  let sink = 1 + nm + (s_reach - s_lo) in
+  let slot_node s = nm + (s - s_lo) in
+  let sink = nm + (s_reach - s_lo) in
   let net = Rr_flow.Mcmf.create ~n_nodes:(sink + 1) in
   let m_cap = Float.of_int machines *. delta in
-  let total_work = ref 0. in
-  Array.iteri
-    (fun mi ji ->
-      let j = jobs.(ji) in
-      total_work := !total_work +. j.size;
-      ignore (Rr_flow.Mcmf.add_edge net ~src:source ~dst:(1 + mi) ~capacity:j.size ~cost:0.))
-    members;
   let s_hi = ref s_hi_init in
   for s = s_lo to !s_hi - 1 do
     ignore (Rr_flow.Mcmf.add_edge net ~src:(slot_node s) ~dst:sink ~capacity:m_cap ~cost:0.)
@@ -92,8 +107,8 @@ let solve_part ~mode ~gamma ~k ~machines ~delta ~(jobs : Rr_engine.Job.t array) 
         let t_eval = match mode with Slot_start -> window_start | Slot_end -> slot_end in
         let age = t_eval -. j.arrival in
         let cost = gamma /. j.size *. (Rr_util.Floatx.powi age k +. pk) in
-        let e = Rr_flow.Mcmf.add_edge net ~src:(1 + mi) ~dst:(slot_node s) ~capacity:cap ~cost in
-        arcs := (members.(mi), slot_start, e) :: !arcs
+        let e = Rr_flow.Mcmf.add_edge net ~src:mi ~dst:(slot_node s) ~capacity:cap ~cost in
+        if Option.is_some on_arc then arcs := (members.(mi), slot_start, e) :: !arcs
       end
     done
   in
@@ -101,25 +116,50 @@ let solve_part ~mode ~gamma ~k ~machines ~delta ~(jobs : Rr_engine.Job.t array) 
     Array.map (fun ji -> Int.max s_lo (int_of_float (jobs.(ji).arrival /. delta))) members
   in
   Array.iteri (fun mi _ -> add_arcs mi ~from_slot:member_lo.(mi) ~to_slot:!s_hi) members;
-  let routed = ref (Rr_flow.Mcmf.solve net ~source ~sink) in
-  let enough (o : Rr_flow.Mcmf.outcome) = o.flow >= !total_work *. (1. -. 1e-6) in
+  let size mi = jobs.(members.(mi)).size in
+  let order = Array.init nm Fun.id in
+  Array.stable_sort
+    (fun a b ->
+      match Int.compare member_lo.(a) member_lo.(b) with
+      | 0 -> Float.compare (size a) (size b)
+      | c -> c)
+    order;
+  let total_work = Array.fold_left (fun acc ji -> acc +. jobs.(ji).size) 0. members in
+  let leftover = Array.init nm size in
+  let routed = ref { Rr_flow.Mcmf.flow = 0.; cost = 0. } in
+  let route mi =
+    let before = (!routed).flow in
+    let go = if Rr_flow.Mcmf.solved net then Rr_flow.Mcmf.resolve else Rr_flow.Mcmf.solve in
+    routed := go ~max_flow:leftover.(mi) net ~source:mi ~sink;
+    leftover.(mi) <- leftover.(mi) -. ((!routed).flow -. before)
+  in
+  Array.iter route order;
+  let enough () = (!routed).flow >= total_work *. (1. -. 1e-6) in
   (* Should be unreachable (busy-period windows are provably sufficient);
      kept as a guard so a rounding corner degrades into a warm-started
-     widening into the trailing idle gap instead of a wrong answer. *)
-  while (not (enough !routed)) && !s_hi < s_reach do
+     widening into the trailing idle gap instead of a wrong answer.  A
+     job is done once its leftover is within Mcmf's saturation rule for
+     an arc of its size. *)
+  while (not (enough ())) && !s_hi < s_reach do
     let next = Int.min s_reach (!s_hi + Int.max 1 (!s_hi - s_lo)) in
     for s = !s_hi to next - 1 do
       ignore (Rr_flow.Mcmf.add_edge net ~src:(slot_node s) ~dst:sink ~capacity:m_cap ~cost:0.)
     done;
     Array.iteri (fun mi _ -> add_arcs mi ~from_slot:!s_hi ~to_slot:next) members;
     s_hi := next;
-    routed := Rr_flow.Mcmf.resolve net ~source ~sink
+    Array.iter
+      (fun mi -> if leftover.(mi) > 1e-12 *. (1. +. size mi) then route mi)
+      order
   done;
-  if not (enough !routed) then
+  if not (enough ()) then
     failwith
       (Printf.sprintf "Lp_bound.value: routed only %g of %g work (internal horizon bug)"
-         (!routed).flow !total_work);
-  ((!routed).cost, { net; arcs = List.rev !arcs })
+         (!routed).flow total_work);
+  Option.iter
+    (fun f ->
+      List.iter (fun (ji, slot_start, e) -> f ji slot_start (Rr_flow.Mcmf.flow_on net e)) !arcs)
+    on_arc;
+  (!routed).cost
 
 (* Build and solve the transportation network(s) for LP_primal.  With
    [Sparse] windows the problem decomposes: jobs of different busy periods
@@ -129,24 +169,21 @@ let solve_part ~mode ~gamma ~k ~machines ~delta ~(jobs : Rr_engine.Job.t array) 
    superlinear in component size, so solving many 1/(1-rho)-sized
    components is the difference between seconds and hours at n = 2000.
    [Dense] keeps the original single O(n·slots) network as the
-   differential oracle. *)
-let solve_network ~mode ~gamma ~k ~machines ~delta ~windows inst =
+   differential oracle.  Each component's network is dropped as soon as
+   its cost is read. *)
+let solve_network ~mode ~gamma ~k ~machines ~delta ~windows ~on_arc inst =
   validate ~k ~machines ~delta;
   let jobs = Array.of_list (Rr_workload.Instance.jobs inst) in
   let n = Array.length jobs in
-  if n = 0 then (0., [])
+  if n = 0 then 0.
   else begin
-    let total_work = Rr_workload.Instance.total_work inst in
-    let max_arrival =
-      Array.fold_left (fun acc (j : Rr_engine.Job.t) -> Float.max acc j.arrival) 0. jobs
+    let n_slots =
+      match slot_count ~machines ~delta inst with
+      | Ok n_slots -> n_slots
+      | Error n_slots ->
+          invalid_arg
+            (Printf.sprintf "Lp_bound.value: %d slots needed; coarsen delta" n_slots)
     in
-    (* Slots cover [0, horizon); capacity after the last arrival suffices to
-       absorb all remaining work, so the transportation problem is feasible. *)
-    let horizon = max_arrival +. (total_work /. Float.of_int machines) +. (2. *. delta) in
-    let n_slots = int_of_float (Float.ceil (horizon /. delta)) in
-    if n_slots > 200_000 then
-      invalid_arg
-        (Printf.sprintf "Lp_bound.value: %d slots needed; coarsen delta" n_slots);
     let components =
       match windows with
       | Dense ->
@@ -187,35 +224,26 @@ let solve_network ~mode ~gamma ~k ~machines ~delta ~windows inst =
           with_reach (List.rev merged)
     in
     let total = Rr_util.Kahan.create () in
-    let parts =
-      List.map
-        (fun (members, s_lo, s_hi_init, s_reach) ->
-          let v, part =
-            solve_part ~mode ~gamma ~k ~machines ~delta ~jobs ~members ~s_lo ~s_hi_init
-              ~s_reach
-          in
-          Rr_util.Kahan.add total v;
-          part)
-        components
-    in
-    (Rr_util.Kahan.total total, parts)
+    List.iter
+      (fun (members, s_lo, s_hi_init, s_reach) ->
+        Rr_util.Kahan.add total
+          (solve_part ~mode ~gamma ~k ~machines ~delta ~jobs ~members ~s_lo ~s_hi_init
+             ~s_reach ~on_arc))
+      components;
+    Rr_util.Kahan.total total
   end
 
 let value ?(mode = Slot_start) ?(gamma = 1.) ?(windows = Sparse) ~k ~machines ~delta inst =
-  let v, _ = solve_network ~mode ~gamma ~k ~machines ~delta ~windows inst in
-  v
+  solve_network ~mode ~gamma ~k ~machines ~delta ~windows ~on_arc:None inst
 
 let solve ?(mode = Slot_start) ?(gamma = 1.) ?(windows = Sparse) ~k ~machines ~delta inst =
-  let v, parts = solve_network ~mode ~gamma ~k ~machines ~delta ~windows inst in
   let allocation = Array.make (Rr_workload.Instance.n inst) [] in
-  List.iter
-    (fun { net; arcs } ->
-      List.iter
-        (fun (ji, slot_start, e) ->
-          let f = Rr_flow.Mcmf.flow_on net e in
-          if f > 1e-12 then allocation.(ji) <- (slot_start, f) :: allocation.(ji))
-        arcs)
-    parts;
+  let on_arc ji slot_start f =
+    if f > 1e-12 then allocation.(ji) <- (slot_start, f) :: allocation.(ji)
+  in
+  let v =
+    solve_network ~mode ~gamma ~k ~machines ~delta ~windows ~on_arc:(Some on_arc) inst
+  in
   Array.iteri
     (fun i l ->
       allocation.(i) <- List.sort (fun (a, _) (b, _) -> Float.compare a b) l)
@@ -249,17 +277,6 @@ let value_interval ?(gamma = 1.) ?(windows = Sparse) ?init_delta ?(min_delta = 1
   in
   if Rr_workload.Instance.n inst = 0 then { lo = 0.; hi = 0.; delta = init_delta; solves = 0 }
   else begin
-    let slots_for delta =
-      let total_work = Rr_workload.Instance.total_work inst in
-      let max_arrival =
-        List.fold_left
-          (fun acc (j : Rr_engine.Job.t) -> Float.max acc j.arrival)
-          0.
-          (Rr_workload.Instance.jobs inst)
-      in
-      let horizon = max_arrival +. (total_work /. Float.of_int machines) +. (2. *. delta) in
-      int_of_float (Float.ceil (horizon /. delta))
-    in
     let rec refine delta solves =
       let lo, hi =
         match probe [ (Slot_start, delta); (Slot_end, delta) ] with
@@ -269,7 +286,9 @@ let value_interval ?(gamma = 1.) ?(windows = Sparse) ?init_delta ?(min_delta = 1
       let solves = solves + 2 in
       let converged = hi -. lo <= tol *. Float.max lo 1e-12 in
       let next = delta /. 2. in
-      if converged || next < min_delta || solves + 2 > max_solves || slots_for next > 200_000
+      if
+        converged || next < min_delta || solves + 2 > max_solves
+        || Result.is_error (slot_count ~machines ~delta:next inst)
       then { lo; hi; delta; solves }
       else refine next solves
     in

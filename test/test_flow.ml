@@ -75,6 +75,33 @@ let test_validation () =
       (fun () -> ignore (Mcmf.solve net ~source:0 ~sink:0));
     ]
 
+(* Routing from several sources: two jobs (nodes 0, 1) and two slots
+   (2, 3) in front of the sink (4).  Slot 2 is cheap for both jobs but
+   holds one unit; slot 3 costs job 0 two per unit and job 1 ten.  Job 0
+   routes first and takes slot 2.  Job 1's only cheap path then runs
+   1 -> 2, back along the reverse of 0 -> 2 (cancelling job 0's flow
+   there) and 0 -> 3: cost 1 - 1 + 2 = 2 per unit, against 10 direct. *)
+let test_second_source_cancels_first () =
+  let net = Mcmf.create ~n_nodes:5 in
+  let a_cheap = Mcmf.add_edge net ~src:0 ~dst:2 ~capacity:2. ~cost:1. in
+  let a_dear = Mcmf.add_edge net ~src:0 ~dst:3 ~capacity:2. ~cost:2. in
+  let b_cheap = Mcmf.add_edge net ~src:1 ~dst:2 ~capacity:2. ~cost:1. in
+  let b_dear = Mcmf.add_edge net ~src:1 ~dst:3 ~capacity:2. ~cost:10. in
+  ignore (Mcmf.add_edge net ~src:2 ~dst:4 ~capacity:1. ~cost:0.);
+  ignore (Mcmf.add_edge net ~src:3 ~dst:4 ~capacity:5. ~cost:0.);
+  let first = Mcmf.solve ~max_flow:1. net ~source:0 ~sink:4 in
+  check_close "first flow" 1. first.Mcmf.flow;
+  check_close "first cost" 1. first.Mcmf.cost;
+  check_close "job 0 takes the cheap slot" 1. (Mcmf.flow_on net a_cheap);
+  let both = Mcmf.resolve ~max_flow:1. net ~source:1 ~sink:4 in
+  check_close "cumulative flow" 2. both.Mcmf.flow;
+  check_close "cumulative cost" 3. both.Mcmf.cost;
+  check_close "job 0 moved off the cheap slot" 0. (Mcmf.flow_on net a_cheap);
+  check_close "job 0 on its second slot" 1. (Mcmf.flow_on net a_dear);
+  check_close "job 1 on the cheap slot" 1. (Mcmf.flow_on net b_cheap);
+  check_close "job 1 avoids its dear slot" 0. (Mcmf.flow_on net b_dear);
+  Alcotest.(check bool) "optimality certificate" true (Mcmf.no_negative_cycle net)
+
 (* ------------------------------------------------------------------ *)
 (* Cross-check against the simplex on random transportation problems   *)
 (* ------------------------------------------------------------------ *)
@@ -252,9 +279,125 @@ let prop_warm_resolve_equals_cold =
       && close warm_out.Mcmf.cost cold_out.Mcmf.cost
       && Mcmf.no_negative_cycle warm)
 
+(* Supplies routed one at a time from their own nodes, in [order]:
+   [solve ~max_flow] for the first, [resolve ~max_flow] for each later
+   one.  Returns the routing step (to resolve a supply's leftover later),
+   the cumulative outcome and each supply's unrouted leftover. *)
+let route_each net ~sink ~supplies order =
+  let leftover = Array.copy supplies in
+  let out = ref { Mcmf.flow = 0.; cost = 0. } in
+  let route i =
+    let before = !out.Mcmf.flow in
+    let go = if Mcmf.solved net then Mcmf.resolve else Mcmf.solve in
+    out := go ~max_flow:leftover.(i) net ~source:i ~sink;
+    leftover.(i) <- leftover.(i) -. (!out.Mcmf.flow -. before)
+  in
+  List.iter route order;
+  (route, out, leftover)
+
+(* A random order of [0 .. n-1], drawn from [seed]. *)
+let shuffled n seed =
+  let st = Random.State.make [| seed |] in
+  let a = Array.init n Fun.id in
+  for i = n - 1 downto 1 do
+    let j = Random.State.int st (i + 1) in
+    let t = a.(i) in
+    a.(i) <- a.(j);
+    a.(j) <- t
+  done;
+  Array.to_list a
+
+let prop_per_source_matches_super_source =
+  QCheck2.Test.make ~name:"per-source routing = super-source solve = simplex" ~count:150
+    QCheck2.Gen.(pair transportation_gen int)
+    (fun (((supplies, caps, costs) as inst), seed) ->
+      let ns = List.length supplies and nd = List.length caps in
+      let total_supply = List.fold_left ( +. ) 0. supplies in
+      match (solve_by_mcmf inst, solve_by_simplex inst) with
+      | None, _ | _, None -> true
+      | Some super, Some simplex ->
+          (* Supply i is node i, demand j node ns + j, the sink ns + nd. *)
+          let net = Mcmf.create ~n_nodes:(ns + nd + 1) in
+          let sink = ns + nd in
+          List.iteri
+            (fun j c -> ignore (Mcmf.add_edge net ~src:(ns + j) ~dst:sink ~capacity:c ~cost:0.))
+            caps;
+          let costs = Array.of_list costs in
+          for i = 0 to ns - 1 do
+            for j = 0 to nd - 1 do
+              ignore
+                (Mcmf.add_edge net ~src:i ~dst:(ns + j) ~capacity:1e9
+                   ~cost:costs.((i * nd) + j))
+            done
+          done;
+          let _, out, _ =
+            route_each net ~sink ~supplies:(Array.of_list supplies) (shuffled ns seed)
+          in
+          let { Mcmf.flow; cost } = !out in
+          Float.abs (flow -. total_supply) <= 1e-9 *. (1. +. total_supply)
+          && Float.abs (cost -. super) <= 1e-9 *. (1. +. Float.abs super)
+          && Float.abs (cost -. simplex) <= 1e-5 *. (1. +. Float.abs simplex)
+          && Mcmf.no_negative_cycle net)
+
+(* The LP's widening guard with per-source routing: route every supply on
+   the first [split] slots, add the rest, resolve each supply's leftover,
+   and compare with a cold super-source solve of the full network.  Only
+   instances whose slots can hold every supply compare: otherwise the
+   super source chooses which supplies to leave unrouted. *)
+let prop_per_source_widening_equals_cold =
+  QCheck2.Test.make ~name:"per-source routing, widened and resolved = cold solve" ~count:200
+    QCheck2.Gen.(pair warm_gen int)
+    (fun ((supplies, caps, split, increments), seed) ->
+      let ns = List.length supplies and nd = List.length caps in
+      let supplies = Array.of_list supplies and caps = Array.of_list caps in
+      let increments = Array.of_list increments in
+      let total_supply = Array.fold_left ( +. ) 0. supplies in
+      if Array.fold_left ( +. ) 0. caps < total_supply then true
+      else begin
+        let costs =
+          Array.init ns (fun i ->
+              let acc = ref 0. in
+              Array.init nd (fun j ->
+                  acc := !acc +. increments.((i * nd) + j);
+                  !acc))
+        in
+        (* Supply i is node i, slot j node ns + j, the sink ns + nd; the
+           cold network also has a super source, node ns + nd + 1. *)
+        let sink = ns + nd in
+        let add_slots net lo hi =
+          for j = lo to hi - 1 do
+            ignore (Mcmf.add_edge net ~src:(ns + j) ~dst:sink ~capacity:caps.(j) ~cost:0.);
+            for i = 0 to ns - 1 do
+              ignore
+                (Mcmf.add_edge net ~src:i ~dst:(ns + j) ~capacity:10. ~cost:costs.(i).(j))
+            done
+          done
+        in
+        let cold = Mcmf.create ~n_nodes:(ns + nd + 2) in
+        let source = ns + nd + 1 in
+        Array.iteri
+          (fun i s -> ignore (Mcmf.add_edge cold ~src:source ~dst:i ~capacity:s ~cost:0.))
+          supplies;
+        add_slots cold 0 nd;
+        let cold_out = Mcmf.solve cold ~source ~sink in
+        let warm = Mcmf.create ~n_nodes:(ns + nd + 1) in
+        add_slots warm 0 split;
+        let order = shuffled ns seed in
+        let route, warm_out, leftover = route_each warm ~sink ~supplies order in
+        add_slots warm split nd;
+        List.iter
+          (fun i -> if leftover.(i) > 1e-12 *. (1. +. supplies.(i)) then route i)
+          order;
+        let close a b = Float.abs (a -. b) <= 1e-9 *. (1. +. Float.abs b) in
+        close !warm_out.Mcmf.flow cold_out.Mcmf.flow
+        && close !warm_out.Mcmf.cost cold_out.Mcmf.cost
+        && Mcmf.no_negative_cycle warm
+      end)
+
 let qsuite =
   List.map QCheck_alcotest.to_alcotest
-    [ prop_mcmf_matches_simplex; prop_flow_bounded_by_capacity; prop_warm_resolve_equals_cold ]
+    [ prop_mcmf_matches_simplex; prop_flow_bounded_by_capacity; prop_warm_resolve_equals_cold;
+      prop_per_source_matches_super_source; prop_per_source_widening_equals_cold ]
 
 let () =
   Alcotest.run "rr_flow"
@@ -267,6 +410,8 @@ let () =
           Alcotest.test_case "disconnected" `Quick test_disconnected;
           Alcotest.test_case "max flow cap" `Quick test_max_flow_cap;
           Alcotest.test_case "validation" `Quick test_validation;
+          Alcotest.test_case "second source cancels the first" `Quick
+            test_second_source_cancels_first;
         ] );
       ( "warm start",
         [
