@@ -529,7 +529,7 @@ let run_simcore_bench () =
      alive sets, many events.  (At speed 2 the system drains and both
      engines are cheap.) *)
   let general () = Simulator.run ~machines:1 ~policy:Rr_policies.Round_robin.policy jobs in
-  let fast () = Simulator.run_equal_share ~machines:1 jobs in
+  let fast () = Simulator.run_class ~machines:1 Rr_engine.Policy_class.Equal_share jobs in
   let fg = Simulator.flows (general ()) and ff = Simulator.flows (fast ()) in
   let max_rel = ref 0. in
   Array.iteri
@@ -1089,22 +1089,21 @@ type b6_report = {
    (laps, mlfq, wrr-age) touch every alive job per event, so they get
    half of it. *)
 let b6_cases =
-  [
-    (Rr_engine.Live.Equal_share, Rr_policies.Round_robin.policy, 1.0e6);
-    (Rr_engine.Live.Indexed Rr_engine.Index_engine.Srpt, Rr_policies.Srpt.policy, 1.0e6);
-    (Rr_engine.Live.Indexed Rr_engine.Index_engine.Sjf, Rr_policies.Sjf.policy, 1.0e6);
-    (Rr_engine.Live.Indexed Rr_engine.Index_engine.Fcfs, Rr_policies.Fcfs.policy, 1.0e6);
-    (Rr_engine.Live.Setf_cascade, Rr_policies.Setf.policy, 1.0e6);
-  ]
-  @ List.map
-      (fun (spec, gate) ->
-        let policy = Rr_policies.Registry.make spec in
-        (Rr_engine.Live.Classified (Option.get policy.Rr_engine.Policy.klass), policy, gate))
+  List.map
+    (fun (spec, gate) ->
+      let policy = Rr_policies.Registry.make spec in
+      (Rr_engine.Live.Classified (Option.get policy.Rr_engine.Policy.klass), policy, gate))
+    Rr_policies.Registry.
       [
-        (Rr_policies.Registry.Laps 0.5, 0.5e6);
-        (Rr_policies.Registry.Mlfq 0.5, 0.5e6);
-        (Rr_policies.Registry.Wrr_age 2, 0.5e6);
-        (Rr_policies.Registry.Hybrid 3., 1.0e6);
+        (Rr, 1.0e6);
+        (Srpt, 1.0e6);
+        (Sjf, 1.0e6);
+        (Fcfs, 1.0e6);
+        (Setf, 1.0e6);
+        (Laps 0.5, 0.5e6);
+        (Mlfq 0.5, 0.5e6);
+        (Wrr_age 2, 0.5e6);
+        (Hybrid 3., 1.0e6);
       ]
 
 let run_live_bench () =
@@ -1594,7 +1593,7 @@ let b8_inprocess_replay ~n =
       ~load:0.9 ~machines:1 ~n ()
   in
   let next = Rr_workload.Instance.Stream.start stream in
-  let live = Rr_engine.Live.create Rr_engine.Live.Equal_share in
+  let live = Rr_engine.Live.create (Rr_engine.Live.Classified Rr_engine.Policy_class.Equal_share) in
   let arrivals = Array.make b8_batch 0. and sizes = Array.make b8_batch 0. in
   let rec fill i =
     if i >= b8_batch then i
@@ -1622,7 +1621,9 @@ let b8_serve_point ~proto ~clients ~n ~gate_eps =
   let path = Printf.sprintf "/tmp/rr-bench-serve-%d-%s.sock" (Unix.getpid ())
       (match proto with `Binary -> "bin" | `Text -> "text")
   in
-  let engine = ref (Rr_engine.Live.create Rr_engine.Live.Equal_share) in
+  let engine =
+    ref (Rr_engine.Live.create (Rr_engine.Live.Classified Rr_engine.Policy_class.Equal_share))
+  in
   let server_proto =
     match proto with `Binary -> Rr_serve.Server.Binary | `Text -> Rr_serve.Server.Text
   in

@@ -608,35 +608,26 @@ let proto_arg =
            connections answered $(b,ERR busy)).  The stdio mode always speaks text.")
 
 let serve_cmd =
-  let run spec machines speed k max_events socket proto =
-    let engine = ref (Live.create ~machines ~speed ~k ~max_events spec) in
+  let run (policy : Rr_engine.Policy.t) machines speed k max_events socket proto =
+    (* Every registry policy declares its class, and the class names the
+       kernel the live engine runs. *)
+    let klass = Option.get policy.klass in
+    let engine = ref (Live.create ~machines ~speed ~k ~max_events (Live.Classified klass)) in
     match socket with
     | None -> ignore (Rr_serve.Session.run_channels engine stdin stdout : bool)
     | Some path -> Rr_serve.Server.run ~proto ~engine ~path ()
   in
-  let spec_conv =
-    let parse s =
-      match Live.spec_of_string s with
-      | Some spec -> Ok spec
-      | None ->
-          Error
-            (`Msg
-              (Printf.sprintf "unknown live policy %S; expected one of: %s" s
-                 (String.concat ", " Live.spec_names)))
-    in
-    let print ppf s = Format.pp_print_string ppf (Live.spec_name s) in
-    Arg.conv (parse, print)
-  in
   let spec_arg =
     Arg.(
       value
-      & opt spec_conv Live.Equal_share
+      & opt policy_conv Rr_policies.Round_robin.policy
       & info [ "p"; "policy" ] ~docv:"POLICY"
           ~doc:
             (Printf.sprintf
-               "Policy driving the live engine, one of: %s (the policies with an \
-                incremental closed-form core)."
-               (String.concat ", " Live.spec_names)))
+               "Policy driving the live engine, one of: %s.  The engine runs the kernel \
+                of the policy's class at the given parameters (e.g. $(b,laps:0.25), \
+                $(b,hybrid:5))."
+               (String.concat ", " (Rr_policies.Registry.names ()))))
   in
   let max_events_arg =
     Arg.(
@@ -818,8 +809,7 @@ let () =
      an exhausted event budget (exit 3) usually means a degenerate
      instance or a livelocked policy, an invalid allocation (exit 4) a
      broken policy implementation. *)
-  let code =
-    try Cmd.eval ~catch:false group with
+  let rec code_of = function
     | Rr_engine.Simulator.Event_limit_exceeded { limit; now } ->
         Printf.eprintf
           "rr_cli: event budget exhausted: %d events processed by t = %g; the instance may \
@@ -834,8 +824,12 @@ let () =
            not an internal one. *)
         Printf.eprintf "rr_cli: %s\n" msg;
         2
+    (* A failure inside a pooled batch arrives wrapped with its task
+       index; it means what the bare exception means. *)
+    | Pool.Task_error (_, e) -> code_of e
     | e ->
         Printf.eprintf "rr_cli: internal error: %s\n" (Printexc.to_string e);
         125
   in
+  let code = try Cmd.eval ~catch:false group with e -> code_of e in
   exit code

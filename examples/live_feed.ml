@@ -16,7 +16,7 @@
 module Live = Rr_engine.Live
 
 let () =
-  let live = Live.create ~machines:2 ~k:2 Live.Equal_share in
+  let live = Live.create ~machines:2 ~k:2 (Live.Classified Rr_engine.Policy_class.Equal_share) in
   let rng = Rr_util.Prng.create ~seed:42 in
   (* Poisson arrivals at load 0.85 on two machines; mean size 1. *)
   let rate t = if t >= 30. && t < 34. then 6.8 else 1.7 (* lunch burst: 4x *) in

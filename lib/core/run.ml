@@ -37,88 +37,53 @@ let engine_strings = [ "auto"; "general"; "indexed"; "equal-share"; "live" ]
 
 type selection =
   | General
-  | Equal_share
-  | Index of Rr_engine.Index_engine.kind
-  | Setf_cascade
-  | Classed of Rr_engine.Class_engine.kind
-  | Hybrid of { theta : float }
-  | Budget of { budget : int }
-  | Live of Rr_engine.Live.spec
-
-(* A specialised engine applies exactly when the policy declares a
-   class: the descriptor ([Policy.t.klass]) asserts that [allocate] is
-   extensionally the class's reference behaviour, and the engine layer
-   dispatches on the descriptor alone.  An undeclared policy — even one
-   structurally identical to a classified one — stays on the general
-   loop by design: the declaration is the contract the differential
-   suite pins, not a structural guess. *)
-let selection_of_class (klass : Rr_engine.Policy_class.t) =
-  match klass with
-  | Rr_engine.Policy_class.Equal_share -> Equal_share
-  | Rr_engine.Policy_class.Static_key key -> Index (Rr_engine.Index_engine.kind_of_key key)
-  | Rr_engine.Policy_class.Attained_cascade -> Setf_cascade
-  | Rr_engine.Policy_class.Starvation_hybrid { theta } -> Hybrid { theta }
-  | Rr_engine.Policy_class.Preempt_budget { budget } -> Budget { budget }
-  | Rr_engine.Policy_class.Level_ladder _ | Rr_engine.Policy_class.Quantum_cycle _
-  | Rr_engine.Policy_class.Latest_fraction _ | Rr_engine.Policy_class.Aged_share _
-  | Rr_engine.Policy_class.Sized_share _ -> (
-      match Rr_engine.Class_engine.kind_of_class klass with
-      | Some kind -> Classed kind
-      | None -> assert false (* the dense classes all have a kind *))
-
-let classify (policy : Rr_engine.Policy.t) = Option.map selection_of_class policy.klass
+  | Closed of Rr_engine.Policy_class.t
+  | Live of Rr_engine.Policy_class.t
 
 let unsupported engine (policy : Rr_engine.Policy.t) =
   invalid_arg
     (Printf.sprintf "Run: policy %s has no %s engine (pick `Auto or `General)" policy.name
        engine)
 
+(* A class kernel applies exactly when the policy declares a class: the
+   descriptor ([Policy.t.klass]) asserts that [allocate] is extensionally
+   the class's reference behaviour, and the engine layer dispatches on
+   the descriptor alone.  An undeclared policy — even one structurally
+   identical to a classified one — stays on the general loop by design:
+   the declaration is the contract the differential suite pins, not a
+   structural guess. *)
 let selection_for cfg (policy : Rr_engine.Policy.t) =
-  match cfg.engine with
-  | `General -> General
-  | `Auto -> ( match classify policy with Some s -> s | None -> General)
-  | `Equal_share -> (
-      match classify policy with
-      | Some Equal_share -> Equal_share
-      | _ -> unsupported "equal-share" policy)
-  | `Indexed -> (
-      (* "indexed" means "the policy's specialised kernel, whatever its
-         class" — any classified policy qualifies except Round Robin,
-         whose kernel has its own historical selector. *)
-      match classify policy with
-      | Some Equal_share | None -> unsupported "indexed" policy
-      | Some s -> s)
-  | `Live -> (
-      match policy.klass with
-      | Some klass -> Live (Rr_engine.Live.Classified klass)
-      | None -> unsupported "live" policy)
+  match (cfg.engine, policy.klass) with
+  | `General, _ | `Auto, None -> General
+  | `Auto, Some klass -> Closed klass
+  | `Equal_share, Some (Rr_engine.Policy_class.Equal_share as klass) -> Closed klass
+  | `Equal_share, _ -> unsupported "equal-share" policy
+  (* "indexed" means "the policy's class kernel, whatever its class" —
+     any classified policy qualifies except Round Robin, whose kernel has
+     its own historical selector. *)
+  | `Indexed, (None | Some Rr_engine.Policy_class.Equal_share) -> unsupported "indexed" policy
+  | `Indexed, Some klass -> Closed klass
+  | `Live, Some klass -> Live klass
+  | `Live, None -> unsupported "live" policy
 
-let engine_name_of = function
+let engine_name cfg policy =
+  match selection_for cfg policy with
   | General -> "general"
-  | Equal_share -> "equal-share"
-  | Index kind -> Rr_engine.Index_engine.kind_name kind ^ "-index"
-  | Setf_cascade -> "setf-cascade"
-  | Classed kind ->
-      Rr_engine.Policy_class.engine_name (Rr_engine.Class_engine.class_of_kind kind)
-  | Hybrid { theta } ->
-      Rr_engine.Policy_class.engine_name (Rr_engine.Policy_class.Starvation_hybrid { theta })
-  | Budget { budget } ->
-      Rr_engine.Policy_class.engine_name (Rr_engine.Policy_class.Preempt_budget { budget })
-  | Live spec -> "live-" ^ Rr_engine.Live.spec_name spec
-
-let engine_name cfg policy = engine_name_of (selection_for cfg policy)
+  | Closed klass -> Rr_engine.Policy_class.engine_name klass
+  | Live klass -> "live-" ^ Rr_engine.Policy_class.engine_name klass
 
 (* The engine's default livelock guard, shared with the closed engines. *)
 let default_max_events = 10_000_000
 
-let live_create cfg ?(max_events = default_max_events) spec =
-  Rr_engine.Live.create ~machines:cfg.machines ~speed:cfg.speed ~k:cfg.k ~max_events spec
+let live_create cfg ?(max_events = default_max_events) klass =
+  Rr_engine.Live.create ~machines:cfg.machines ~speed:cfg.speed ~k:cfg.k ~max_events
+    (Rr_engine.Live.Classified klass)
 
 (* Submit a materialized instance's jobs upfront (they arrive in release
    order with dense ids, so the live engine re-derives the same ids),
    then drain.  The event sequence is identical to the closed engine's. *)
-let live_run_instance cfg spec ~sink jobs =
-  let live = live_create cfg spec in
+let live_run_instance cfg klass ~sink jobs =
+  let live = live_create cfg klass in
   Rr_engine.Live.set_sink live sink;
   List.iter
     (fun (j : Rr_engine.Job.t) ->
@@ -130,8 +95,8 @@ let live_run_instance cfg spec ~sink jobs =
 (* Streaming feed: submit one job, advance to its arrival, repeat — the
    pending queue never holds more than one job, so live memory stays
    O(alive) exactly like the closed streaming engines. *)
-let live_run_stream cfg spec ~max_events ~sink pull =
-  let live = live_create cfg ~max_events spec in
+let live_run_stream cfg klass ~max_events ~sink pull =
+  let live = live_create cfg ~max_events klass in
   Rr_engine.Live.set_sink live sink;
   let rec feed () =
     match pull () with
@@ -151,14 +116,9 @@ let simulate cfg policy inst =
   let jobs = Rr_workload.Instance.jobs inst in
   let record_trace = cfg.record_trace and speed = cfg.speed and machines = cfg.machines in
   match selection_for cfg policy with
-  | Equal_share -> Rr_engine.Simulator.run_equal_share ~record_trace ~speed ~machines jobs
-  | Index kind -> Rr_engine.Index_engine.run ~record_trace ~speed ~machines ~kind jobs
-  | Setf_cascade -> Rr_engine.Index_engine.run_setf ~record_trace ~speed ~machines jobs
-  | Classed kind -> Rr_engine.Class_engine.run ~record_trace ~speed ~machines ~kind jobs
-  | Hybrid { theta } -> Rr_engine.Hybrid_engine.run ~record_trace ~speed ~machines ~theta jobs
-  | Budget { budget } -> Rr_engine.Budget_engine.run ~record_trace ~speed ~machines ~budget jobs
+  | Closed klass -> Rr_engine.Simulator.run_class ~record_trace ~speed ~machines klass jobs
   | General -> Rr_engine.Simulator.run ~record_trace ~speed ~machines ~policy jobs
-  | Live spec ->
+  | Live klass ->
       (* The live engine reports (arrival, flow) pairs; rebuild the
          result's completion array from them.  [record_trace] is ignored
          (the incremental core keeps no segment trace). *)
@@ -173,7 +133,7 @@ let simulate cfg policy inst =
       in
       let completions = Array.make n Float.nan in
       let sink ~id ~arrival ~flow = completions.(id) <- arrival +. flow in
-      let q = live_run_instance cfg spec ~sink jobs in
+      let q = live_run_instance cfg klass ~sink jobs in
       {
         Rr_engine.Simulator.jobs = jobs_arr;
         completions;
@@ -191,34 +151,19 @@ let simulate_stream cfg policy stream ~sink =
     Int.max default_max_events (64 * Rr_workload.Instance.Stream.n stream)
   in
   let speed = cfg.speed and machines = cfg.machines in
-  (* Every closed kernel reads the stream through the unboxed raw cursor,
+  (* The closed driver reads the stream through the unboxed raw cursor,
      so admitting a job builds no [Job.t] (bench B4 gates the equal-share
-     path at ~0 words/job, B5 the others); only the general loop, whose
+     kernel at ~0 words/job, B5 the others); only the general loop, whose
      policy views hold whole jobs, and the live engine pull boxed jobs. *)
   let module S = Rr_workload.Instance.Stream in
   match selection_for cfg policy with
-  | Equal_share ->
-      Rr_engine.Simulator.run_equal_share_stream_raw ~speed ~max_events ~machines ~sink
-        (S.start_raw stream)
-  | Index kind ->
-      Rr_engine.Index_engine.run_stream ~speed ~max_events ~machines ~kind ~sink
-        (S.start_raw stream)
-  | Setf_cascade ->
-      Rr_engine.Index_engine.run_setf_stream ~speed ~max_events ~machines ~sink
-        (S.start_raw stream)
-  | Classed kind ->
-      Rr_engine.Class_engine.run_stream ~speed ~max_events ~machines ~kind ~sink
-        (S.start_raw stream)
-  | Hybrid { theta } ->
-      Rr_engine.Hybrid_engine.run_stream ~speed ~max_events ~machines ~theta ~sink
-        (S.start_raw stream)
-  | Budget { budget } ->
-      Rr_engine.Budget_engine.run_stream ~speed ~max_events ~machines ~budget ~sink
+  | Closed klass ->
+      Rr_engine.Simulator.run_class_stream ~speed ~max_events ~machines ~sink klass
         (S.start_raw stream)
   | General ->
       Rr_engine.Simulator.run_stream ~speed ~max_events ~machines ~policy ~sink (S.start stream)
-  | Live spec ->
-      let q = live_run_stream cfg spec ~max_events ~sink (S.start stream) in
+  | Live klass ->
+      let q = live_run_stream cfg klass ~max_events ~sink (S.start stream) in
       {
         Rr_engine.Simulator.n = q.Rr_engine.Live.completed;
         events = q.Rr_engine.Live.events;
@@ -256,14 +201,14 @@ let result_of_entry (policy : Rr_engine.Policy.t) ~instance_label (e : Cache.ent
   }
 
 let measure cfg (policy : Rr_engine.Policy.t) inst =
-  let compute_live spec =
+  let compute_live klass =
     (* The live engine accumulates the same Kahan/Welford/max folds as it
        completes jobs, so its query already IS the measurement — no
        completion array to sweep.  Sums run in completion order rather
        than id order, the same ~1e-9 relative difference the streamed
        path exhibits (the distinct [engine] cache string keeps the
        entries from aliasing). *)
-    let q = live_run_instance cfg spec ~sink:no_sink (Rr_workload.Instance.jobs inst) in
+    let q = live_run_instance cfg klass ~sink:no_sink (Rr_workload.Instance.jobs inst) in
     {
       Cache.n = q.Rr_engine.Live.completed;
       norm = q.Rr_engine.Live.norm;
@@ -275,7 +220,7 @@ let measure cfg (policy : Rr_engine.Policy.t) inst =
   in
   let compute () =
     match selection_for cfg policy with
-    | Live spec -> compute_live spec
+    | Live klass -> compute_live klass
     | _ ->
     (* The measurement never needs the trace; forcing it off keeps cached
        and uncached runs of the same config identical in cost and lets a
@@ -376,43 +321,30 @@ let power_sum cfg policy inst = (measure cfg policy inst).power_sum
    4000-job one and that a fast-pathed baseline is ~10x cheaper than a
    general-loop one at equal n, not the absolute times. *)
 let estimated_cost_us cfg policy ~jobs =
-  let n = Float.of_int jobs in
-  let index_cost : Rr_engine.Index_engine.kind -> float = function
-    | Rr_engine.Index_engine.Hdf _ -> 0.35
-    | Rr_engine.Index_engine.Srpt | Rr_engine.Index_engine.Sjf
-    | Rr_engine.Index_engine.Fcfs ->
-        0.2
-  in
-  let classed_cost : Rr_engine.Class_engine.kind -> float = function
-    | Rr_engine.Class_engine.Laps _ -> 0.55
-    | Rr_engine.Class_engine.Ladder _ -> 1.0
-    | Rr_engine.Class_engine.Quantum _ -> 1.2
-    | Rr_engine.Class_engine.Aged _ -> 2.5
-    | Rr_engine.Class_engine.Sized _ -> 1.0
-  in
-  let rec per_job = function
+  let class_cost : Rr_engine.Policy_class.t -> float = function
     | Equal_share -> 0.15
-    | Index kind -> index_cost kind
-    | Setf_cascade -> 0.45
+    | Static_key (Key_density _) -> 0.35
+    | Static_key (Key_remaining | Key_size | Key_arrival) -> 0.2
+    | Attained_cascade -> 0.45
     (* The slot/heap kernels (hybrid, budget) cost a heap operation per
        event like the indexes, plus slot scans (hybrid's three heaps
        make it the dearer of the two). *)
-    | Hybrid _ -> 0.65
-    | Budget _ -> 0.4
-    | Classed kind -> classed_cost kind
-    | Live spec -> (
-        (* Same kernels plus the pending-queue and metric-fold
-           overhead. *)
-        0.15
-        +.
-        match spec with
-        | Rr_engine.Live.Equal_share -> per_job Equal_share
-        | Rr_engine.Live.Indexed kind -> per_job (Index kind)
-        | Rr_engine.Live.Setf_cascade -> per_job Setf_cascade
-        | Rr_engine.Live.Classified klass -> per_job (selection_of_class klass))
-    | General -> 2.0
+    | Starvation_hybrid _ -> 0.65
+    | Preempt_budget _ -> 0.4
+    | Latest_fraction _ -> 0.55
+    | Level_ladder _ -> 1.0
+    | Quantum_cycle _ -> 1.2
+    | Aged_share _ -> 2.5
+    | Sized_share _ -> 1.0
   in
-  per_job (selection_for cfg policy) *. n
+  let per_job =
+    match selection_for cfg policy with
+    | General -> 2.0
+    | Closed klass -> class_cost klass
+    (* Same kernels plus the pending-queue and metric-fold overhead. *)
+    | Live klass -> 0.15 +. class_cost klass
+  in
+  per_job *. Float.of_int jobs
 
 let batch ?chunk pool cfg tasks =
   Pool.map ?chunk

@@ -24,18 +24,17 @@
     Engine selection is one typed surface, the [engine] field:
 
     - [`Auto] (the default): every policy that declares a
-      {!Rr_engine.Policy_class.t} dispatches to its class's specialised
-      kernel — Round Robin to the equal-share cascade
-      {!Rr_engine.Simulator.run_equal_share}, SRPT/SJF/FCFS/HDF to the
-      priority-index kernel {!Rr_engine.Index_engine.run}, SETF to the
-      group cascade {!Rr_engine.Index_engine.run_setf}, LAPS / MLFQ /
-      quantum-RR / the weighted shares to the dense class kernels
-      ({!Rr_engine.Class_engine}), the starvation hybrid to
-      {!Rr_engine.Hybrid_engine} and migration-limited SRPT to
-      {!Rr_engine.Budget_engine} — each agreeing with the general engine
-      to <= 1e-9 relative flow time but several times faster in heavy
-      traffic ({!selection_for} is the classifier, {!engine_name} the
-      audit string).  Unclassified policies take the general loop.
+      {!Rr_engine.Policy_class.t} runs on its class's kernel
+      ({!Rr_engine.Kernel}) under the one closed driver
+      {!Rr_engine.Simulator.run_class} — Round Robin on the equal-share
+      deadline heap, SRPT/SJF/FCFS/HDF on the priority-index slots, SETF
+      on the group cascade, LAPS / MLFQ / quantum-RR / the weighted
+      shares on the dense kernels, the starvation hybrid and
+      migration-limited SRPT on their slot/heap kernels — each agreeing
+      with the general engine to <= 1e-9 relative flow time but several
+      times faster in heavy traffic ({!selection_for} is the classifier,
+      {!engine_name} the audit string).  Unclassified policies take the
+      general loop.
     - [`General]: force the per-event policy loop for every policy (e.g.
       to reproduce bit-exact historical numbers).
     - [`Indexed] / [`Equal_share]: insist on a specialised kernel —
@@ -43,10 +42,10 @@
       (which keeps its historical [`Equal_share] selector); selection
       raises [Invalid_argument] for a policy outside the requested
       kernel's reach instead of silently falling back.
-    - [`Live]: route every classified policy through the incremental
-      {!Rr_engine.Live} core (submit-while-running; here fed from the
-      materialized instance or stream), exercising the exact engine a
-      long-running [rr_cli serve] daemon uses.
+    - [`Live]: run the same kernel under the other driver, the
+      incremental {!Rr_engine.Live} engine (submit-while-running; here
+      fed from the materialized instance or stream), exercising the
+      exact engine a long-running [rr_cli serve] daemon uses.
 
     The remaining optimisation switch, [cache], stays a boolean:
     {!measure} and {!measure_stream} (and everything built on them —
@@ -101,16 +100,11 @@ val engine_strings : string list
 
 type selection =
   | General  (** The per-event policy-invoking loop of {!Rr_engine.Simulator.run}. *)
-  | Equal_share  (** {!Rr_engine.Simulator.run_equal_share} (Round Robin). *)
-  | Index of Rr_engine.Index_engine.kind
-      (** The priority-index kernel (SRPT / SJF / FCFS / HDF). *)
-  | Setf_cascade  (** {!Rr_engine.Index_engine.run_setf}. *)
-  | Classed of Rr_engine.Class_engine.kind
-      (** A dense class kernel (LAPS / MLFQ / quantum-RR / WRR). *)
-  | Hybrid of { theta : float }  (** {!Rr_engine.Hybrid_engine} (starvation hybrid). *)
-  | Budget of { budget : int }
-      (** {!Rr_engine.Budget_engine} (migration-limited SRPT). *)
-  | Live of Rr_engine.Live.spec  (** The incremental {!Rr_engine.Live} core. *)
+  | Closed of Rr_engine.Policy_class.t
+      (** The class's kernel under the closed driver
+          {!Rr_engine.Simulator.run_class}. *)
+  | Live of Rr_engine.Policy_class.t
+      (** The class's kernel under the incremental {!Rr_engine.Live} driver. *)
 
 val selection_for : config -> Rr_engine.Policy.t -> selection
 (** Which concrete engine {!simulate} / {!simulate_stream} will dispatch
@@ -197,8 +191,8 @@ val estimated_cost_us : config -> Rr_engine.Policy.t -> jobs:int -> float
 (** Order-of-magnitude cost estimate for one simulate-and-measure task,
     in microseconds — the default [?cost] model behind [`Auto] chunking
     in {!batch} and friends.  Carries one per-job coefficient per engine
-    class ({!selection_for}): the closed-form cascades are sub-microsecond
-    per job, the general event loop a few microseconds; only the ratios
+    class ({!selection_for}): the class kernels are sub-microsecond per
+    job, the general event loop a few microseconds; only the ratios
     matter for chunk sizing. *)
 
 val batch :

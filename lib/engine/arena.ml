@@ -1,8 +1,7 @@
 (* Per-domain scratch arenas: reusable typed buffers the engines borrow
    for one run and hand back, so back-to-back simulations on one domain
    (the shape of every sweep, batch chunk, and benchmark loop) stop
-   re-allocating their heap storage, trace vectors, and scratch tables
-   from cold.  See arena.mli for the contract.
+   re-allocating their heap storage and trace vectors from cold.  See arena.mli for the contract.
 
    One arena lives in domain-local storage per domain.  [borrow] hands
    out exclusive access guarded by a busy flag: a re-entrant simulation
@@ -15,9 +14,8 @@
    pooled component of its kind (growing the pool on first use) and
    [release] just resets the cursors, so the components — and crucially
    their grown capacities — survive to the next run.  All heavy storage
-   is unboxed ([float array]/[int array] inside the scalar heaps, flat
-   float arrays, [Bytes]); the per-kind pools themselves are a handful of
-   words. *)
+   is unboxed ([float array]/[int array] inside the scalar heaps); the
+   per-kind pools themselves are a handful of words. *)
 
 module Heap = Rr_util.Heap
 module Vec = Rr_util.Vec
@@ -32,12 +30,6 @@ type t = {
   mutable s3_used : int;
   mutable segs : Trace.segment Vec.t array;
   mutable segs_used : int;
-  mutable jobs : Job.t Vec.t array;
-  mutable jobs_used : int;
-  mutable fbufs : float array array;
-  mutable fbufs_used : int;
-  mutable ibufs : int array array;
-  mutable ibufs_used : int;
 }
 
 let make () =
@@ -51,12 +43,6 @@ let make () =
     s3_used = 0;
     segs = [||];
     segs_used = 0;
-    jobs = [||];
-    jobs_used = 0;
-    fbufs = [||];
-    fbufs_used = 0;
-    ibufs = [||];
-    ibufs_used = 0;
   }
 
 let key = Domain.DLS.new_key make
@@ -76,9 +62,6 @@ let release = function
       a.s2_used <- 0;
       a.s3_used <- 0;
       a.segs_used <- 0;
-      a.jobs_used <- 0;
-      a.fbufs_used <- 0;
-      a.ibufs_used <- 0;
       a.busy <- false
 
 (* Cursor-style checkout of pooled components: the nth request of a kind
@@ -124,52 +107,3 @@ let segments_of = function
       a.segs_used <- a.segs_used + 1;
       Vec.clear v;
       v
-
-let jobs_of = function
-  | None -> Vec.create ()
-  | Some a ->
-      if a.jobs_used = Array.length a.jobs then a.jobs <- Array.append a.jobs [| Vec.create () |];
-      let v = a.jobs.(a.jobs_used) in
-      a.jobs_used <- a.jobs_used + 1;
-      Vec.clear v;
-      v
-
-let rec pow2_at_least p n = if p >= n then p else pow2_at_least (2 * p) n
-
-let float_buf_of a n =
-  let n = Int.max 1 n in
-  match a with
-  | None -> Array.make n 0.
-  | Some a ->
-      if a.fbufs_used = Array.length a.fbufs then
-        a.fbufs <- Array.append a.fbufs [| Array.make (pow2_at_least 64 n) 0. |];
-      let b = a.fbufs.(a.fbufs_used) in
-      let b =
-        if Array.length b < n then begin
-          let nb = Array.make (pow2_at_least (2 * Array.length b) n) 0. in
-          a.fbufs.(a.fbufs_used) <- nb;
-          nb
-        end
-        else b
-      in
-      a.fbufs_used <- a.fbufs_used + 1;
-      b
-
-let int_buf_of a n =
-  let n = Int.max 1 n in
-  match a with
-  | None -> Array.make n 0
-  | Some a ->
-      if a.ibufs_used = Array.length a.ibufs then
-        a.ibufs <- Array.append a.ibufs [| Array.make (pow2_at_least 64 n) 0 |];
-      let b = a.ibufs.(a.ibufs_used) in
-      let b =
-        if Array.length b < n then begin
-          let nb = Array.make (pow2_at_least (2 * Array.length b) n) 0 in
-          a.ibufs.(a.ibufs_used) <- nb;
-          nb
-        end
-        else b
-      in
-      a.ibufs_used <- a.ibufs_used + 1;
-      b

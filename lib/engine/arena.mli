@@ -1,18 +1,18 @@
 (** Per-domain scratch arenas for the simulation engines.
 
-    Every closed engine needs the same transient storage per run: a
-    scalar heap or three, a trace arena, a roster vector, flat scratch
-    arrays.  Allocating them from cold on every run is invisible for one
-    simulation but dominates the minor-GC pressure of a sweep that runs
-    thousands — and on a multi-domain {!Rr_core} [Pool] that pressure
-    lands on the shared major heap, where it serialises domains.  An
+    Every closed run needs the same transient storage: a scalar heap or
+    three for its kernel, and a trace arena.  Allocating them from cold
+    on every run is invisible for one simulation but dominates the
+    minor-GC pressure of a sweep that runs thousands — and on a
+    multi-domain {!Rr_core} [Pool] that pressure lands on the shared
+    major heap, where it serialises domains.  An
     arena keeps one reusable set of those components per domain
     (domain-local storage), handed out for the duration of one run and
     reset — not freed — afterwards, so steady-state runs borrow storage
     whose capacity already matches their high-water mark and allocate
     (almost) nothing.
 
-    Usage shape, inside an engine core:
+    Usage shape, inside a driver:
     {[
       let scratch = Arena.borrow () in
       Fun.protect ~finally:(fun () -> Arena.release scratch) @@ fun () ->
@@ -52,14 +52,3 @@ val scalar3_of : t option -> Rr_util.Heap.Scalar3.t
 
 val segments_of : t option -> Trace.segment Rr_util.Vec.t
 (** A cleared trace arena. *)
-
-val jobs_of : t option -> Job.t Rr_util.Vec.t
-(** A cleared job roster vector. *)
-
-val float_buf_of : t option -> int -> float array
-(** [float_buf_of a n]: a flat float array of length >= [n] (contents
-    unspecified — callers initialise what they read). *)
-
-val int_buf_of : t option -> int -> int array
-(** [int_buf_of a n]: an int array of length >= [n], contents
-    unspecified. *)

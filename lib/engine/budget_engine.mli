@@ -9,52 +9,28 @@
     considered, arrivals challenge the weakest evictable incumbent).
     Each event costs O(m + log alive). *)
 
-(** {2 Incremental primitives} (driven by the {!Live} engine; the state
-    contains no closures, so snapshots can [Marshal] it) *)
+(** {2 The kernel}
+
+    Run by the two drivers of {!Kernel}; floats travel through the shared
+    {!Clock.t}, and the state contains no closures. *)
 
 type state
 
-val create : machines:int -> speed:float -> budget:int -> state
-(** @raise Invalid_argument on non-positive machines or speed, or a
-    negative budget. *)
+val create :
+  clk:Clock.t -> scratch:Arena.t option -> machines:int -> speed:float -> budget:int -> state
 
 val alive : state -> int
 
-val admit : state -> id:int -> arrival:float -> size:float -> unit
-(** Buffer a released job (in non-decreasing arrival order, distinct
-    ids); the next {!refresh} processes it after refilling from the
-    waiting set. *)
+val admit : state -> int -> unit
+(** Buffer job [id] released at [clk.arrival] with size [clk.size] (in
+    non-decreasing arrival order, distinct ids); the next {!refresh}
+    processes it after refilling from the waiting set. *)
 
-val refresh : state -> now:float -> unit
+val refresh : state -> unit
 (** Mirror of one [allocate] call.  Run exactly once per event, after
     {!settle} and admissions. *)
 
-val next_internal : state -> now:float -> float
-val advance : state -> dt:float -> unit
-val settle : state -> now:float -> complete:Simulator.sink -> unit
-(** Retire completed running jobs, reporting each as
-    [complete ~id ~arrival ~flow:(now -. arrival)]. *)
-
-(** {2 Closed runs} *)
-
-val run :
-  ?record_trace:bool ->
-  ?speed:float ->
-  ?max_events:int ->
-  ?sink:Simulator.sink ->
-  machines:int ->
-  budget:int ->
-  Job.t list ->
-  Simulator.result
-(** Same contract as {!Simulator.run}. *)
-
-val run_stream :
-  ?speed:float ->
-  ?max_events:int ->
-  machines:int ->
-  budget:int ->
-  sink:Simulator.sink ->
-  (Simulator.Source.cursor -> int) ->
-  Simulator.summary
-(** Streaming run over an unboxed {!Simulator.Source.of_raw} producer:
-    no [Job.t] is built, and slot floats live in flat records. *)
+val next_internal : state -> unit
+val advance : state -> unit
+val settle : state -> Clock.sink -> unit
+val iter_alive : state -> (int -> float -> float -> unit) -> unit

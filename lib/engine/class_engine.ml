@@ -19,7 +19,6 @@
    agreement to <= 1e-9 relative flow time. *)
 
 module Vec = Rr_util.Vec
-module Source = Simulator.Source
 
 type kind =
   | Laps of { beta : float }
@@ -29,23 +28,15 @@ type kind =
   | Quantum of { quantum : float }
 
 let kind_of_class = function
-  | Policy_class.Latest_fraction { beta } -> Some (Laps { beta })
+  | Policy_class.Latest_fraction { beta } -> Laps { beta }
   | Policy_class.Level_ladder { base_quantum; factor; levels } ->
-      Some (Ladder { base_quantum; factor; levels })
-  | Policy_class.Aged_share { k; refresh; offset } -> Some (Aged { k; refresh; offset })
-  | Policy_class.Sized_share { gamma } -> Some (Sized { gamma })
-  | Policy_class.Quantum_cycle { quantum } -> Some (Quantum { quantum })
+      Ladder { base_quantum; factor; levels }
+  | Policy_class.Aged_share { k; refresh; offset } -> Aged { k; refresh; offset }
+  | Policy_class.Sized_share { gamma } -> Sized { gamma }
+  | Policy_class.Quantum_cycle { quantum } -> Quantum { quantum }
   | Policy_class.Equal_share | Policy_class.Static_key _ | Policy_class.Attained_cascade
   | Policy_class.Starvation_hybrid _ | Policy_class.Preempt_budget _ ->
-      None
-
-let class_of_kind = function
-  | Laps { beta } -> Policy_class.Latest_fraction { beta }
-  | Ladder { base_quantum; factor; levels } ->
-      Policy_class.Level_ladder { base_quantum; factor; levels }
-  | Aged { k; refresh; offset } -> Policy_class.Aged_share { k; refresh; offset }
-  | Sized { gamma } -> Policy_class.Sized_share { gamma }
-  | Quantum { quantum } -> Policy_class.Quantum_cycle { quantum }
+      invalid_arg "Class_engine.create: not a dense class"
 
 (* One job record per alive job, owned by the engine for its whole
    lifetime.  The floats live in an all-float record ([jfl]), whose
@@ -53,10 +44,8 @@ let class_of_kind = function
    [attained] and [rate] are plain unboxed stores.  In a record that also
    held the int fields every such write would box a fresh float — the
    build has no flambda to unbox them.  [rate] caches the last decision
-   for the whole inter-event interval, however the live engine splits it
-   at [step] targets — exactly the general loop's allocate-once-per-event
-   discipline, which is what keeps WRR-age's drifting weights
-   split-safe. *)
+   for the whole inter-event interval — exactly the general loop's
+   allocate-once-per-event discipline. *)
 type jfl = {
   arrival : float;
   size : float;
@@ -69,21 +58,6 @@ type djob = {
   id : int;  (* -1 marks a Quantum core's vacant slot *)
   mutable level : int;  (* Ladder only: MLFQ level as of the last refresh *)
   f : jfl;
-}
-
-(* The engine's clock, decision horizon and event-scan output, plus the
-   closed driver's buffered next arrival and makespan: all-float, hence
-   flat, for the same reason as [jfl].  The incremental entry points
-   below take [now]/[dt] as arguments and park them here; the closed
-   driver writes the fields directly and never passes a float across a
-   call. *)
-type clock = {
-  mutable now : float;
-  mutable dt : float;
-  mutable horizon : float;  (* decision horizon; +inf when none *)
-  mutable t_next : float;  (* earliest internal event, from [scan_next] *)
-  mutable next_arr : float;  (* closed driver: next pending arrival *)
-  mutable makespan : float;  (* closed driver: last completion *)
 }
 
 type state = {
@@ -101,20 +75,15 @@ type state = {
   mutable weights : float array;  (* Aged / Sized scratch, capacity >= alive *)
   mutable suffix : float array;  (* capped_rates_into scratch, capacity >= alive + 1 *)
   mutable rates : float array;  (* capped_rates_into output, capacity >= alive *)
-  clk : clock;
+  clk : Clock.t;
   mutable alive : int;
 }
 
 let[@inline] make_job ~id ~arrival ~size =
   { id; level = 0; f = { arrival; size; remaining = size; attained = 0.; rate = 0. } }
 
-let create ~machines ~speed kind =
-  if machines < 1 then invalid_arg "Class_engine.create: machines must be >= 1";
-  if not (Float.is_finite speed && speed > 0.) then
-    invalid_arg "Class_engine.create: speed must be finite and positive";
-  (match Policy_class.validate (class_of_kind kind) with
-  | Ok () -> ()
-  | Error msg -> invalid_arg ("Class_engine.create: " ^ msg));
+let create ~clk ~machines ~speed klass =
+  let kind = kind_of_class klass in
   let vacant = make_job ~id:(-1) ~arrival:0. ~size:0. in
   {
     kind;
@@ -135,15 +104,7 @@ let create ~machines ~speed kind =
     weights = [||];
     suffix = [||];
     rates = [||];
-    clk =
-      {
-        now = 0.;
-        dt = 0.;
-        horizon = Float.infinity;
-        t_next = Float.infinity;
-        next_arr = Float.infinity;
-        makespan = 0.;
-      };
+    clk;
     alive = 0;
   }
 
@@ -160,10 +121,6 @@ let ensure_scratch st n =
   end
 
 let alive st = st.alive
-
-(* Same float as Simulator.completion_threshold, inlined into the hot
-   loop. *)
-let[@inline] threshold size = 1e-9 *. (1. +. size)
 
 (* Jobs must be admitted in (arrival asc, id asc) order — the order
    every source produces.  LAPS keeps that order directly (the policy
@@ -191,13 +148,13 @@ let insert st dj =
   | Quantum _ -> Queue.push dj st.ready);
   st.alive <- st.alive + 1
 
-let admit st ~id ~arrival ~size = insert st (make_job ~id ~arrival ~size)
+let admit st id = insert st (make_job ~id ~arrival:st.clk.arrival ~size:st.clk.size)
 
 (* Mirror of one [allocate] call at [st.clk.now]: recompute every cached
    rate and the decision horizon.  Run exactly once per event, after
    completions and admissions have settled — the same place the general
    loop invokes the policy. *)
-let refresh_now st =
+let refresh st =
   let clk = st.clk in
   let now = clk.now in
   match st.kind with
@@ -309,7 +266,7 @@ let refresh_now st =
    first.  The caller folds in the next arrival; the min over all three
    is the same float whatever the fold order, so the general loop's
    completion -> arrival -> horizon sequencing needs no replication. *)
-let scan_next st =
+let next_internal st =
   let clk = st.clk in
   let now = clk.now in
   let t = ref clk.horizon in
@@ -340,7 +297,7 @@ let scan_next st =
 (* Advance every served job by the cached rates for [st.clk.dt]; a zero
    rate is a bit-exact no-op in the general loop, so skipping those jobs
    changes nothing. *)
-let advance_dt st =
+let advance st =
   let dt = st.clk.dt in
   match st.kind with
   | Quantum _ ->
@@ -368,13 +325,13 @@ let advance_dt st =
    whole vector (the general loop does too, and it costs nothing extra at
    O(alive) per event); the quantum core checks its slots — queued jobs
    have rate 0 and cannot cross the threshold. *)
-let settle_now st (complete : Simulator.sink) =
+let settle st (complete : Clock.sink) =
   let now = st.clk.now in
   match st.kind with
   | Quantum _ ->
       for s = 0 to st.machines - 1 do
         let dj = st.slots.(s) in
-        if dj.id >= 0 && dj.f.remaining <= threshold dj.f.size then begin
+        if dj.id >= 0 && dj.f.remaining <= Clock.threshold dj.f.size then begin
           complete ~id:dj.id ~arrival:dj.f.arrival ~flow:(now -. dj.f.arrival);
           st.slots.(s) <- st.vacant;
           st.alive <- st.alive - 1
@@ -384,7 +341,7 @@ let settle_now st (complete : Simulator.sink) =
       (* Unordered vector: swap-remove, iterating downwards. *)
       for i = Vec.length st.jobs - 1 downto 0 do
         let dj = Vec.get st.jobs i in
-        if dj.f.remaining <= threshold dj.f.size then begin
+        if dj.f.remaining <= Clock.threshold dj.f.size then begin
           complete ~id:dj.id ~arrival:dj.f.arrival ~flow:(now -. dj.f.arrival);
           Vec.swap_remove st.jobs i;
           st.alive <- st.alive - 1
@@ -396,7 +353,7 @@ let settle_now st (complete : Simulator.sink) =
          stays valid. *)
       for i = Vec.length st.jobs - 1 downto 0 do
         let dj = Vec.get st.jobs i in
-        if dj.f.remaining <= threshold dj.f.size then begin
+        if dj.f.remaining <= Clock.threshold dj.f.size then begin
           complete ~id:dj.id ~arrival:dj.f.arrival ~flow:(now -. dj.f.arrival);
           let len = Vec.length st.jobs in
           for p = i to len - 2 do
@@ -407,139 +364,11 @@ let settle_now st (complete : Simulator.sink) =
         end
       done
 
-(* The incremental interface: each entry point parks its float argument
-   in the clock record and runs the closed driver's primitive. *)
-let refresh st ~now =
-  st.clk.now <- now;
-  refresh_now st
-
-let next_internal st ~now =
-  st.clk.now <- now;
-  scan_next st;
-  st.clk.t_next
-
-let advance st ~dt =
-  st.clk.dt <- dt;
-  advance_dt st
-
-let settle st ~now ~complete =
-  st.clk.now <- now;
-  settle_now st complete
-
 let iter_alive st f =
+  let g dj = f dj.id dj.f.arrival dj.f.rate in
   match st.kind with
   | Quantum _ ->
-      Array.iter (fun dj -> if dj.id >= 0 then f dj) st.slots;
-      Queue.iter f st.ready
-  | _ -> Vec.iter f st.jobs
+      Array.iter (fun dj -> if dj.id >= 0 then g dj) st.slots;
+      Queue.iter g st.ready
+  | _ -> Vec.iter g st.jobs
 
-(* ------------------------------------------------------------------ *)
-(* Closed event loop                                                   *)
-(* ------------------------------------------------------------------ *)
-
-(* Nothing here is built per event: the driver's clock lives in the
-   state's flat [clock] record, admission reads the source's raw cursor
-   (no [Job.t], no option), the per-run [complete] closure forwards the
-   sink's boxed arguments untouched, and every primitive takes the state
-   alone. *)
-let dense_core ~record_trace ~speed ~max_events ~machines ~kind ~(source : Source.t)
-    ~(completions : float array) ~(sink : Simulator.sink) =
-  let scratch = Arena.borrow () in
-  Fun.protect ~finally:(fun () -> Arena.release scratch) @@ fun () ->
-  let st = create ~machines ~speed kind in
-  let clk = st.clk in
-  let max_alive = ref 0 in
-  let admit_upto () =
-    while clk.next_arr <= clk.now do
-      insert st
-        (make_job ~id:(Source.head_id source) ~arrival:(Source.head_arrival source)
-           ~size:(Source.head_size source));
-      Source.advance source;
-      clk.next_arr <- Source.next_arrival source
-    done;
-    if st.alive > !max_alive then max_alive := st.alive
-  in
-  let completed = ref 0 in
-  let events = ref 0 in
-  let record = Array.length completions > 0 in
-  let complete ~id ~arrival ~flow =
-    if record then completions.(id) <- clk.now;
-    sink ~id ~arrival ~flow;
-    incr completed;
-    clk.makespan <- clk.now
-  in
-  let trace_arena : Trace.segment Vec.t = Arena.segments_of scratch in
-  let push_trace ~t0 ~t1 =
-    let entries = Array.make st.alive { Trace.job = -1; arrival = 0.; rate = 0. } in
-    let next = ref 0 in
-    iter_alive st (fun dj ->
-        entries.(!next) <- { Trace.job = dj.id; arrival = dj.f.arrival; rate = dj.f.rate };
-        incr next);
-    Vec.push trace_arena { Trace.t0; t1; alive = entries }
-  in
-  clk.now <- (if Source.has_more source then Source.head_arrival source else 0.);
-  clk.next_arr <- Source.next_arrival source;
-  admit_upto ();
-  while st.alive > 0 || Source.has_more source do
-    incr events;
-    if !events > max_events then
-      raise (Simulator.Event_limit_exceeded { limit = max_events; now = clk.now });
-    if st.alive = 0 then begin
-      (* Idle period: jump straight to the next arrival. *)
-      clk.now <- clk.next_arr;
-      admit_upto ()
-    end
-    else begin
-      refresh_now st;
-      scan_next st;
-      if clk.next_arr < clk.t_next then clk.t_next <- clk.next_arr;
-      if not (Float.is_finite clk.t_next) then
-        raise
-          (Simulator.Invalid_allocation
-             "alive jobs receive no service and no arrival or horizon is pending");
-      clk.dt <- clk.t_next -. clk.now;
-      assert (clk.dt > 0.);
-      if record_trace then push_trace ~t0:clk.now ~t1:clk.t_next;
-      advance_dt st;
-      clk.now <- clk.t_next;
-      settle_now st complete;
-      admit_upto ()
-    end
-  done;
-  ( {
-      Simulator.n = !completed;
-      events = !events;
-      machines;
-      speed;
-      makespan = clk.makespan;
-      max_alive = !max_alive;
-    },
-    Vec.to_list trace_arena )
-
-let no_sink : Simulator.sink = fun ~id:_ ~arrival:_ ~flow:_ -> ()
-
-let run ?(record_trace = false) ?(speed = 1.) ?(max_events = 10_000_000) ?(sink = no_sink)
-    ~machines ~kind jobs =
-  let n = Simulator.validate_jobs jobs in
-  let jobs_arr = Simulator.jobs_by_id jobs n in
-  let order = Simulator.release_order jobs n in
-  let completions = Array.make n Float.nan in
-  let summary, trace =
-    dense_core ~record_trace ~speed ~max_events ~machines ~kind
-      ~source:(Source.of_array order) ~completions ~sink
-  in
-  {
-    Simulator.jobs = jobs_arr;
-    completions;
-    trace;
-    machines;
-    speed;
-    events = summary.Simulator.events;
-  }
-
-let run_stream ?(speed = 1.) ?(max_events = 10_000_000) ~machines ~kind ~sink fill =
-  let summary, _trace =
-    dense_core ~record_trace:false ~speed ~max_events ~machines ~kind
-      ~source:(Source.of_raw fill) ~completions:[||] ~sink
-  in
-  summary

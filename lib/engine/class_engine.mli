@@ -17,88 +17,47 @@
     sequence, and the differential suite pins agreement with the general
     loop to <= 1e-9 relative flow time.
 
-    The closed loop allocates nothing per event: per-job floats live in
-    all-float (flat) records, the clock and horizon in a flat record of
-    the state, and jobs are admitted from the source's raw cursor. *)
+    A kernel of the one interface of {!Kernel}, run by its two drivers
+    ({!Simulator.run_class} closed, {!Live} incremental).  Neither
+    allocates per event here: per-job floats live in all-float (flat)
+    records, and the clock, horizon and admitted job's floats in the
+    shared {!Clock.t}. *)
 
-type kind =
-  | Laps of { beta : float }
-  | Ladder of { base_quantum : float; factor : float; levels : int }
-  | Aged of { k : int; refresh : float; offset : float }
-  | Sized of { gamma : float }
-  | Quantum of { quantum : float }
+(** {2 The kernel}
 
-val kind_of_class : Policy_class.t -> kind option
-(** The dense kernel serving a policy class, if any; [None] for the
-    classes served by other engines (equal-share, the priority indexes,
-    the SETF cascade, the hybrid and budget kernels). *)
-
-val class_of_kind : kind -> Policy_class.t
-(** Right inverse of {!kind_of_class}. *)
-
-(** {2 Incremental primitives}
-
-    The building blocks the {!Live} engine drives directly: one
-    {!refresh} per event (never per split — cached rates are what keep
-    WRR-age's drifting weights split-safe), {!advance} over the interval
-    since the last event, {!settle} + admissions after each event.  The closed
-    {!run} / {!run_stream} below drive the same primitives.  The state
-    contains no closures, so live snapshots can [Marshal] it. *)
+    One {!refresh} per event (never per horizon split — cached rates are
+    what keep WRR-age's drifting weights split-safe), {!next_internal}
+    and {!advance} over the interval to the next event, {!settle} and
+    admissions after it.  Floats travel through the shared {!Clock.t};
+    the state contains no closures. *)
 
 type state
 
-val create : machines:int -> speed:float -> kind -> state
-(** @raise Invalid_argument on non-positive machines or speed, or
-    out-of-range class parameters (see {!Policy_class.validate}). *)
+val create : clk:Clock.t -> machines:int -> speed:float -> Policy_class.t -> state
+(** @raise Invalid_argument for a class that is not one of the five
+    dense ones. *)
 
 val alive : state -> int
 
-val admit : state -> id:int -> arrival:float -> size:float -> unit
-(** Admit a released job.  Jobs must be admitted in (arrival asc,
-    id asc) order — the order every {!Simulator.Source} produces. *)
+val admit : state -> int -> unit
+(** Admit job [id] released at [clk.arrival] with size [clk.size].  Jobs
+    must be admitted in (arrival asc, id asc) order — the order every
+    driver produces. *)
 
-val refresh : state -> now:float -> unit
-(** Recompute every cached rate and the decision horizon: the mirror of
-    one [allocate] call.  Run exactly once per event, after {!settle}
-    and admissions. *)
+val refresh : state -> unit
+(** Recompute every cached rate and the decision horizon at [clk.now]:
+    the mirror of one [allocate] call.  Run exactly once per event, after
+    {!settle} and admissions. *)
 
-val next_internal : state -> now:float -> float
+val next_internal : state -> unit
 (** Earliest internal event under the cached decision (analytic
-    completion or horizon); [infinity] when neither is pending.  The
-    caller folds in the next arrival. *)
+    completion or [clk.horizon]) into [clk.t_next]. *)
 
-val advance : state -> dt:float -> unit
-(** Advance served jobs by the cached rates for [dt > 0]. *)
+val advance : state -> unit
+(** Advance served jobs by the cached rates for [clk.dt]. *)
 
-val settle : state -> now:float -> complete:Simulator.sink -> unit
-(** Retire completed jobs, reporting each as
-    [complete ~id ~arrival ~flow:(now -. arrival)]. *)
+val settle : state -> Clock.sink -> unit
+(** Retire completed jobs at [clk.now]. *)
 
-(** {2 Closed runs} *)
-
-val run :
-  ?record_trace:bool ->
-  ?speed:float ->
-  ?max_events:int ->
-  ?sink:Simulator.sink ->
-  machines:int ->
-  kind:kind ->
-  Job.t list ->
-  Simulator.result
-(** Closed-form run over a finite job list; same contract as
-    {!Simulator.run} (validation, completion threshold,
-    completion-beats-arrival tie rule, event accounting).
-    @raise Simulator.Event_limit_exceeded like the general loop. *)
-
-val run_stream :
-  ?speed:float ->
-  ?max_events:int ->
-  machines:int ->
-  kind:kind ->
-  sink:Simulator.sink ->
-  (Simulator.Source.cursor -> int) ->
-  Simulator.summary
-(** Streaming run over an unboxed {!Simulator.Source.of_raw} producer:
-    jobs are pulled on demand in non-decreasing arrival order with
-    distinct ids, flows go to the sink, and only O(alive) state plus
-    O(1) aggregates stay resident. *)
+val iter_alive : state -> (int -> float -> float -> unit) -> unit
+(** [f id arrival rate] over every alive job. *)

@@ -23,8 +23,6 @@
    always surfaces first). *)
 
 module Heap = Rr_util.Heap
-module Vec = Rr_util.Vec
-module Source = Simulator.Source
 
 (* [where] tags *)
 let w_running = 0
@@ -41,18 +39,6 @@ type hfl = { arrival : float; size : float; starve : float; mutable remaining : 
 
 type hjob = { hid : int; (* -1 marks a vacant slot *) mutable where : int; f : hfl }
 
-(* The kernel's clock and horizon, plus the closed driver's event scan,
-   buffered next arrival and makespan: all-float, hence flat.  The
-   incremental entry points park their float arguments here. *)
-type clock = {
-  mutable now : float;
-  mutable dt : float;
-  mutable horizon : float;  (* min starvation instant over fresh jobs; +inf when none *)
-  mutable t_next : float;
-  mutable next_arr : float;
-  mutable makespan : float;
-}
-
 type state = {
   theta : float;
   machines : int;
@@ -63,20 +49,13 @@ type state = {
   starved : Heap.Scalar.t;  (* waiting starved: key = arrival, val = id *)
   fresh : Heap.Scalar.t;  (* waiting fresh: key = remaining at push, val = id *)
   promo : Heap.Scalar.t;  (* pending promotions: key = starve, val = id *)
-  clk : clock;
+  clk : Clock.t;
 }
 
-(* The three priority heaps may be caller-supplied (the closed core
-   borrows them from the per-domain arena so back-to-back runs reuse
-   their capacity); {!create} allocates fresh ones for long-lived states
-   like {!Live}, which outlive any arena borrow. *)
-let create_in ~starved ~fresh ~promo ~machines ~speed ~theta =
-  if machines < 1 then invalid_arg "Hybrid_engine.create: machines must be >= 1";
-  if not (Float.is_finite speed && speed > 0.) then
-    invalid_arg "Hybrid_engine.create: speed must be finite and positive";
-  (match Policy_class.validate (Policy_class.Starvation_hybrid { theta }) with
-  | Ok () -> ()
-  | Error msg -> invalid_arg ("Hybrid_engine.create: " ^ msg));
+(* In a closed run the three priority heaps come from the per-domain
+   arena, so back-to-back runs reuse their capacity; a live engine passes
+   no arena and owns fresh heaps. *)
+let create ~clk ~scratch ~machines ~speed ~theta =
   let vacant =
     { hid = -1; where = w_running; f = { arrival = 0.; size = 0.; starve = 0.; remaining = 0. } }
   in
@@ -87,41 +66,21 @@ let create_in ~starved ~fresh ~promo ~machines ~speed ~theta =
     info = Hashtbl.create 64;
     vacant;
     slots = Array.make machines vacant;
-    starved;
-    fresh;
-    promo;
-    clk =
-      {
-        now = 0.;
-        dt = 0.;
-        horizon = Float.infinity;
-        t_next = Float.infinity;
-        next_arr = Float.infinity;
-        makespan = 0.;
-      };
+    starved = Arena.scalar_of scratch;
+    fresh = Arena.scalar_of scratch;
+    promo = Arena.scalar_of scratch;
+    clk;
   }
-
-let create ~machines ~speed ~theta =
-  create_in
-    ~starved:(Heap.Scalar.create ())
-    ~fresh:(Heap.Scalar.create ())
-    ~promo:(Heap.Scalar.create ())
-    ~machines ~speed ~theta
 
 let alive st = Hashtbl.length st.info
 
-let[@inline] threshold size = 1e-9 *. (1. +. size)
-
-let[@inline] make_job st ~id ~arrival ~size =
+let admit st id =
+  let arrival = st.clk.arrival and size = st.clk.size in
   let starve = Policy_class.starve_time ~theta:st.theta ~arrival ~size in
-  { hid = id; where = w_fresh; f = { arrival; size; starve; remaining = size } }
-
-let insert st h =
+  let h = { hid = id; where = w_fresh; f = { arrival; size; starve; remaining = size } } in
   Hashtbl.replace st.info h.hid h;
   Heap.Scalar.add st.fresh ~key:h.f.remaining h.hid;
   Heap.Scalar.add st.promo ~key:h.f.starve h.hid
-
-let admit st ~id ~arrival ~size = insert st (make_job st ~id ~arrival ~size)
 
 (* Strict two-tier order at [st.clk.now]: starved (arrival, id) before
    fresh (remaining, id) — the mirror policy's comparator. *)
@@ -183,7 +142,7 @@ let unseat st s =
    promotions, then restore the running set to the top-m of the current
    order, then recompute the horizon (minimum starvation instant over
    still-fresh jobs). *)
-let refresh_now st =
+let refresh st =
   let now = st.clk.now in
   while Heap.Scalar.length st.promo > 0 && Heap.Scalar.min_key_exn st.promo <= now do
     let id = Heap.Scalar.pop_exn st.promo in
@@ -242,7 +201,7 @@ let refresh_now st =
 
 (* Earliest internal event into [st.clk.t_next]: a running job's
    completion or the horizon. *)
-let scan_next st =
+let next_internal st =
   let now = st.clk.now in
   let t = ref st.clk.horizon in
   for s = 0 to st.machines - 1 do
@@ -254,154 +213,24 @@ let scan_next st =
   done;
   st.clk.t_next <- !t
 
-let advance_dt st =
+let advance st =
   let adv = st.speed *. st.clk.dt in
   for s = 0 to st.machines - 1 do
     let h = st.slots.(s) in
     if h.hid >= 0 then h.f.remaining <- h.f.remaining -. adv
   done
 
-let settle_now st (complete : Simulator.sink) =
+let settle st (complete : Clock.sink) =
   let now = st.clk.now in
   for s = 0 to st.machines - 1 do
     let h = st.slots.(s) in
-    if h.hid >= 0 && h.f.remaining <= threshold h.f.size then begin
+    if h.hid >= 0 && h.f.remaining <= Clock.threshold h.f.size then begin
       complete ~id:h.hid ~arrival:h.f.arrival ~flow:(now -. h.f.arrival);
       Hashtbl.remove st.info h.hid;
       st.slots.(s) <- st.vacant
     end
   done
 
-let refresh st ~now =
-  st.clk.now <- now;
-  refresh_now st
+let iter_alive st f =
+  Hashtbl.iter (fun _ h -> f h.hid h.f.arrival (if h.where = w_running then 1. else 0.)) st.info
 
-let next_internal st ~now =
-  st.clk.now <- now;
-  scan_next st;
-  st.clk.t_next
-
-let advance st ~dt =
-  st.clk.dt <- dt;
-  advance_dt st
-
-let settle st ~now ~complete =
-  st.clk.now <- now;
-  settle_now st complete
-
-let iter_alive st f = Hashtbl.iter (fun _ h -> f h) st.info
-
-(* ------------------------------------------------------------------ *)
-(* Closed event loop                                                   *)
-(* ------------------------------------------------------------------ *)
-
-(* Nothing is built per event: the clock is the state's flat record,
-   admission reads the source's raw cursor, and the per-run [complete]
-   closure forwards the sink's boxed arguments untouched. *)
-let hybrid_core ~record_trace ~speed ~max_events ~machines ~theta ~(source : Source.t)
-    ~(completions : float array) ~(sink : Simulator.sink) =
-  let scratch = Arena.borrow () in
-  Fun.protect ~finally:(fun () -> Arena.release scratch) @@ fun () ->
-  let st =
-    create_in
-      ~starved:(Arena.scalar_of scratch)
-      ~fresh:(Arena.scalar_of scratch)
-      ~promo:(Arena.scalar_of scratch)
-      ~machines ~speed ~theta
-  in
-  let clk = st.clk in
-  let max_alive = ref 0 in
-  let admit_upto () =
-    while clk.next_arr <= clk.now do
-      insert st
-        (make_job st ~id:(Source.head_id source) ~arrival:(Source.head_arrival source)
-           ~size:(Source.head_size source));
-      Source.advance source;
-      clk.next_arr <- Source.next_arrival source
-    done;
-    if alive st > !max_alive then max_alive := alive st
-  in
-  let completed = ref 0 in
-  let events = ref 0 in
-  let record = Array.length completions > 0 in
-  let complete ~id ~arrival ~flow =
-    if record then completions.(id) <- clk.now;
-    sink ~id ~arrival ~flow;
-    incr completed;
-    clk.makespan <- clk.now
-  in
-  let trace_arena : Trace.segment Vec.t = Arena.segments_of scratch in
-  let push_trace ~t0 ~t1 =
-    let entries = Array.make (alive st) { Trace.job = -1; arrival = 0.; rate = 0. } in
-    let next = ref 0 in
-    iter_alive st (fun h ->
-        let rate = if h.where = w_running then 1. else 0. in
-        entries.(!next) <- { Trace.job = h.hid; arrival = h.f.arrival; rate };
-        incr next);
-    Vec.push trace_arena { Trace.t0; t1; alive = entries }
-  in
-  clk.now <- (if Source.has_more source then Source.head_arrival source else 0.);
-  clk.next_arr <- Source.next_arrival source;
-  admit_upto ();
-  while alive st > 0 || Source.has_more source do
-    incr events;
-    if !events > max_events then
-      raise (Simulator.Event_limit_exceeded { limit = max_events; now = clk.now });
-    if alive st = 0 then begin
-      clk.now <- clk.next_arr;
-      admit_upto ()
-    end
-    else begin
-      refresh_now st;
-      scan_next st;
-      if clk.next_arr < clk.t_next then clk.t_next <- clk.next_arr;
-      if not (Float.is_finite clk.t_next) then
-        raise
-          (Simulator.Invalid_allocation
-             "alive jobs receive no service and no arrival or horizon is pending");
-      clk.dt <- clk.t_next -. clk.now;
-      assert (clk.dt > 0.);
-      if record_trace then push_trace ~t0:clk.now ~t1:clk.t_next;
-      advance_dt st;
-      clk.now <- clk.t_next;
-      settle_now st complete;
-      admit_upto ()
-    end
-  done;
-  ( {
-      Simulator.n = !completed;
-      events = !events;
-      machines;
-      speed;
-      makespan = clk.makespan;
-      max_alive = !max_alive;
-    },
-    Vec.to_list trace_arena )
-
-let no_sink : Simulator.sink = fun ~id:_ ~arrival:_ ~flow:_ -> ()
-
-let run ?(record_trace = false) ?(speed = 1.) ?(max_events = 10_000_000) ?(sink = no_sink)
-    ~machines ~theta jobs =
-  let n = Simulator.validate_jobs jobs in
-  let jobs_arr = Simulator.jobs_by_id jobs n in
-  let order = Simulator.release_order jobs n in
-  let completions = Array.make n Float.nan in
-  let summary, trace =
-    hybrid_core ~record_trace ~speed ~max_events ~machines ~theta
-      ~source:(Source.of_array order) ~completions ~sink
-  in
-  {
-    Simulator.jobs = jobs_arr;
-    completions;
-    trace;
-    machines;
-    speed;
-    events = summary.Simulator.events;
-  }
-
-let run_stream ?(speed = 1.) ?(max_events = 10_000_000) ~machines ~theta ~sink fill =
-  let summary, _trace =
-    hybrid_core ~record_trace:false ~speed ~max_events ~machines ~theta
-      ~source:(Source.of_raw fill) ~completions:[||] ~sink
-  in
-  summary

@@ -10,55 +10,31 @@
     mirror policy's horizon does — the event sequences, and hence the
     floats, coincide exactly.  Each event costs O(m + log alive). *)
 
-(** {2 Incremental primitives} (driven by the {!Live} engine; the state
-    contains no closures, so snapshots can [Marshal] it) *)
+(** {2 The kernel}
+
+    Run by the two drivers of {!Kernel}; floats travel through the shared
+    {!Clock.t}, and the state contains no closures. *)
 
 type state
 
-val create : machines:int -> speed:float -> theta:float -> state
-(** @raise Invalid_argument on non-positive machines or speed, or a
-    non-finite / non-positive theta. *)
+val create :
+  clk:Clock.t -> scratch:Arena.t option -> machines:int -> speed:float -> theta:float -> state
 
 val alive : state -> int
 
-val admit : state -> id:int -> arrival:float -> size:float -> unit
-(** Admit a released job (in non-decreasing arrival order, distinct
-    ids).  Every newcomer starts fresh: theta and size are positive, so
-    its starvation instant is strictly after its arrival. *)
+val admit : state -> int -> unit
+(** Admit job [id] released at [clk.arrival] with size [clk.size] (in
+    non-decreasing arrival order, distinct ids).  Every newcomer starts
+    fresh: theta and size are positive, so its starvation instant is
+    strictly after its arrival. *)
 
-val refresh : state -> now:float -> unit
-(** Mirror of one [allocate] call: apply due promotions, restore the
-    running set to the top-m of the two-tier order, recompute the
-    horizon.  Run exactly once per event, after {!settle} and
-    admissions. *)
+val refresh : state -> unit
+(** Mirror of one [allocate] call at [clk.now]: apply due promotions,
+    restore the running set to the top-m of the two-tier order,
+    recompute [clk.horizon].  Run exactly once per event, after {!settle}
+    and admissions. *)
 
-val next_internal : state -> now:float -> float
-val advance : state -> dt:float -> unit
-val settle : state -> now:float -> complete:Simulator.sink -> unit
-(** Retire completed running jobs, reporting each as
-    [complete ~id ~arrival ~flow:(now -. arrival)]. *)
-
-(** {2 Closed runs} *)
-
-val run :
-  ?record_trace:bool ->
-  ?speed:float ->
-  ?max_events:int ->
-  ?sink:Simulator.sink ->
-  machines:int ->
-  theta:float ->
-  Job.t list ->
-  Simulator.result
-(** Same contract as {!Simulator.run}. *)
-
-val run_stream :
-  ?speed:float ->
-  ?max_events:int ->
-  machines:int ->
-  theta:float ->
-  sink:Simulator.sink ->
-  (Simulator.Source.cursor -> int) ->
-  Simulator.summary
-(** Streaming run over an unboxed {!Simulator.Source.of_raw} producer:
-    no [Job.t] is built, and the loop allocates nothing per event
-    beyond the job store's own bookkeeping. *)
+val next_internal : state -> unit
+val advance : state -> unit
+val settle : state -> Clock.sink -> unit
+val iter_alive : state -> (int -> float -> float -> unit) -> unit

@@ -5,64 +5,40 @@
     the paper's actual online process: jobs are {!submit}ted while the
     simulation is under way, {!advance} moves the clock up to a horizon
     (processing exactly the completions, SETF catch-ups and admissions
-    falling inside it, and splitting the final inter-event interval at
-    the horizon), and {!query} reads O(1)-memory live metrics at any
+    falling inside it), and {!query} reads O(1)-memory live metrics at any
     instant — the Lk power sum and norm, Welford mean, running max, and
     P-squared percentile sketches ({!Rr_util.P2}) over completed flow
     times.
 
-    The three kernels are the closed-form fast engines re-expressed as
-    resumable state: the equal-share virtual-service deadline heap
-    ({!Simulator.run_equal_share}) for Round Robin, the priority-index
-    slot/heap kernel ({!Index_engine.run}) for SRPT / SJF / FCFS, and the
-    SETF group cascade ({!Index_engine.run_setf}).  Each event costs
-    O(m + log alive); live memory is O(alive + pending), independent of
-    how many jobs have passed through.  On a submit-everything-upfront
-    feed the event sequence matches the closed engines exactly.  The
-    classified cores ({!Class_engine}, {!Hybrid_engine},
-    {!Budget_engine}) advance their jobs only at events, by the whole
-    interval since the last one, so horizon splits change none of their
-    floats; the three kernels above accumulate a split interval's advance
-    in pieces, a rounding difference bounded well inside the 1e-9
-    relative flow-time tolerance pinned by the differential suite
-    (test_live.ml) away from completion-threshold knife edges.
+    This is the live driver of the class kernels ({!Kernel}), the same
+    kernels the closed driver {!Simulator.run_class} runs: one kernel per
+    {!Policy_class.t}, from Round Robin's equal-share deadline heap to
+    the priority-index slots, the SETF cascade and the dense, hybrid and
+    budget kernels.  Each event costs what the kernel's event costs
+    (O(m + log alive) for the index-like ones); live memory is
+    O(alive + pending), independent of how many jobs have passed
+    through.  The kernel is advanced at events only, by the whole
+    interval since the last one, and refreshed once per event: however
+    {!advance} splits time, and however submissions interleave with it,
+    a live run performs the closed driver's float operations in the
+    closed driver's order and returns its flow times bit for bit
+    (test_live.ml pins this for every registry class on ladder
+    knife-edge instances).
 
     Engine state is closure-free, so a whole engine — mid-run, with jobs
     alive and pending — serializes with {!to_bytes}/{!save} and resumes
     with {!of_bytes}/{!load}; [rr_cli serve] builds its SNAPSHOT/RESTORE
     protocol commands on these. *)
 
-type spec =
-  | Equal_share
-  | Indexed of Index_engine.kind
-  | Setf_cascade
-  | Classified of Policy_class.t
-(** Which kernel drives the engine.  [Classified] accepts {e any} policy
-    class ({!Policy_class.t}) and routes it to the matching incremental
-    core — the equal-share deadline heap, the priority index, the SETF
-    cascade, the dense class kernels ({!Class_engine}), the starvation
-    hybrid ({!Hybrid_engine}) or the preemption-budget kernel
-    ({!Budget_engine}).  [Equal_share] / [Indexed] / [Setf_cascade] are
-    the pre-classification spellings of the same three cores, kept for
-    back-compatibility.  (Unclassified policies need the per-event
-    policy loop and have no incremental form — see [Run.engine] for how
-    the two surfaces meet.) *)
+type spec = Classified of Policy_class.t
+(** Which kernel drives the engine: the one of the given policy class.
+    Unclassified policies need the per-event policy loop and have no
+    incremental form — see [Run.engine] for how the two surfaces meet. *)
 
 val spec_name : spec -> string
 (** Audit name, matching [Run.engine_name]: ["equal-share"],
     ["srpt-index"], ["setf-cascade"], ["mlfq-ladder"], ["hybrid-index"],
     ... ({!Policy_class.engine_name}). *)
-
-val spec_of_string : string -> spec option
-(** Accepts every registry policy name — ["rr"], ["srpt"], ["sjf"],
-    ["fcfs"], ["setf"], ["hdf"], ["laps"], ["mlfq"], ["quantum-rr"],
-    ["wrr-age"], ["wrr-static"], ["hybrid"], ["srpt-mig"] — at its
-    registry-default parameters (plus the {!spec_name} spellings);
-    case-insensitive.  [None] for anything else.  Use the typed
-    [Classified] constructor for non-default parameters. *)
-
-val spec_names : string list
-(** The canonical accepted names, for CLI help text. *)
 
 type t
 (** A live engine.  Not domain-safe: drive each engine from one domain. *)
@@ -130,10 +106,12 @@ val submit_batch :
 
 val advance : t -> float -> unit
 (** [advance t horizon] processes every event at or before [horizon] and
-    moves the clock exactly there (partially serving jobs mid-interval,
-    the same analytic advance the closed cores apply between events).  A
-    horizon at or before [now] is a no-op; [infinity] behaves like
-    {!drain}.  @raise Invalid_argument on NaN. *)
+    moves the clock exactly there.  Jobs are served analytically between
+    events, so a horizon inside an inter-event interval changes nothing
+    but the clock.  A horizon at or before [now] is a no-op; [infinity]
+    behaves like {!drain}.  @raise Invalid_argument on NaN;
+    @raise Simulator.Invalid_allocation when alive jobs can never finish
+    (the closed driver's check; no registry class trips it). *)
 
 val drain : t -> unit
 (** Run until no job is alive or pending.  The clock ends at the last

@@ -10,14 +10,14 @@ let () =
              "Rr_engine.Simulator.Event_limit_exceeded (budget %d exhausted at t = %g)" limit now)
     | _ -> None)
 
-type sink = id:int -> arrival:float -> flow:float -> unit
+type sink = Clock.sink
 
 (* ------------------------------------------------------------------ *)
 (* Arrival sources                                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* Both engines consume arrivals through this one-job-lookahead interface:
-   the sorted-array path of {!run}/{!run_equal_share} and the lazy
+(* Both drivers consume arrivals through this one-job-lookahead interface:
+   the sorted-array path of {!run}/{!run_class} and the lazy
    generators of {!Rr_workload} [Instance.Stream] implement the same pull
    function, so "how many jobs exist" is independent of the event loop.
    Validity and monotonicity are enforced at the boundary — a source that
@@ -27,9 +27,9 @@ type sink = id:int -> arrival:float -> flow:float -> unit
    The lookahead is stored {e unboxed}: the head job lives as an int id
    plus a flat all-float cursor record, not as a [Job.t option].  Raw
    producers ({!of_raw}) write the cursor fields directly and never
-   construct a [Job.t] at all, which is what lets the equal-share
+   construct a [Job.t] at all, which is what lets the closed driver's
    streaming path run at ~0 words per job; the boxed [peek]/[next] view
-   is memoized on top for the engines that want whole jobs. *)
+   is memoized on top for the general loop, which wants whole jobs. *)
 module Source = struct
   type cursor = { mutable arrival : float; mutable size : float }
   (* All-float record: flat representation, so field writes never box. *)
@@ -183,11 +183,7 @@ let validate_jobs jobs =
     jobs;
   n
 
-(* A job counts as complete when its residual work is negligible relative to
-   its size; the threshold absorbs the rounding of the analytic advance. *)
-let[@inline] completion_threshold size = 1e-9 *. (1. +. size)
-
-let done_threshold (l : live) = completion_threshold l.job.size
+let done_threshold (l : live) = Clock.threshold l.job.size
 
 let jobs_by_id jobs n =
   let slots = Array.make n None in
@@ -340,7 +336,8 @@ let general_core ~record_trace ~speed ~max_events ~machines ~(policy : Policy.t)
          folded inline.  Rates are fresh every event, so any heap over
          completion times would be rebuilt from scratch per event and lose
          to this single O(alive) pass; the heap-ordered cascade lives in
-         {!run_equal_share}, where rates are a function of the count alone. *)
+         the equal-share kernel ({!Kernel}), where rates are a function of
+         the count alone. *)
       let t_next = ref Float.infinity in
       for i = 0 to n_alive - 1 do
         let v = rates.(i) *. speed in
@@ -424,187 +421,108 @@ let run_stream ?(speed = 1.) ?(max_events = 10_000_000) ~machines ~(policy : Pol
   summary
 
 (* ------------------------------------------------------------------ *)
-(* Closed-form equal-share (RR) engine                                 *)
+(* The closed driver: one loop over every class kernel                 *)
 (* ------------------------------------------------------------------ *)
 
-(* Under an equal-share policy every alive job is served at the same
-   instantaneous rate [min(1, m/n) * speed], a function of the alive count
-   alone.  Let V(t) be the cumulative service each alive job has received
-   ("virtual service"): a job admitted when the clock read [V_a] completes
-   exactly when V reaches its deadline [V_a + size].  Jobs therefore
-   complete in deadline order, so a single binary heap of deadlines
-   ({!Rr_util.Heap.Scalar2}, keyed on the deadline with the job id as
-   payload and the arrival and size as satellites) replaces the per-event
-   policy invocation and O(alive) scans of the general engine: each arrival
-   or completion costs O(log alive), the whole run O((n + events) log
-   alive), with no allocation per event and no O(n) side table — the heap
-   IS the whole live state, so the same core drives both the materialized
-   and the streaming entry point. *)
-
-(* All-float, hence flat, so the per-event clock/virtual-service updates
-   are plain unboxed stores.  [float ref] cells here would box a fresh
-   float on every assignment — a few words per event that the B4
-   words-per-job gate would see. *)
-type es_state = { mutable vsrv : float; mutable now : float; mutable makespan : float }
-
-let equal_share_core ~record_trace ~speed ~max_events ~machines ~(source : Source.t)
+(* The general loop's event semantics over a {!Kernel}: refresh the
+   decision once per event, take the earliest of the kernel's internal
+   event and the next arrival (completion wins a tie), advance, settle,
+   admit.  Nothing is built per event: the clock is the kernel's flat
+   record, admission hands the source's raw cursor over through it (no
+   [Job.t], no option, no boxed float), and completions go straight from
+   the kernel to the sink — one unknown call, two boxed floats. *)
+let closed_core ~record_trace ~speed ~max_events ~machines klass ~(source : Source.t)
     ~(completions : float array) ~(sink : sink) =
-  if machines < 1 then invalid_arg "Simulator.run_equal_share: machines must be >= 1";
-  if not (Float.is_finite speed && speed > 0.) then
-    invalid_arg "Simulator.run_equal_share: speed must be finite and positive";
   let scratch = Arena.borrow () in
   Fun.protect ~finally:(fun () -> Arena.release scratch) @@ fun () ->
-  let heap = Arena.scalar2_of scratch in
-  let st = { vsrv = 0.; now = 0.; makespan = 0. } in
-  let completed = ref 0 in
-  let max_alive = ref 0 in
-  (* Roster of alive jobs, maintained only for trace recording; [pos]
-     tracks each job's slot so completions remove in O(1).  The pos table
-     grows with the largest id seen, which the streaming entry point never
-     exercises (it passes record_trace:false). *)
-  let roster : Job.t Rr_util.Vec.t = Arena.jobs_of scratch in
-  let pos = ref [||] in
-  let ensure_pos id =
-    let cap = Array.length !pos in
-    if id >= cap then begin
-      let ncap = Int.max 8 (Int.max (2 * cap) (id + 1)) in
-      let np = Array.make ncap (-1) in
-      Array.blit !pos 0 np 0 cap;
-      pos := np
-    end
+  let k = Kernel.create ~scratch ~machines ~speed klass in
+  let clk = Kernel.clock k in
+  let alive = ref 0 and max_alive = ref 0 and completed = ref 0 and events = ref 0 in
+  let sink =
+    if Array.length completions = 0 then sink
+    else fun ~id ~arrival ~flow ->
+      completions.(id) <- clk.now;
+      sink ~id ~arrival ~flow
   in
-  let drop id =
-    if record_trace then begin
-      let i = !pos.(id) in
-      let last = Rr_util.Vec.length roster - 1 in
-      let moved = Rr_util.Vec.get roster last in
-      Rr_util.Vec.swap_remove roster i;
-      if i < last then !pos.(moved.id) <- i;
-      !pos.(id) <- -1
-    end
-  in
-  (* Admission reads the source through the raw unboxed view: id plus two
-     cursor floats, no [Job.t], no option.  The boxed job is materialized
-     (memoized [peek]) only on the trace-recording path. *)
-  let admit_upto now =
-    while Source.has_more source && Source.head_arrival source <= now do
-      let id = Source.head_id source in
-      let size = Source.head_size source in
-      Rr_util.Heap.Scalar2.add heap ~key:(st.vsrv +. size)
-        ~aux1:(Source.head_arrival source) ~aux2:size id;
-      if Rr_util.Heap.Scalar2.length heap > !max_alive then
-        max_alive := Rr_util.Heap.Scalar2.length heap;
-      if record_trace then begin
-        let j = match Source.peek source with Some j -> j | None -> assert false in
-        ensure_pos id;
-        !pos.(id) <- Rr_util.Vec.length roster;
-        Rr_util.Vec.push roster j
-      end;
-      Source.advance source
-    done
+  let admit_upto () =
+    while clk.next_arr <= clk.now do
+      clk.arrival <- Source.head_arrival source;
+      clk.size <- Source.head_size source;
+      Kernel.admit k (Source.head_id source);
+      incr alive;
+      Source.advance source;
+      clk.next_arr <- Source.next_arrival source
+    done;
+    if !alive > !max_alive then max_alive := !alive
   in
   let trace_arena : Trace.segment Rr_util.Vec.t = Arena.segments_of scratch in
-  (* Hoisted out of the event loop: a [let retire () = ...] in the loop
-     body would allocate its closure once per event.  The sink is called
-     directly (no intermediate completion callback), so a completion costs
-     exactly one unknown call — two boxed floats — on the streaming path;
-     the materialized entry point passes a completions array and the exact
-     completion instant is recorded unboxed before the sink sees the
-     derived flow. *)
-  let retire () =
-    let id = Rr_util.Heap.Scalar2.min_val_exn heap in
-    let arrival = Rr_util.Heap.Scalar2.min_aux1_exn heap in
-    ignore (Rr_util.Heap.Scalar2.pop_exn heap : int);
-    if Array.length completions > 0 then completions.(id) <- st.now;
-    sink ~id ~arrival ~flow:(st.now -. arrival);
-    incr completed;
-    st.makespan <- st.now;
-    drop id
+  let push_trace () =
+    let entries = Array.make !alive { Trace.job = -1; arrival = 0.; rate = 0. } in
+    let next = ref 0 in
+    Kernel.iter_alive k (fun job arrival rate ->
+        entries.(!next) <- { Trace.job; arrival; rate };
+        incr next);
+    Rr_util.Vec.push trace_arena { Trace.t0 = clk.now; t1 = clk.t_next; alive = entries }
   in
-  let events = ref 0 in
-  st.now <- (if Source.has_more source then Source.head_arrival source else 0.);
-  admit_upto st.now;
-  while Rr_util.Heap.Scalar2.length heap > 0 || Source.has_more source do
+  clk.now <- (if Source.has_more source then Source.head_arrival source else 0.);
+  clk.next_arr <- Source.next_arrival source;
+  admit_upto ();
+  while !alive > 0 || Source.has_more source do
     incr events;
     if !events > max_events then
-      raise (Event_limit_exceeded { limit = max_events; now = st.now });
-    if Rr_util.Heap.Scalar2.is_empty heap then begin
-      st.now <- Source.next_arrival source;
-      admit_upto st.now
+      raise (Event_limit_exceeded { limit = max_events; now = clk.now });
+    if !alive = 0 then begin
+      (* Idle period: jump straight to the next arrival. *)
+      clk.now <- clk.next_arr;
+      admit_upto ()
     end
     else begin
-      let n_alive = Rr_util.Heap.Scalar2.length heap in
-      let share =
-        let s = Float.of_int machines /. Float.of_int n_alive in
-        if s > 1. then 1. else s
-      in
-      let rate = share *. speed in
-      let t_complete =
-        st.now +. ((Rr_util.Heap.Scalar2.min_key_exn heap -. st.vsrv) /. rate)
-      in
-      (* Completion wins a tie with an arrival, exactly like the general
-         engine's [a < t_next] guard. *)
-      let next_arrival = Source.next_arrival source in
-      let is_completion = not (next_arrival < t_complete) in
-      let t_next = if is_completion then t_complete else next_arrival in
-      let dt = t_next -. st.now in
-      assert (dt > 0.);
-      if record_trace then begin
-        let entries =
-          Array.init (Rr_util.Vec.length roster) (fun i ->
-              let j = Rr_util.Vec.get roster i in
-              { Trace.job = j.id; arrival = j.arrival; rate = share })
-        in
-        Rr_util.Vec.push trace_arena { Trace.t0 = st.now; t1 = t_next; alive = entries }
+      Kernel.scan k ~refresh:true;
+      if clk.next_arr < clk.t_next then clk.t_next <- clk.next_arr;
+      if not (Float.is_finite clk.t_next) then
+        raise
+          (Invalid_allocation "alive jobs receive no service and no arrival or horizon is pending");
+      clk.dt <- clk.t_next -. clk.now;
+      assert (clk.dt > 0.);
+      if record_trace then push_trace ();
+      let gone = Kernel.finish k sink in
+      if gone > 0 then begin
+        alive := !alive - gone;
+        completed := !completed + gone;
+        clk.makespan <- clk.now
       end;
-      st.vsrv <- st.vsrv +. (rate *. dt);
-      st.now <- t_next;
-      if is_completion then
-        (* The head's deadline defined this event time; retire it even if
-           rounding left [vsrv] an ulp short of the deadline. *)
-        retire ();
-      (* Cascade every job whose residual virtual service is within the
-         completion threshold of this instant (simultaneous completions,
-         and arrivals landing exactly on a completion). *)
-      while
-        (not (Rr_util.Heap.Scalar2.is_empty heap))
-        && Rr_util.Heap.Scalar2.min_key_exn heap -. st.vsrv
-           <= completion_threshold (Rr_util.Heap.Scalar2.min_aux2_exn heap)
-      do
-        retire ()
-      done;
-      admit_upto st.now
+      admit_upto ()
     end
   done;
-  let trace = Rr_util.Vec.to_list trace_arena in
   ( {
       n = !completed;
       events = !events;
       machines;
       speed;
-      makespan = st.makespan;
+      makespan = clk.makespan;
       max_alive = !max_alive;
     },
-    trace )
+    Rr_util.Vec.to_list trace_arena )
 
-let run_equal_share ?(record_trace = false) ?(speed = 1.) ?(max_events = 10_000_000)
-    ?(sink = no_sink) ~machines jobs =
+let run_class ?(record_trace = false) ?(speed = 1.) ?(max_events = 10_000_000) ?(sink = no_sink)
+    ~machines klass jobs =
   let n = validate_jobs jobs in
   let jobs_arr = jobs_by_id jobs n in
   let order = release_order jobs n in
   let completions = Array.make n Float.nan in
   let summary, trace =
-    equal_share_core ~record_trace ~speed ~max_events ~machines
-      ~source:(Source.of_array order) ~completions ~sink
+    closed_core ~record_trace ~speed ~max_events ~machines klass ~source:(Source.of_array order)
+      ~completions ~sink
   in
   { jobs = jobs_arr; completions; trace; machines; speed; events = summary.events }
 
-let run_equal_share_stream_raw ?(speed = 1.) ?(max_events = 10_000_000) ~machines ~sink fill =
-  let summary, _trace =
-    equal_share_core ~record_trace:false ~speed ~max_events ~machines
-      ~source:(Source.of_raw fill) ~completions:[||] ~sink
-  in
-  summary
+let run_class_stream ?(speed = 1.) ?(max_events = 10_000_000) ~machines ~sink klass fill =
+  fst
+    (closed_core ~record_trace:false ~speed ~max_events ~machines klass
+       ~source:(Source.of_raw fill) ~completions:[||] ~sink)
+
+let run_equal_share_stream_raw ?speed ?max_events ~machines ~sink fill =
+  run_class_stream ?speed ?max_events ~machines ~sink Policy_class.Equal_share fill
 
 let flows r = Array.mapi (fun i c -> c -. r.jobs.(i).Job.arrival) r.completions
 

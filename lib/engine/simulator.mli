@@ -7,33 +7,34 @@
     the clock can be advanced analytically — completion times are exact up
     to floating-point rounding, with no time-step discretisation error.
 
-    Two engines share the event semantics:
+    Two drivers here share the event semantics:
 
-    - {!run} is the general engine: it invokes the policy at every event.
-      Its loop is allocation-free in steady state — per-job views, the view
-      array handed to the policy, and the trace arena are persistent
+    - {!run} is the general engine — and the oracle every kernel is
+      differentially pinned to: it invokes the policy at every event.
+      Its loop is allocation-free in steady state — per-job views, the
+      view array handed to the policy, and the trace arena are persistent
       buffers reused across events.
-    - {!run_equal_share} is a closed-form engine for equal-share
-      (processor-sharing) allocations, the paper's Round Robin: jobs
-      complete in order of remaining work, tracked by a binary heap of
-      virtual-service deadlines, with no policy invocation at all.  It
-      agrees with [run ~policy:Round_robin.policy] up to floating-point
-      rounding (within the completion-threshold semantics both engines
-      share).
+    - {!run_class} is the one closed driver of the class kernels
+      ({!Kernel}): a policy that declares its {!Policy_class.t} runs on
+      that class's kernel with no policy invocation at all — the
+      equal-share deadline heap for the paper's Round Robin, the
+      priority-index slots, the SETF cascade, the dense, hybrid and
+      budget kernels.  Each agrees with [run] on the mirror policy up to
+      floating-point rounding (within the completion-threshold semantics
+      both share).  The other driver of the same kernels is the live
+      {!Live} step.
 
-    Both engines consume arrivals through the peekable {!Source} interface
-    and report completions through a {!sink}, so the same event loops
-    drive two shapes of entry point:
+    Both consume arrivals through the peekable {!Source} interface and
+    report completions through a {!sink}, in two shapes of entry point:
 
-    - the {e materialized} entry points ({!run}, {!run_equal_share}) take a
-      job list, return the full {!result} with per-job completion times,
+    - the {e materialized} entry points ({!run}, {!run_class}) take a job
+      list, return the full {!result} with per-job completion times,
       and additionally feed an optional [?sink];
-    - the {e streaming} entry points ({!run_stream},
-      {!run_equal_share_stream_raw}) take a pull function, feed every
-      completion to a mandatory [~sink], and return only a {!summary} —
-      live memory is O(alive jobs), independent of how many jobs the
-      source produces, so million- to ten-million-job instances run in a
-      constant-size heap.
+    - the {e streaming} entry points ({!run_stream}, {!run_class_stream})
+      take a pull function, feed every completion to a mandatory
+      [~sink], and return only a {!summary} — live memory is O(alive
+      jobs), independent of how many jobs the source produces, so
+      million- to ten-million-job instances run in a constant-size heap.
 
     Speed augmentation: a policy rate [m_j(t) in \[0,1\]] results in
     processing at rate [speed * m_j(t)], matching the [s]-speed analysis of
@@ -51,14 +52,15 @@ exception Event_limit_exceeded of { limit : int; now : float }
     legal, the budget was just too small for the instance (or a policy
     emits pathologically short horizons). *)
 
-type sink = id:int -> arrival:float -> flow:float -> unit
-(** A completion consumer: called once per job, at the simulated moment the
+type sink = Clock.sink
+(** [id:int -> arrival:float -> flow:float -> unit], a completion
+    consumer: called once per job, at the simulated moment the
     job completes (so in non-decreasing completion-time order), with the
     job's id, release time, and flow time.  The flow vector of the
     materialized API is just one possible sink; the incremental folds of
     [Rr_metrics.Sink] are others. *)
 
-(** Peekable arrival streams — the one interface both engines pull jobs
+(** Peekable arrival streams — the one interface both drivers pull jobs
     through.  {!Source.of_array} adapts the sorted-array path of the
     materialized entry points; lazy generators ([Rr_workload]
     [Instance.Stream]) provide the same pull function without ever
@@ -105,7 +107,7 @@ module Source : sig
       [true] (or {!next_arrival} returned a finite time), [head_id],
       [head_arrival] and [head_size] read the job {!peek} would return,
       and [advance] consumes it.  Once inlined these are plain field
-      accesses, which is how the closed kernels admit jobs without
+      accesses, which is how the closed driver admits jobs without
       allocating — combined with {!of_raw}, nothing is built per job. *)
 
   val head_id : t -> int
@@ -171,20 +173,39 @@ val run_stream :
     produce jobs in non-decreasing arrival order with distinct ids.
     Parameters and errors as in {!run} (no trace in streaming mode). *)
 
-val run_equal_share :
+val run_class :
   ?record_trace:bool ->
   ?speed:float ->
   ?max_events:int ->
   ?sink:sink ->
   machines:int ->
+  Policy_class.t ->
   Job.t list ->
   result
-(** [run_equal_share ~machines jobs] simulates the equal-share allocation
-    [min(1, machines/alive)] — Round Robin's fluid schedule — computing the
-    full cascade of completions analytically in O((n + events) log alive).
-    Flow times agree with [run ~policy:Rr_policies.Round_robin.policy] up
-    to floating-point rounding; traces carry the same segments (entry order
-    within a segment may differ).  Parameters and errors as in {!run}. *)
+(** [run_class ~machines klass jobs] runs [klass]'s kernel on [jobs]
+    until every job completes: the general loop's event semantics
+    (completion threshold, completion-beats-arrival tie rule, event
+    accounting) at O(m + log alive) per event for the index-like
+    kernels and O(alive) for the dense ones.  Traces carry the same
+    segments as {!run}'s (entry order within a segment may differ).
+    Parameters and errors as in {!run}; also
+    @raise Invalid_argument on out-of-range class parameters. *)
+
+val run_class_stream :
+  ?speed:float ->
+  ?max_events:int ->
+  machines:int ->
+  sink:sink ->
+  Policy_class.t ->
+  (Source.cursor -> int) ->
+  summary
+(** Streaming counterpart of {!run_class} over an unboxed
+    {!Source.of_raw} producer: the source hands over (id, arrival, size)
+    through a flat cursor instead of a [Job.t option], and the kernel
+    state is the {e entire} live state, so a 10M-job instance runs in
+    O(max alive) heap.  Combined with the per-domain scratch {!Arena}
+    the equal-share kernel runs at ~0 words allocated per job in steady
+    state (the B4 benchmark gate). *)
 
 val run_equal_share_stream_raw :
   ?speed:float ->
@@ -193,43 +214,11 @@ val run_equal_share_stream_raw :
   sink:sink ->
   (Source.cursor -> int) ->
   summary
-(** Streaming counterpart of {!run_equal_share} over an unboxed
-    {!Source.of_raw} producer: the source hands over (id, arrival, size)
-    through a flat cursor instead of a [Job.t option], and the deadline
-    heap (with each job's arrival and size as satellites) is the
-    {e entire} live state, so a 10M-job instance runs in O(max alive)
-    heap.  Combined with the per-domain scratch {!Arena} this entry point
-    runs at ~0 words allocated per job in steady state (the B4 benchmark
-    gate). *)
+(** [run_class_stream Policy_class.Equal_share]: Round Robin's streamed
+    run. *)
 
 val flows : result -> float array
 (** Flow times [F_j = C_j - r_j], indexed by job id. *)
 
 val total_flow : result -> float
 (** Compensated sum of all flow times (the l1 objective, unrooted). *)
-
-(** {2 Plumbing shared with sibling engines}
-
-    The priority-index engines of {!Index_engine} reuse the exact same
-    input validation, ordering, and completion semantics as the two
-    engines here, so a differential test that agrees is comparing event
-    loops, never bookkeeping. *)
-
-val completion_threshold : float -> float
-(** [completion_threshold size = 1e-9 *. (1. +. size)] — a job counts as
-    complete when its residual work is at most this; the threshold
-    absorbs the rounding of the analytic advance and is shared by every
-    engine so they agree on what "finished" means. *)
-
-val validate_jobs : Job.t list -> int
-(** Check ids are exactly [0 .. n-1] without duplicates; return [n].
-    @raise Invalid_argument otherwise. *)
-
-val jobs_by_id : Job.t list -> int -> Job.t array
-(** Jobs indexed by id (the [jobs] field of {!result}). *)
-
-val release_order : Job.t list -> int -> Job.t array
-(** Jobs sorted by [(arrival, id)], skipping the sort when the list is
-    already ordered (instances hand jobs over sorted).  The result is
-    memoized for the most recent list (by physical equality) and may be
-    shared between calls — treat it as read-only. *)

@@ -308,8 +308,9 @@ let value_interval ?(gamma = 1.) ?(windows = Sparse) ?init_delta ?(min_delta = 1
      term at or below the LP certificate in practice, making the filter a
      sound stand-in for the bound it short-circuits.
 
-   The SRPT sum comes from the priority-index kernel
-   (Rr_engine.Index_engine), so the filter costs one fast simulation. *)
+   The SRPT sum comes from the priority-index kernel (through
+   Rr_engine.Simulator.run_class), so the filter costs one fast
+   simulation. *)
 let cheap_lower_bound ?(gamma = 1.) ~k ~machines inst =
   validate ~k ~machines ~delta:1.;
   let jobs = Rr_workload.Instance.jobs inst in
@@ -325,7 +326,9 @@ let cheap_lower_bound ?(gamma = 1.) ~k ~machines inst =
       let srpt_term =
         if machines = 1 then begin
           let res =
-            Rr_engine.Index_engine.run ~machines:1 ~kind:Rr_engine.Index_engine.Srpt jobs
+            Rr_engine.Simulator.run_class ~machines:1
+              (Rr_engine.Policy_class.Static_key Rr_engine.Policy_class.Key_remaining)
+              jobs
           in
           let total = Rr_util.Kahan.sum (Rr_engine.Simulator.flows res) in
           Rr_util.Floatx.powi total k /. Rr_util.Floatx.powi (2. *. Float.of_int n) (k - 1)

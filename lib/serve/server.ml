@@ -66,6 +66,7 @@ let engine_error_message = function
   | Invalid_argument m | Failure m | Sys_error m -> Some m
   | Rr_engine.Simulator.Event_limit_exceeded { limit; now } ->
       Some (Printf.sprintf "event budget exhausted: %d events by t = %g" limit now)
+  | Rr_engine.Simulator.Invalid_allocation m -> Some ("invalid allocation: " ^ m)
   | _ -> None
 
 (* Run one engine operation; faults become ERR replies on [wr] and the

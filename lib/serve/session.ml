@@ -68,6 +68,7 @@ let handle (engine : Live.t ref) line =
         | Sys_error msg -> "ERR " ^ msg
         | Rr_engine.Simulator.Event_limit_exceeded { limit; now } ->
             Printf.sprintf "ERR event budget exhausted: %d events by t = %g" limit now
+        | Rr_engine.Simulator.Invalid_allocation msg -> "ERR invalid allocation: " ^ msg
       in
       if String.uppercase_ascii verb = "QUIT" && args = [] then Quit else Reply reply)
 

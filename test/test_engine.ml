@@ -243,7 +243,7 @@ let test_max_events () =
       Alcotest.(check bool) "progress recorded" true (now >= 0.)
   | _ -> Alcotest.fail "expected max_events to trip");
   (* the equal-share engine enforces the same budget *)
-  match Simulator.run_equal_share ~max_events:2 ~machines:1 jobs with
+  match Simulator.run_class ~max_events:2 ~machines:1 Rr_engine.Policy_class.Equal_share jobs with
   | exception Simulator.Event_limit_exceeded { limit = 2; _ } -> ()
   | _ -> Alcotest.fail "expected max_events to trip in run_equal_share"
 

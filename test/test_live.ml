@@ -8,7 +8,9 @@
      count (on such feeds the event sequences are identical, so in
      practice the agreement is bit-exact);
    - interleaved: submitting while advancing — including horizons that
-     split inter-event intervals — changes nothing beyond rounding;
+     split inter-event intervals — changes nothing: on ladder knife-edge
+     sizes every registry class returns the closed driver's flows bit
+     for bit;
    - snapshot/restore: a restored engine continues bit-identically;
    - selection: [`Live] names, dispatches and caches distinctly from the
      closed engines, and impossible engine/policy pairings fail loudly. *)
@@ -27,11 +29,11 @@ let rel_diff a b = Float.abs (a -. b) /. Float.max 1e-12 (Float.max (Float.abs a
    value across runs is safe (quantum-rr, which is not, stays out). *)
 let live_specs =
   [
-    (Live.Equal_share, Rr_policies.Round_robin.policy);
-    (Live.Indexed Rr_engine.Index_engine.Srpt, Rr_policies.Srpt.policy);
-    (Live.Indexed Rr_engine.Index_engine.Sjf, Rr_policies.Sjf.policy);
-    (Live.Indexed Rr_engine.Index_engine.Fcfs, Rr_policies.Fcfs.policy);
-    (Live.Setf_cascade, Rr_policies.Setf.policy);
+    (Live.Classified Rr_engine.Policy_class.Equal_share, Rr_policies.Round_robin.policy);
+    (Live.Classified (Rr_engine.Policy_class.Static_key Key_remaining), Rr_policies.Srpt.policy);
+    (Live.Classified (Rr_engine.Policy_class.Static_key Key_size), Rr_policies.Sjf.policy);
+    (Live.Classified (Rr_engine.Policy_class.Static_key Key_arrival), Rr_policies.Fcfs.policy);
+    (Live.Classified Rr_engine.Policy_class.Attained_cascade, Rr_policies.Setf.policy);
   ]
   @ List.map
       (fun spec ->
@@ -156,6 +158,59 @@ let prop_live_mlfq_knife_edge =
       let split, _ = live_flows ~interleave ~machines ~speed:1. ~k:2 spec inst in
       agree upfront && agree split)
 
+(* Every registry class on knife-edge sizes, with the clock pushed to a
+   random fraction of each gap before every submit: the live driver
+   advances its kernel at events only and refreshes it once per event,
+   so it must return the closed driver's flows bit for bit.  Sizes sit
+   on the registry MLFQ ladder's thresholds (q = 0.5, f = 2) and their
+   tolerance bands (mlfq_knife.ml), where a residual that a split rounds
+   differently lands on the other side of the completion threshold.
+   Levels <= 11 keep quantum-rr inside the event budget. *)
+let knife_split_gen =
+  QCheck2.Gen.(
+    let job =
+      quad (int_range 0 11)
+        (oneofl Mlfq_knife.[ On; Below; Above ])
+        (int_range (-3) 3)
+        (oneof [ return 0.; float_range 0. 1. ])
+    in
+    triple (oneofl [ 1; 2; 8 ])
+      (list_size (int_range 1 30) job)
+      (list_size (int_range 1 30) (float_range 0. 1.)))
+
+let knife_case (machines, jobs, _) =
+  { Mlfq_knife.base_quantum = 0.5; factor = 2.; machines; jobs }
+
+let prop_live_split_bit_exact spec =
+  let klass = Option.get (Rr_policies.Registry.make spec).Rr_engine.Policy.klass in
+  QCheck2.Test.make
+    ~name:
+      (Printf.sprintf "split live %s = closed bit for bit on knife edges"
+         (Rr_engine.Policy_class.engine_name klass))
+    ~count:200
+    ~print:(fun ((_, _, fracs) as g) ->
+      Printf.sprintf "%s fracs=[%s]" (Mlfq_knife.print (knife_case g))
+        (String.concat "; " (List.map (Printf.sprintf "%h") fracs)))
+    knife_split_gen
+    (fun ((machines, _, fracs) as g) ->
+      let inst = Instance.of_jobs (Mlfq_knife.pairs (knife_case g)) in
+      let fracs = Array.of_list fracs in
+      let reference =
+        Run.flows (Run.config ~machines ~cache:false ()) (Rr_policies.Registry.make spec) inst
+      in
+      let interleave live (j : Rr_engine.Job.t) =
+        let now = Live.now live in
+        Live.advance live (now +. (fracs.(j.id mod Array.length fracs) *. (j.arrival -. now)))
+      in
+      let flows, _ =
+        live_flows ~interleave ~machines ~speed:1. ~k:2 (Live.Classified klass) inst
+      in
+      Array.for_all2
+        (fun a b -> Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b))
+        flows reference)
+
+let split_props = List.map prop_live_split_bit_exact (Rr_policies.Registry.default_specs ())
+
 (* ------------------------------------------------------------------ *)
 (* Snapshot / restore round-trip                                       *)
 (* ------------------------------------------------------------------ *)
@@ -192,7 +247,7 @@ let test_snapshot_roundtrip () =
     live_specs
 
 let test_snapshot_file_roundtrip () =
-  let live = Live.create Live.Equal_share in
+  let live = Live.create (Live.Classified Rr_engine.Policy_class.Equal_share) in
   ignore (Live.submit live ~arrival:0. ~size:2.);
   ignore (Live.submit live ~arrival:0.5 ~size:1.);
   Live.advance live 1.;
@@ -222,15 +277,15 @@ let test_snapshot_rejects_old_version () =
       ignore (Live.submit live ~arrival:0.5 ~size:1.);
       Live.advance live 1.;
       let current = Live.to_bytes live in
-      let magic = "rr-live-snapshot-v3\n" in
+      let magic = "rr-live-snapshot-v4\n" in
       Alcotest.(check string)
         (Live.spec_name spec ^ " carries the current magic")
         magic
         (Bytes.sub_string current 0 (String.length magic));
       let old = Bytes.copy current in
-      Bytes.blit_string "rr-live-snapshot-v2\n" 0 old 0 (String.length magic);
+      Bytes.blit_string "rr-live-snapshot-v3\n" 0 old 0 (String.length magic);
       Alcotest.check_raises
-        (Live.spec_name spec ^ " v2 snapshot rejected")
+        (Live.spec_name spec ^ " v3 snapshot rejected")
         (Failure "Live.of_bytes: not a live-engine snapshot")
         (fun () -> ignore (Live.of_bytes old)))
     live_specs
@@ -240,7 +295,7 @@ let test_snapshot_rejects_old_version () =
 (* ------------------------------------------------------------------ *)
 
 let test_submit_validation () =
-  let live = Live.create Live.Equal_share in
+  let live = Live.create (Live.Classified Rr_engine.Policy_class.Equal_share) in
   ignore (Live.submit live ~arrival:2. ~size:1.);
   let expect_invalid name f =
     match f () with
@@ -267,15 +322,15 @@ let test_submit_validation () =
 let test_selection_surface () =
   let rr = Rr_policies.Round_robin.policy and srpt = Rr_policies.Srpt.policy in
   let sel engine policy = Run.selection_for (Run.config ~engine ()) policy in
-  Alcotest.(check bool) "auto picks equal-share for rr" true (sel `Auto rr = Run.Equal_share);
+  Alcotest.(check bool) "auto picks equal-share for rr" true
+    (sel `Auto rr = Run.Closed Rr_engine.Policy_class.Equal_share);
   (* [`Live] routes every classified policy through [Live.Classified];
      spec_name keeps the historical spellings, so audit names are stable. *)
   Alcotest.(check bool) "live rr" true
-    (sel `Live rr = Run.Live (Live.Classified Rr_engine.Policy_class.Equal_share));
+    (sel `Live rr = Run.Live Rr_engine.Policy_class.Equal_share);
   Alcotest.(check bool) "live srpt" true
     (sel `Live srpt
-    = Run.Live
-        (Live.Classified (Rr_engine.Policy_class.Static_key Rr_engine.Policy_class.Key_remaining)));
+    = Run.Live (Rr_engine.Policy_class.Static_key Rr_engine.Policy_class.Key_remaining));
   Alcotest.(check string) "live engine name" "live-equal-share"
     (Run.engine_name (Run.config ~engine:`Live ()) rr);
   let expect_invalid name f =
@@ -289,7 +344,7 @@ let test_selection_surface () =
      class declaration (klass = None) are refused. *)
   let laps = Rr_policies.Registry.make (Rr_policies.Registry.Laps 0.25) in
   Alcotest.(check bool) "live accepts classified laps" true
-    (match sel `Live laps with Run.Live (Live.Classified _) -> true | _ -> false);
+    (match sel `Live laps with Run.Live _ -> true | _ -> false);
   let unclassified =
     { Rr_policies.Srpt.policy with Rr_engine.Policy.name = "unclassified"; klass = None }
   in
@@ -325,6 +380,7 @@ let test_live_measure_stream_agrees () =
 let qsuite =
   List.map QCheck_alcotest.to_alcotest interleaved_props
   @ [ Mlfq_knife.to_alcotest ~seed:20150601 prop_live_mlfq_knife_edge ]
+  @ List.map (Mlfq_knife.to_alcotest ~seed:20150601) split_props
 
 let () =
   Alcotest.run "rr_live"

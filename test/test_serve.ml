@@ -42,7 +42,7 @@ let temp_sock () =
    server (best-effort, in case [f] already did) and join the domain. *)
 let with_server ?config ~proto f =
   let path = temp_sock () in
-  let engine = ref (Live.create Live.Equal_share) in
+  let engine = ref (Live.create (Live.Classified Rr_engine.Policy_class.Equal_share)) in
   let d = Domain.spawn (fun () -> Server.run ?config ~proto ~engine ~path ()) in
   Fun.protect
     ~finally:(fun () ->
@@ -254,7 +254,7 @@ let test_frame_f64_bitexact () =
 (* ------------------------------------------------------------------ *)
 
 let test_session_crlf () =
-  let engine = ref (Live.create Live.Equal_share) in
+  let engine = ref (Live.create (Live.Classified Rr_engine.Policy_class.Equal_share)) in
   (match Session.handle engine "SUBMIT 0 1\r" with
   | Session.Reply r -> Alcotest.(check string) "CR-terminated SUBMIT" "OK 0" r
   | _ -> Alcotest.fail "CR-terminated SUBMIT not answered");
@@ -275,8 +275,8 @@ let test_session_crlf () =
 let test_submit_batch_differential () =
   let n = 2000 in
   let arrivals, sizes = workload ~seed:7 ~n in
-  let one = Live.create ~k:3 Live.Equal_share in
-  let batch = Live.create ~k:3 Live.Equal_share in
+  let one = Live.create ~k:3 (Live.Classified Rr_engine.Policy_class.Equal_share) in
+  let batch = Live.create ~k:3 (Live.Classified Rr_engine.Policy_class.Equal_share) in
   let chunk = 97 in
   let i = ref 0 in
   while !i < n do
@@ -297,7 +297,7 @@ let test_submit_batch_differential () =
   check_stats_equal "submit_batch vs repeated submit" (Live.query one) (Live.query batch)
 
 let test_submit_batch_atomic () =
-  let t = Live.create Live.Equal_share in
+  let t = Live.create (Live.Classified Rr_engine.Policy_class.Equal_share) in
   ignore (Live.submit t ~arrival:0. ~size:1. : int);
   let before = Live.query t in
   (* Decreasing arrival in the middle of the slice: the whole batch must
@@ -311,7 +311,7 @@ let test_submit_batch_atomic () =
   Alcotest.(check int) "next id unchanged" 1 (Live.submit t ~arrival:1. ~size:1.)
 
 let test_submit_batch_slice () =
-  let t = Live.create Live.Equal_share in
+  let t = Live.create (Live.Classified Rr_engine.Policy_class.Equal_share) in
   let arrivals = [| 99.; 1.; 2.; 99. |] and sizes = [| 0.; 5.; 6.; 0. |] in
   let first = Live.submit_batch t ~arrivals ~sizes ~off:1 ~len:2 () in
   Alcotest.(check int) "slice first id" 0 first;
@@ -334,7 +334,7 @@ let test_binary_matches_inprocess () =
       let n = 1500 in
       let arrivals, sizes = workload ~seed:11 ~n in
       let c = Client.connect path in
-      let local = Live.create Live.Equal_share in
+      let local = Live.create (Live.Classified Rr_engine.Policy_class.Equal_share) in
       let chunk = 256 in
       let i = ref 0 in
       while !i < n do

@@ -56,7 +56,7 @@ let prop_equal_share_matches_general =
     (fun (pairs, machines, speed) ->
       let jobs = Instance.jobs (instance_of_pairs pairs) in
       let general = Simulator.run ~machines ~speed ~policy:rr jobs in
-      let fast = Simulator.run_equal_share ~machines ~speed jobs in
+      let fast = Simulator.run_class ~machines ~speed Rr_engine.Policy_class.Equal_share jobs in
       let fg = Simulator.flows general and ff = Simulator.flows fast in
       Array.length fg = Array.length ff
       && Array.for_all2 (fun a b -> rel_diff a b <= flow_rtol) fg ff)
@@ -266,7 +266,9 @@ let test_equal_share_trace () =
   in
   let jobs = Instance.jobs inst in
   let general = Simulator.run ~record_trace:true ~machines:1 ~policy:rr jobs in
-  let fast = Simulator.run_equal_share ~record_trace:true ~machines:1 jobs in
+  let fast =
+    Simulator.run_class ~record_trace:true ~machines:1 Rr_engine.Policy_class.Equal_share jobs
+  in
   let work trace = Rr_engine.Trace.total_work ~speed:1. trace in
   let close what a b =
     if rel_diff a b > 1e-6 then Alcotest.failf "%s differ: %g vs %g" what a b
