@@ -15,7 +15,8 @@
    Ratio.vs_baseline, and the B6 live-engine
    benchmark driving every incremental core (Engine.Live) through the
    submit-one/advance feed rr_cli serve uses, gating sequential
-   throughput (>= 1M events/s at full scale) and <= 1e-9 agreement, and
+   throughput (>= 1M events/s at full scale), <= 1e-9 agreement and the
+   feed's allocated words per job, and
    the B7 certified-bound benchmark gating the sparse LP network against
    the frozen dense lp-bound-n40 baseline (>= 25x, equal value), warm
    resolves against cold solves (<= 1e-9), and the wall-clock of a
@@ -40,9 +41,10 @@
    on one CPU), when B4's
    allocation/peak-heap/agreement gates fail, or when a B5 engine or B6
    live core misses its perf floor or its <= 1e-9
-   differential-agreement gate, or a B5 engine's streamed path allocates
-   more words per job than its ceiling, or when B8 misses a throughput gate or
-   its socket-vs-in-process agreement, so CI can gate on them.
+   differential-agreement gate, or a B5 engine's streamed path or a B6
+   live feed allocates more words per job than its ceiling, or when B8
+   misses a throughput gate or its socket-vs-in-process agreement, so
+   CI can gate on them.
 
    Usage: dune exec bench/main.exe [-- --quick] [-- --jobs N]
    (RR_JOBS is honoured when --jobs is absent; default: all cores.)  *)
@@ -1072,6 +1074,8 @@ type b6_point = {
   l_events_per_s : float;
   l_max_rel_diff : float;
   l_gate_eps : float;
+  l_words_per_job : float;
+  l_max_words : float;
 }
 
 type b6_report = {
@@ -1087,23 +1091,35 @@ type b6_report = {
    margin, the heap-cascade specs (equal-share, SETF) carry more state
    per event and get the bare floor, and the dense rate-vector cores
    (laps, mlfq, wrr-age) touch every alive job per event, so they get
-   half of it. *)
+   half of it.
+
+   The third column is the allocation ceiling of the same feed, minor
+   words per job, B5's measure applied to the live driver: ~1.5x what
+   the release profile measures (EXPERIMENTS.md).  The pending ring and
+   the metric folds allocate nothing; what remains is the kernel's own
+   per-event churn plus the boxed arrival and flow each completion hands
+   to the sink.  A boxed float back on the per-job path costs two words
+   per job per update, so it fails the bench while run-to-run noise does
+   not.  Like B4's and B5's, the ceilings assume the release profile. *)
 let b6_cases =
   List.map
-    (fun (spec, gate) ->
+    (fun (spec, gate, max_words) ->
       let policy = Rr_policies.Registry.make spec in
-      (Rr_engine.Live.Classified (Option.get policy.Rr_engine.Policy.klass), policy, gate))
+      ( Rr_engine.Live.Classified (Option.get policy.Rr_engine.Policy.klass),
+        policy,
+        gate,
+        max_words ))
     Rr_policies.Registry.
       [
-        (Rr, 1.0e6);
-        (Srpt, 1.0e6);
-        (Sjf, 1.0e6);
-        (Fcfs, 1.0e6);
-        (Setf, 1.0e6);
-        (Laps 0.5, 0.5e6);
-        (Mlfq 0.5, 0.5e6);
-        (Wrr_age 2, 0.5e6);
-        (Hybrid 3., 1.0e6);
+        (Rr, 1.0e6, 9.);
+        (Srpt, 1.0e6, 25.);
+        (Sjf, 1.0e6, 25.);
+        (Fcfs, 1.0e6, 25.);
+        (Setf, 1.0e6, 33.);
+        (Laps 0.5, 0.5e6, 24.);
+        (Mlfq 0.5, 0.5e6, 24.);
+        (Wrr_age 2, 0.5e6, 24.);
+        (Hybrid 3., 1.0e6, 51.);
       ]
 
 let run_live_bench () =
@@ -1121,7 +1137,7 @@ let run_live_bench () =
   (* Same rationale as B5: quick mode halves the perf floors (CI smoke on
      shared runners, smaller n), agreement gates stay exact. *)
   let gate_scale = if quick then 0.5 else 1.0 in
-  let point (spec, (policy : Rr_engine.Policy.t), full_gate) =
+  let point (spec, (policy : Rr_engine.Policy.t), full_gate, max_words) =
     let gate_eps = full_gate *. gate_scale in
     (* Agreement first, on a slice small enough to keep the flow compare
        cheap: live flows vs the closed engine's, per job id. *)
@@ -1151,9 +1167,12 @@ let run_live_bench () =
     if !max_rel > diff_rtol then
       fail "B6: %s: max relative flow diff %.2e exceeds rtol %.0e"
         (Rr_engine.Live.spec_name spec) !max_rel diff_rtol;
-    (* Throughput: the full incremental feed, timed end to end. *)
+    (* Throughput and allocation: the full incremental feed, timed end
+       to end, its minor words counted as in B5 ([Gc.minor_words]
+       includes the minor heap's current fill). *)
     Gc.compact ();
     let live = Rr_engine.Live.create spec in
+    let words0 = Gc.minor_words () in
     let t0 = Unix.gettimeofday () in
     Array.iter
       (fun (j : Rr_engine.Job.t) ->
@@ -1162,14 +1181,19 @@ let run_live_bench () =
       jobs;
     Rr_engine.Live.drain live;
     let feed_s = Unix.gettimeofday () -. t0 in
+    let words = (Gc.minor_words () -. words0) /. Float.of_int n in
     let events = (Rr_engine.Live.query live).Rr_engine.Live.events in
     let eps = Float.of_int events /. Float.max 1e-9 feed_s in
     if eps < gate_eps then
       fail "B6: %s: %.2e events/s below gate %.1e" (Rr_engine.Live.spec_name spec) eps gate_eps;
+    if words > max_words then
+      fail "B6: %s: incremental feed allocates %.1f words/job, above %.0f"
+        (Rr_engine.Live.spec_name spec) words max_words;
     Printf.printf
       "B6: %-13s n=%d incremental feed: %d events in %6.3f s | %8.0f kevents/s (gate \
-       >=%.0f k) | max rel diff %.2e\n%!"
-      (Rr_engine.Live.spec_name spec) n events feed_s (eps /. 1e3) (gate_eps /. 1e3) !max_rel;
+       >=%.0f k) | max rel diff %.2e | %5.1f words/job (gate <=%.0f)\n%!"
+      (Rr_engine.Live.spec_name spec) n events feed_s (eps /. 1e3) (gate_eps /. 1e3) !max_rel
+      words max_words;
     {
       l_spec = Rr_engine.Live.spec_name spec;
       l_events = events;
@@ -1177,6 +1201,8 @@ let run_live_bench () =
       l_events_per_s = eps;
       l_max_rel_diff = !max_rel;
       l_gate_eps = gate_eps;
+      l_words_per_job = words;
+      l_max_words = max_words;
     }
   in
   let points = List.map point b6_cases in
@@ -1188,7 +1214,7 @@ let write_live_json (b6 : b6_report) =
   let buf = Buffer.create 1024 in
   let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   add "{\n";
-  add "  \"schema\": \"bench_live/v1\",\n";
+  add "  \"schema\": \"bench_live/v2\",\n";
   add "  \"scale\": %S,\n" (if quick then "quick" else "full");
   add "  \"jobs\": %d, \"rtol\": %.0e,\n" b6.b6_n diff_rtol;
   add "  \"engines\": [\n";
@@ -1197,10 +1223,13 @@ let write_live_json (b6 : b6_report) =
       add
         "    {\"spec\": %S, \"events\": %d, \"feed_s\": %.6f, \"events_per_s\": %.1f, \
          \"max_rel_flow_diff\": %.3e, \"gate_min_events_per_s\": %.1f, \"gate_ok\": %b, \
-         \"agree\": %b}%s\n"
+         \"agree\": %b, \"words_per_job\": %.2f, \"gate_max_words_per_job\": %.0f, \
+         \"words_ok\": %b}%s\n"
         p.l_spec p.l_events p.l_feed_s p.l_events_per_s p.l_max_rel_diff p.l_gate_eps
         (p.l_events_per_s >= p.l_gate_eps)
         (p.l_max_rel_diff <= diff_rtol)
+        p.l_words_per_job p.l_max_words
+        (p.l_words_per_job <= p.l_max_words)
         (if i = List.length b6.b6_points - 1 then "" else ","))
     b6.b6_points;
   add "  ],\n";

@@ -10,12 +10,16 @@
    split — so however a caller splits time, the kernel performs the same
    float operations on the same jobs as the closed driver (see [step]).
 
-   Everything in [state] is plain mutable data — heaps of float arrays,
-   queues, records, an option-linked group list — with no closures, so a
-   whole engine snapshots with [Marshal] (which handles the SETF
-   prev/next cycles via its sharing machinery).  The completion sink is
-   the one closure a live engine carries; it lives outside [state] and
-   is re-attached on restore. *)
+   The per-job path allocates nothing of its own: pending jobs wait in a
+   ring of two flat float arrays, and the completion folds (Kahan power
+   sum, Welford moments, three P² sketches) update flat float stores.
+
+   Everything in [state] is plain mutable data — heaps and rings of
+   float arrays, records, an option-linked group list — with no
+   closures, so a whole engine snapshots with [Marshal] (which handles
+   the SETF prev/next cycles via its sharing machinery).  The completion
+   sink is the one closure a live engine carries; it lives outside
+   [state] and is re-attached on restore. *)
 
 type spec = Classified of Policy_class.t
 
@@ -43,8 +47,14 @@ type state = {
      pure horizon split. *)
   mutable rates_dirty : bool;
   (* Submitted jobs not yet admitted, in submission = (arrival, id)
-     order; arrivals are validated non-decreasing at [submit]. *)
-  pending : (int * float * float) Queue.t;
+     order (arrivals are validated non-decreasing at [submit]): a ring of
+     [pending] jobs from slot [head] of two flat float arrays whose
+     length is a power of two.  The oldest pending job's id is
+     [submitted - pending]. *)
+  mutable arrivals : float array;
+  mutable sizes : float array;
+  mutable head : int;
+  mutable pending : int;
   fl : fl;
   mutable submitted : int;
   mutable completed : int;
@@ -107,6 +117,10 @@ let attach st sink =
   in
   t
 
+(* The pending ring's initial length: small, so an idle engine's
+   snapshot stays small; [reserve] doubles it as submissions need. *)
+let ring_slots = 16
+
 (* A live engine is long-lived by design — its kernel owns its heaps
    outright rather than borrowing from the per-domain {!Arena}, whose
    components must not outlive a single borrow. *)
@@ -126,7 +140,10 @@ let create ?(machines = 1) ?(speed = 1.) ?(k = 2) ?(max_events = max_int) ?(sink
       max_events;
       kernel = Kernel.create ~scratch:None ~machines ~speed klass;
       rates_dirty = true;
-      pending = Queue.create ();
+      arrivals = Array.make ring_slots 0.;
+      sizes = Array.make ring_slots 0.;
+      head = 0;
+      pending = 0;
       fl = { now = 0.; last_arrival = 0.; makespan = 0.; max_flow = 0. };
       submitted = 0;
       completed = 0;
@@ -146,6 +163,30 @@ let set_sink t sink = t.sink <- sink
 (* Submission                                                          *)
 (* ------------------------------------------------------------------ *)
 
+(* Make room for [extra] more pending jobs: double the ring until they
+   fit, copying the pending jobs to the front of the new arrays in
+   order. *)
+let reserve (st : state) extra =
+  let cap = Array.length st.arrivals in
+  if st.pending + extra > cap then begin
+    let cap' = ref (2 * cap) in
+    while st.pending + extra > !cap' do
+      cap' := 2 * !cap'
+    done;
+    let arrivals = Array.make !cap' 0. and sizes = Array.make !cap' 0. in
+    for j = 0 to st.pending - 1 do
+      let i = (st.head + j) land (cap - 1) in
+      arrivals.(j) <- st.arrivals.(i);
+      sizes.(j) <- st.sizes.(i)
+    done;
+    st.arrivals <- arrivals;
+    st.sizes <- sizes;
+    st.head <- 0
+  end
+
+(* The ring slot of the [j]-th pending job, counted from the oldest. *)
+let[@inline] slot (st : state) j = (st.head + j) land (Array.length st.arrivals - 1)
+
 let submit t ~arrival ~size =
   let st = t.st in
   if not (Rr_util.Floatx.is_finite_nonneg arrival) then
@@ -161,13 +202,17 @@ let submit t ~arrival ~size =
     invalid_arg
       (Printf.sprintf "Live.submit: arrival %g is in the simulated past (now = %g)" arrival
          st.fl.now);
+  reserve st 1;
+  let i = slot st st.pending in
+  st.arrivals.(i) <- arrival;
+  st.sizes.(i) <- size;
+  st.pending <- st.pending + 1;
   let id = st.submitted in
   st.submitted <- id + 1;
   st.fl.last_arrival <- arrival;
-  Queue.add (id, arrival, size) st.pending;
   id
 
-(* Bulk submission: exactly the pending-queue pushes [submit] would
+(* Bulk submission: exactly the pending-ring pushes [submit] would
    perform for the same jobs in the same order (bit-identical engine
    state, differentially pinned by test_serve), with the validation pass
    hoisted out in front.  The whole slice is checked before anything
@@ -199,11 +244,14 @@ let submit_batch t ~arrivals ~sizes ?(off = 0) ?len () =
            st.fl.now);
     last := arrival
   done;
-  let first = st.submitted in
-  for i = 0 to len - 1 do
-    Queue.add (first + i, Array.unsafe_get arrivals (off + i), Array.unsafe_get sizes (off + i))
-      st.pending
+  reserve st len;
+  for j = 0 to len - 1 do
+    let i = slot st (st.pending + j) in
+    Array.unsafe_set st.arrivals i (Array.unsafe_get arrivals (off + j));
+    Array.unsafe_set st.sizes i (Array.unsafe_get sizes (off + j))
   done;
+  st.pending <- st.pending + len;
+  let first = st.submitted in
   st.submitted <- first + len;
   if len > 0 then st.fl.last_arrival <- arrivals.(off + len - 1);
   first
@@ -212,11 +260,8 @@ let submit_batch t ~arrivals ~sizes ?(off = 0) ?len () =
 (* The live driver                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let next_pending (st : state) =
-  if Queue.is_empty st.pending then Float.infinity
-  else
-    let _, a, _ = Queue.peek st.pending in
-    a
+let[@inline] next_pending (st : state) =
+  if st.pending = 0 then Float.infinity else Array.unsafe_get st.arrivals st.head
 
 let bump_events (st : state) =
   st.events <- st.events + 1;
@@ -227,9 +272,12 @@ let bump_events (st : state) =
 let admit_upto (st : state) =
   let clk = Kernel.clock st.kernel in
   while next_pending st <= clk.now do
-    let id, arrival, size = Queue.pop st.pending in
-    clk.arrival <- arrival;
-    clk.size <- size;
+    let h = st.head in
+    clk.arrival <- Array.unsafe_get st.arrivals h;
+    clk.size <- Array.unsafe_get st.sizes h;
+    let id = st.submitted - st.pending in
+    st.head <- slot st 1;
+    st.pending <- st.pending - 1;
     Kernel.admit st.kernel id;
     st.rates_dirty <- true
   done;
@@ -256,7 +304,7 @@ let step t ~target =
   let clk = Kernel.clock k in
   if Kernel.alive k = 0 then begin
     let a = next_pending st in
-    if a <= target && not (Queue.is_empty st.pending) then begin
+    if a <= target && st.pending > 0 then begin
       (* Idle period: jump straight to the next arrival. *)
       bump_events st;
       clk.now <- a;
@@ -322,7 +370,7 @@ let query (t : t) =
     submitted = st.submitted;
     completed = n;
     alive = Kernel.alive st.kernel;
-    pending = Queue.length st.pending;
+    pending = st.pending;
     now = st.fl.now;
     events = st.events;
     makespan = st.fl.makespan;
@@ -353,10 +401,10 @@ let k t = t.st.k
    junk file fails loudly instead of segfaulting the unmarshaller.  The
    version names the memory layout of [state] and of the kernel states
    it embeds: any change to either must bump it, or an older build's
-   snapshot would be unmarshalled into the new layout.  v4: one kernel
-   interface, every kernel on the shared flat clock. *)
+   snapshot would be unmarshalled into the new layout.  v5: the pending
+   ring and the flat P² and Welford stores. *)
 
-let snapshot_magic = "rr-live-snapshot-v4\n"
+let snapshot_magic = "rr-live-snapshot-v5\n"
 
 let to_bytes t =
   Bytes.cat (Bytes.of_string snapshot_magic) (Marshal.to_bytes t.st [])

@@ -16,7 +16,7 @@
     the priority-index slots, the SETF cascade and the dense, hybrid and
     budget kernels.  Each event costs what the kernel's event costs
     (O(m + log alive) for the index-like ones); live memory is
-    O(alive + pending), independent of how many jobs have passed
+    O(alive + peak pending), independent of how many jobs have passed
     through.  The kernel is advanced at events only, by the whole
     interval since the last one, and refreshed once per event: however
     {!advance} splits time, and however submissions interleave with it,
@@ -24,6 +24,13 @@
     closed driver's order and returns its flow times bit for bit
     (test_live.ml pins this for every registry class on ladder
     knife-edge instances).
+
+    The per-job path allocates nothing of its own: pending jobs wait in a
+    growable power-of-two ring of two flat float arrays (16 slots at
+    {!create}, doubled as submissions need), and the completion folds
+    ({!Rr_util.Kahan}, {!Rr_util.Welford}, three {!Rr_util.P2} sketches)
+    update flat float stores.  What a completion still allocates is the
+    boxed arrival and flow it hands to the sink.
 
     Engine state is closure-free, so a whole engine — mid-run, with jobs
     alive and pending — serializes with {!to_bytes}/{!save} and resumes
@@ -86,7 +93,7 @@ val submit : t -> arrival:float -> size:float -> int
 (** Submit one job; returns its dense id (0, 1, 2, ... in submission
     order).  Arrivals must be non-decreasing across submissions and must
     not lie in the simulated past ([arrival >= now]); the job waits in
-    the pending queue until {!advance} reaches its arrival.
+    the pending ring until {!advance} reaches its arrival.
     @raise Invalid_argument on a non-finite or decreasing arrival, an
     arrival before [now], or a non-positive size. *)
 

@@ -483,7 +483,11 @@ let closed_core ~record_trace ~speed ~max_events ~machines klass ~(source : Sour
         raise
           (Invalid_allocation "alive jobs receive no service and no arrival or horizon is pending");
       clk.dt <- clk.t_next -. clk.now;
-      assert (clk.dt > 0.);
+      (* [dt = 0] is a zero-length event: a newcomer whose size lies
+         within [Clock.threshold] completes at its own arrival.  It runs
+         like any other, as in [Live.step]; a kernel stuck at [now]
+         still stops at [max_events]. *)
+      assert (clk.dt >= 0.);
       if record_trace then push_trace ();
       let gone = Kernel.finish k sink in
       if gone > 0 then begin

@@ -7,12 +7,22 @@
     for i.i.d. inputs; for the first five observations the estimate is the
     exact interpolated order statistic of the buffered sample.
 
-    The state is a plain record of arrays and scalars — no closures — so
-    it survives [Marshal]; {!Rr_metrics.Sink.quantile} wraps it in a
-    closure-based sink, and {!Rr_engine.Live} keeps it directly in its
-    snapshottable state.  The arithmetic here is the historical
-    [Sink.quantile] implementation moved verbatim, so sketch estimates are
-    bit-identical across the two entry points. *)
+    The whole state — marker heights, actual positions, and the desired
+    positions and increments of the three interior markers — is one flat
+    float array read at constant indices, so {!add} allocates nothing —
+    the live engine runs three sketches per completion on its serving
+    path, where a boxed intermediate per marker step would cost about as
+    much as the scheduling kernel itself.  The marker updates are
+    unrolled and their parabolic and linear steps written in line, so no
+    float crosses a call boxed.  Every value that is read goes through
+    the same float operations, in the same order, as the textbook loops
+    over five-element arrays, so estimates are bit-identical to that
+    formulation (test_util pins this against a verbatim copy of it).
+
+    The state has no closures, so it survives [Marshal];
+    {!Rr_metrics.Sink.quantile} wraps it in a closure-based sink, and
+    {!Rr_engine.Live} keeps it directly in its snapshottable state, so
+    sketch estimates are bit-identical across the two entry points. *)
 
 type t
 

@@ -1,7 +1,11 @@
 (** Numerically stable running moments (Welford's online algorithm).
 
     Collects count, mean, variance, min and max in one pass; used for the
-    flow-time summaries of {!Rr_metrics}. *)
+    flow-time summaries of {!Rr_metrics} and the live engine's per-job
+    metrics.  The state is all-float, so {!add} stores every field
+    unboxed and allocates nothing; the count is kept as a float, exact up
+    to 2{^53} observations, and every value equals the integer-count
+    formulation's bit for bit. *)
 
 type t
 

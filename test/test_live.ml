@@ -277,18 +277,165 @@ let test_snapshot_rejects_old_version () =
       ignore (Live.submit live ~arrival:0.5 ~size:1.);
       Live.advance live 1.;
       let current = Live.to_bytes live in
-      let magic = "rr-live-snapshot-v4\n" in
+      let magic = "rr-live-snapshot-v5\n" in
       Alcotest.(check string)
         (Live.spec_name spec ^ " carries the current magic")
         magic
         (Bytes.sub_string current 0 (String.length magic));
       let old = Bytes.copy current in
-      Bytes.blit_string "rr-live-snapshot-v3\n" 0 old 0 (String.length magic);
+      Bytes.blit_string "rr-live-snapshot-v4\n" 0 old 0 (String.length magic);
       Alcotest.check_raises
-        (Live.spec_name spec ^ " v3 snapshot rejected")
+        (Live.spec_name spec ^ " v4 snapshot rejected")
         (Failure "Live.of_bytes: not a live-engine snapshot")
         (fun () -> ignore (Live.of_bytes old)))
     live_specs
+
+(* ------------------------------------------------------------------ *)
+(* The pending ring                                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* A batched feed whose advances lag the submissions: after each batch
+   of [len] jobs the clock moves to the midpoint between two arrivals, so
+   exactly [lag] submitted jobs stay pending ([lag = 0] drains).  On the
+   ring's initial 16 slots the second batch wraps it, the third grows it
+   while wrapped, and the fourth wraps the grown ring again. *)
+let ring_script = [ (10, 2); (12, 10); (20, 25); (5, 30); (60, 40); (100, 7); (93, 0) ]
+
+let ring_jobs () =
+  let inst = poisson_instance ~seed:17 ~machines:2 ~n:300 in
+  let jobs = Array.of_list (Instance.jobs inst) in
+  ( inst,
+    Array.map (fun (j : Rr_engine.Job.t) -> j.arrival) jobs,
+    Array.map (fun (j : Rr_engine.Job.t) -> j.size) jobs )
+
+let bits_equal a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let check_stats_bits name (a : Live.stats) (b : Live.stats) =
+  let ints (s : Live.stats) =
+    [ s.submitted; s.completed; s.alive; s.pending; s.events; s.max_alive ]
+  and floats (s : Live.stats) =
+    [ s.now; s.makespan; s.mean_flow; s.max_flow; s.power_sum; s.norm; s.p50; s.p90; s.p99 ]
+  in
+  Alcotest.(check (list int)) (name ^ " counts") (ints a) (ints b);
+  Alcotest.(check (list int64))
+    (name ^ " float bits")
+    (List.map Int64.bits_of_float (floats a))
+    (List.map Int64.bits_of_float (floats b))
+
+(* Drive [spec] through [ring_script], checking every batch's ids and
+   the pending count after every batch and advance.  [at_step i live]
+   runs after batch [i] is submitted, before its advance, and returns
+   the engine to carry on with.  Returns the per-job flows and the final
+   stats. *)
+let run_ring_script ?(at_step = fun _ live -> live) spec ~arrivals ~sizes =
+  let flows = Array.make (Array.length arrivals) nan in
+  let sink ~id ~arrival:_ ~flow = flows.(id) <- flow in
+  let live = ref (Live.create ~machines:2 ~sink spec) in
+  let pending () = (Live.query !live).Live.pending in
+  ignore
+    (List.fold_left
+       (fun (i, first, lag_before) (len, lag) ->
+         Alcotest.(check int) "batch first id" first
+           (Live.submit_batch !live ~arrivals ~sizes ~off:first ~len ());
+         Alcotest.(check int) "pending after batch" (lag_before + len) (pending ());
+         live := at_step i !live;
+         Live.set_sink !live sink;
+         let submitted = first + len in
+         if lag = 0 then Live.drain !live
+         else
+           Live.advance !live
+             ((arrivals.(submitted - lag - 1) +. arrivals.(submitted - lag)) /. 2.);
+         Alcotest.(check int) "pending after advance" lag (pending ());
+         (i + 1, submitted, lag))
+       (0, 0, 0) ring_script
+      : int * int * int);
+  (flows, Live.query !live)
+
+let check_flows_closed spec inst flows =
+  let (Live.Classified klass) = spec in
+  let reference =
+    Rr_engine.Simulator.(flows (run_class ~machines:2 klass (Instance.jobs inst)))
+  in
+  Array.iteri
+    (fun i f ->
+      if not (bits_equal f reference.(i)) then
+        Alcotest.failf "%s job %d: live %h vs closed %h" (Live.spec_name spec) i f
+          reference.(i))
+    flows
+
+let test_ring_wrap_and_grow () =
+  let inst, arrivals, sizes = ring_jobs () in
+  List.iter
+    (fun (spec, _) ->
+      let flows, _ = run_ring_script spec ~arrivals ~sizes in
+      check_flows_closed spec inst flows)
+    live_specs
+
+(* Rejected batches long enough to grow the wrapped ring, were they
+   accepted, leave the engine byte-for-byte as it was. *)
+let test_ring_rejected_batch () =
+  let inst, arrivals, sizes = ring_jobs () in
+  let reject i live =
+    if i = 3 then begin
+      let before = Live.to_bytes live and stats = Live.query live in
+      let first = stats.Live.submitted in
+      List.iter
+        (fun spoil ->
+          let a = Array.sub arrivals first 40 and s = Array.sub sizes first 40 in
+          spoil a s;
+          (match Live.submit_batch live ~arrivals:a ~sizes:s () with
+          | _ -> Alcotest.fail "invalid batch accepted"
+          | exception Invalid_argument _ -> ());
+          check_stats_bits "rejected batch" stats (Live.query live);
+          Alcotest.(check bool)
+            "snapshot unchanged" true
+            (Bytes.equal before (Live.to_bytes live)))
+        [ (fun _ s -> s.(39) <- 0.); (fun a _ -> a.(39) <- a.(38) -. 1.) ]
+    end;
+    live
+  in
+  List.iter
+    (fun (spec, _) ->
+      let flows, _ = run_ring_script ~at_step:reject spec ~arrivals ~sizes in
+      check_flows_closed spec inst flows)
+    live_specs
+
+(* A snapshot of a wrapped, grown ring restores into an engine that
+   finishes exactly as the run that never snapshotted. *)
+let test_ring_snapshot_wrapped () =
+  let _, arrivals, sizes = ring_jobs () in
+  List.iter
+    (fun (spec, _) ->
+      let plain_flows, plain = run_ring_script spec ~arrivals ~sizes in
+      let restore i live = if i = 3 then Live.of_bytes (Live.to_bytes live) else live in
+      let flows, restored = run_ring_script ~at_step:restore spec ~arrivals ~sizes in
+      check_stats_bits (Live.spec_name spec ^ " restored") plain restored;
+      Alcotest.(check bool)
+        (Live.spec_name spec ^ " flows bit for bit")
+        true
+        (Array.for_all2 bits_equal plain_flows flows))
+    live_specs
+
+(* The ring starts at 16 slots, so an idle engine's snapshot stays small
+   (under a kilobyte for the equal-share engine [serve] runs by default):
+   16 pending jobs fit in place, and the 17th doubles the two arrays. *)
+let test_ring_idle_snapshot_small () =
+  List.iter
+    (fun (spec, _) ->
+      let size jobs =
+        let live = Live.create spec in
+        for i = 1 to jobs do
+          ignore (Live.submit live ~arrival:(Float.of_int i) ~size:1. : int)
+        done;
+        Bytes.length (Live.to_bytes live)
+      in
+      let name = Live.spec_name spec and idle = size 0 in
+      Alcotest.(check int) (name ^ ": 16 pending jobs fit the idle ring") idle (size 16);
+      Alcotest.(check int) (name ^ ": the 17th doubles it") (idle + (2 * 16 * 8)) (size 17))
+    live_specs;
+  let rr = Live.Classified Rr_engine.Policy_class.Equal_share in
+  let idle = Bytes.length (Live.to_bytes (Live.create rr)) in
+  if idle >= 1024 then Alcotest.failf "equal-share idle snapshot is %d bytes" idle
 
 (* ------------------------------------------------------------------ *)
 (* Submit validation and resumability                                  *)
@@ -398,6 +545,16 @@ let () =
             test_snapshot_file_roundtrip;
           Alcotest.test_case "older snapshot version rejected" `Quick
             test_snapshot_rejects_old_version;
+        ] );
+      ( "pending ring",
+        [
+          Alcotest.test_case "wraps and grows mid-wrap, = closed bit for bit" `Quick
+            test_ring_wrap_and_grow;
+          Alcotest.test_case "rejected batch leaves the engine untouched" `Quick
+            test_ring_rejected_batch;
+          Alcotest.test_case "wrapped snapshot restores bit for bit" `Quick
+            test_ring_snapshot_wrapped;
+          Alcotest.test_case "idle snapshot stays small" `Quick test_ring_idle_snapshot_small;
         ] );
       ( "lifecycle",
         [ Alcotest.test_case "submit validation and resume after drain" `Quick test_submit_validation ] );

@@ -385,6 +385,52 @@ let test_binary_snapshot_restore_across_servers () =
           Client.shutdown c2;
           Client.shutdown c1))
 
+(* The engine's pending ring over the wire: BATCH frames whose ADVANCEs
+   lag behind wrap the ring and grow it while wrapped, with the pending
+   count exact after every frame; a SNAPSHOT of the wrapped ring
+   RESTOREd into a fresh server then finishes exactly as an in-process
+   run of the same feed. *)
+let test_binary_wrapped_ring_snapshot () =
+  with_server ~proto:Server.Binary (fun path1 ->
+      with_server ~proto:Server.Binary (fun path2 ->
+          let arrivals, sizes = workload ~seed:17 ~n:300 in
+          let local = Live.create (Live.Classified Rr_engine.Policy_class.Equal_share) in
+          let c1 = Client.connect path1 in
+          let batch c ~first ~len =
+            let id = Client.submit_batch c ~arrivals ~sizes ~off:first ~len () in
+            Alcotest.(check int)
+              "ids agree"
+              (Live.submit_batch local ~arrivals ~sizes ~off:first ~len ())
+              id
+          in
+          (* Batches of [len] leaving [lag] jobs pending: the second wraps
+             the ring's 16 slots, the third grows it mid-wrap, the fourth
+             wraps it again. *)
+          let first =
+            List.fold_left
+              (fun first (len, lag) ->
+                batch c1 ~first ~len;
+                let submitted = first + len in
+                let h = (arrivals.(submitted - lag - 1) +. arrivals.(submitted - lag)) /. 2. in
+                ignore (Client.advance c1 h : float * int * int);
+                Live.advance local h;
+                Alcotest.(check int) "pending exact" lag (Client.stats c1).Live.pending;
+                submitted)
+              0
+              [ (10, 2); (12, 10); (20, 25) ]
+          in
+          batch c1 ~first ~len:5;
+          let c2 = Client.connect path2 in
+          Client.restore c2 (Client.snapshot c1);
+          check_stats_equal "restored wrapped ring" (Live.query local) (Client.stats c2);
+          batch c2 ~first:(first + 5) ~len:(300 - first - 5);
+          ignore (Client.drain c2 : float * int * int);
+          Live.drain local;
+          check_stats_equal "restored server finishes as in-process" (Live.query local)
+            (Client.stats c2);
+          Client.shutdown c2;
+          Client.shutdown c1))
+
 let test_binary_midbatch_disconnect () =
   with_server ~proto:Server.Binary (fun path ->
       let victim = Client.connect path in
@@ -547,6 +593,8 @@ let () =
             test_binary_err_keeps_connection;
           Alcotest.test_case "snapshot/restore across servers" `Quick
             test_binary_snapshot_restore_across_servers;
+          Alcotest.test_case "wrapped pending ring, snapshot and restore" `Quick
+            test_binary_wrapped_ring_snapshot;
           Alcotest.test_case "mid-batch disconnect leaves others intact" `Quick
             test_binary_midbatch_disconnect;
           Alcotest.test_case "bad hello closes only that connection" `Quick

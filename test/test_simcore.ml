@@ -190,6 +190,46 @@ let test_edge_corpus () =
         edge_corpus)
     fast_policies
 
+(* A zero-length event: the newcomer joins SETF's front group, whose
+   level (1e-10) already reaches its size within the completion
+   threshold, so its completion instant is its own arrival.  The closed
+   driver runs that event with dt = 0, as the live driver does (it used
+   to trip an assertion), and both return flows 0.5 and 0: each within
+   [Clock.threshold size] of the general loop's 0.5000000001 and
+   2e-10. *)
+let test_zero_length_event () =
+  let pairs = [ (0., 0.5); (1e-10, 1e-10) ] in
+  let inst = instance_of_pairs pairs in
+  let jobs = Instance.jobs inst in
+  let setf = Rr_policies.Setf.policy in
+  let closed =
+    Simulator.flows
+      (Simulator.run_class ~machines:1 Rr_engine.Policy_class.Attained_cascade jobs)
+  in
+  let auto = Run.flows (Run.config ~cache:false ()) setf inst in
+  let live =
+    let flows = Array.make 2 nan in
+    let t =
+      Rr_engine.Live.create
+        ~sink:(fun ~id ~arrival:_ ~flow -> flows.(id) <- flow)
+        (Rr_engine.Live.Classified Rr_engine.Policy_class.Attained_cascade)
+    in
+    List.iter
+      (fun (arrival, size) -> ignore (Rr_engine.Live.submit t ~arrival ~size : int))
+      pairs;
+    Rr_engine.Live.drain t;
+    flows
+  in
+  let general = Simulator.flows (Simulator.run ~machines:1 ~policy:setf jobs) in
+  let bits a = Array.to_list (Array.map Int64.bits_of_float a) in
+  Alcotest.(check (list int64)) "Run auto = closed, bit for bit" (bits closed) (bits auto);
+  Alcotest.(check (list int64)) "live = closed, bit for bit" (bits closed) (bits live);
+  List.iteri
+    (fun i (_, size) ->
+      if Float.abs (closed.(i) -. general.(i)) > Rr_engine.Clock.threshold size then
+        Alcotest.failf "job %d: closed %.17g vs general %.17g" i closed.(i) general.(i))
+    pairs
+
 (* ------------------------------------------------------------------ *)
 (* Engine classifier                                                   *)
 (* ------------------------------------------------------------------ *)
@@ -460,6 +500,7 @@ let () =
         @ [
             Alcotest.test_case "trace equivalence" `Quick test_equal_share_trace;
             Alcotest.test_case "edge corpus, every engine" `Quick test_edge_corpus;
+            Alcotest.test_case "zero-length event (setf)" `Quick test_zero_length_event;
             Alcotest.test_case "fast engine traces" `Quick test_fast_engine_traces;
           ] );
       ( "engine",

@@ -233,6 +233,92 @@ let test_cv () =
   check_float "constant data" 0. (Stats.coefficient_of_variation [| 3.; 3.; 3. |])
 
 (* ------------------------------------------------------------------ *)
+(* Flat folds vs their array-based originals (Fold_oracle), bit for bit *)
+(* ------------------------------------------------------------------ *)
+
+(* Streams of [len] observations: two heavy-tailed random ones on fixed
+   seeds, heavy ties, a constant, and both monotone orders. *)
+let fold_streams =
+  [
+    ("exp(1)", true, fun rng _ _ -> Prng.exponential rng ~rate:1.);
+    ( "bpareto(1.5)",
+      true,
+      fun rng _ _ -> Prng.bounded_pareto rng ~alpha:1.5 ~x_min:0.1 ~x_max:1e4 );
+    ("ties", false, fun _ _ i -> Float.of_int (i mod 7));
+    ("constant", false, fun _ _ _ -> 2.5);
+    ("ascending", false, fun _ _ i -> Float.of_int i);
+    ("descending", false, fun _ len i -> Float.of_int (len - i));
+  ]
+
+let fold_lengths = [ 0; 1; 2; 3; 4; 5; 6; 5_000 ]
+let fold_ps = [ 0.01; 0.25; 0.5; 0.9; 0.99 ]
+
+(* Every stream at every length, with 40 seeds for the random ones. *)
+let fold_inputs () =
+  List.concat_map
+    (fun (name, seeded, gen) ->
+      List.concat_map
+        (fun len ->
+          List.map
+            (fun seed ->
+              let rng = Prng.create ~seed in
+              (Printf.sprintf "%s len=%d seed=%d" name len seed, Array.init len (gen rng len)))
+            (if seeded then List.init 40 (fun s -> 1000 + s) else [ 0 ]))
+        fold_lengths)
+    fold_streams
+
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let test_p2_matches_oracle () =
+  List.iter
+    (fun (label, xs) ->
+      List.iter
+        (fun p ->
+          let t = P2.create ~p () and o = Fold_oracle.P2.create ~p () in
+          let check i =
+            if
+              P2.count t <> Fold_oracle.P2.count o
+              || not (same_bits (P2.value t) (Fold_oracle.P2.value o))
+            then
+              Alcotest.failf "%s p=%g after %d adds: %d %h, oracle %d %h" label p i (P2.count t)
+                (P2.value t) (Fold_oracle.P2.count o) (Fold_oracle.P2.value o)
+          in
+          check 0;
+          Array.iteri
+            (fun i x ->
+              P2.add t x;
+              Fold_oracle.P2.add o x;
+              check (i + 1))
+            xs)
+        fold_ps)
+    (fold_inputs ())
+
+let welford_differs (w : Welford.t) (o : Fold_oracle.Welford.t) =
+  Welford.count w <> Fold_oracle.Welford.count o
+  || (not (same_bits (Welford.mean w) (Fold_oracle.Welford.mean o)))
+  || (not (same_bits (Welford.variance w) (Fold_oracle.Welford.variance o)))
+  || Welford.count w > 0
+     && ((not (same_bits (Welford.min w) (Fold_oracle.Welford.min o)))
+        || not (same_bits (Welford.max w) (Fold_oracle.Welford.max o)))
+
+let test_welford_matches_oracle () =
+  List.iter
+    (fun (label, xs) ->
+      let w = Welford.create () and o = Fold_oracle.Welford.create () in
+      Array.iteri
+        (fun i x ->
+          Welford.add w x;
+          Fold_oracle.Welford.add o x;
+          if welford_differs w o then Alcotest.failf "%s: differs after %d adds" label (i + 1))
+        xs;
+      let half = Array.length xs / 2 in
+      let a = Array.sub xs 0 half and b = Array.sub xs half (Array.length xs - half) in
+      let merged = Welford.merge (Welford.of_array a) (Welford.of_array b) in
+      let oracle = Fold_oracle.Welford.(merge (of_array a) (of_array b)) in
+      if welford_differs merged oracle then Alcotest.failf "%s: merge of halves differs" label)
+    (fold_inputs ())
+
+(* ------------------------------------------------------------------ *)
 (* Table                                                               *)
 (* ------------------------------------------------------------------ *)
 
@@ -301,6 +387,11 @@ let () =
           Alcotest.test_case "percentile errors" `Quick test_percentile_errors;
           Alcotest.test_case "jain" `Quick test_jain;
           Alcotest.test_case "cv" `Quick test_cv;
+        ] );
+      ( "folds",
+        [
+          Alcotest.test_case "p2 = oracle bit for bit" `Quick test_p2_matches_oracle;
+          Alcotest.test_case "welford = oracle bit for bit" `Quick test_welford_matches_oracle;
         ] );
       ( "table",
         [
