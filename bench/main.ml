@@ -35,10 +35,7 @@
    B2 parallel batch is not bit-identical to the sequential one or
    misses its speedup gate (>= 1.2x at 2 domains, >= 1.8x at 4; each
    domain-count gate is skipped, and recorded as skipped, when the
-   machine has fewer CPUs than the point needs — but the executor points
-   are never skipped: the Auto-chosen backend must beat sequential on
-   every box, and the forced process backend must be bit-identical even
-   on one CPU), when B4's
+   machine has fewer CPUs than the point needs), when B4's
    allocation/peak-heap/agreement gates fail, or when a B5 engine or B6
    live core misses its perf floor or its <= 1e-9
    differential-agreement gate, or a B5 engine's streamed path or a B6
@@ -186,20 +183,6 @@ type b2_point = {
   p_gc : Pool.gc_delta array;  (* per participant, for the auto-chunked run *)
 }
 
-(* One executor-layer measurement: a backend (Auto-chosen or forced),
-   its wall clock against the same sequential baseline, and whether its
-   results were bit-identical.  [e_gate_min = None] means the point is
-   recorded but not gated (a forced backend on hardware that cannot
-   possibly make it win is a contrast, not a floor). *)
-type b2_exec = {
-  e_label : string;  (* "auto" | "procs-forced" *)
-  e_backend : string;  (* Run.backend_name of what actually ran *)
-  e_time_s : float;
-  e_speedup : float;
-  e_identical : bool;
-  e_gate_min : float option;
-}
-
 type b2_small = {
   sm_tasks : int;
   sm_seq_s : float;
@@ -214,7 +197,6 @@ type b2_report = {
   b2_jobs_per_instance : int;
   b2_seq_s : float;
   b2_points : b2_point list;
-  b2_exec : b2_exec list;
   b2_small : b2_small;
   b2_failures : string list;
 }
@@ -311,68 +293,6 @@ let run_pool_bench () =
   in
   Printf.printf "B2: scaled batch: %d tasks (n=%d, speed 1, general engine), sequential %.3f s\n%!"
     (List.length tasks) n t_seq;
-  (* Executor layer: the same tasks through Run.batch_auto.  These points
-     run BEFORE the domain-pool points: the runtime refuses fork once any
-     worker domain was ever spawned in this process, so the process
-     backend must fork while the process is still domain-free (and the
-     procs point precedes the auto point, which spawns domains whenever
-     the heuristic picks them).  Two points:
-
-     - PROCS-FORCED: the fork backend, forced, so its bit-identicality
-       contract is machine-checked on every box including 1-CPU ones
-       where Auto would never pick it.  Its speedup is recorded but only
-       gated (>= 1.0x) when the machine has the CPUs to make fork win.
-     - AUTO: whatever the heuristic picks on this machine.  Gated at >=
-       1.0x — "Run.batch always wins" means the chosen backend never
-       loses to the sequential loop.  When the choice IS the sequential
-       loop (1-CPU box, or a batch too cheap to parallelise) the two
-       runs execute the same code, so the gate drops to 0.9x purely to
-       absorb timing noise between two identical passes — the point is
-       still recorded and still gated, not skipped by construction. *)
-  let exec_point label executor ~gate_min =
-    let (backend, par), t = time (fun () -> Run.batch_auto ~executor cfg tasks) in
-    let identical = same_results seq par in
-    let speedup = t_seq /. Float.max 1e-9 t in
-    if not identical then
-      fail "B2: %s (%s) batch is not bit-identical to sequential" label
-        (Run.backend_name backend);
-    (match gate_min with
-    | Some g when speedup < g ->
-        fail "B2: %s (%s) speedup %.2fx below gate %.1fx" label
-          (Run.backend_name backend) speedup g
-    | _ -> ());
-    Printf.printf
-      "B2: executor %-12s -> %-12s %.3f s (%.2fx) | bit-identical: %s | %s\n%!" label
-      (Run.backend_name backend) t speedup
-      (if identical then "yes" else "NO")
-      (match gate_min with
-      | Some g -> Printf.sprintf "gate >=%.1fx" g
-      | None -> Printf.sprintf "ungated (%d CPU(s))" cpus);
-    {
-      e_label = label;
-      e_backend = Run.backend_name backend;
-      e_time_s = t;
-      e_speedup = speedup;
-      e_identical = identical;
-      e_gate_min = gate_min;
-    }
-  in
-  let auto_backend =
-    Run.choose_backend ~cpus ~tasks:(List.length tasks)
-      ~total_cost_us:
-        (List.fold_left
-           (fun acc (p, i) ->
-             acc +. Run.estimated_cost_us cfg p ~jobs:(Rr_workload.Instance.n i))
-           0. tasks)
-      ()
-  in
-  let auto_gate = match auto_backend with `Sequential -> 0.9 | _ -> 1.0 in
-  let procs_point =
-    exec_point "procs-forced"
-      (`Procs (Int.min 4 (Int.max 2 cpus)))
-      ~gate_min:(if cpus >= 2 then Some 1.0 else None)
-  in
-  let exec_points = [ procs_point; exec_point "auto" `Auto ~gate_min:(Some auto_gate) ] in
   let points = List.map point [ 2; 4 ] in
   (* Small-task batch: chunking contrast at 2 domains. *)
   let small_tasks = b2_tasks_of ~n_insts:(if quick then 40 else 80) ~n:120 ~seed0:500 in
@@ -401,7 +321,6 @@ let run_pool_bench () =
     b2_jobs_per_instance = n;
     b2_seq_s = t_seq;
     b2_points = points;
-    b2_exec = exec_points;
     b2_small =
       {
         sm_tasks = List.length small_tasks;
@@ -419,7 +338,7 @@ let write_pool_json (b2 : b2_report) =
   let buf = Buffer.create 1024 in
   let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   add "{\n";
-  add "  \"schema\": \"bench_pool/v2\",\n";
+  add "  \"schema\": \"bench_pool/v3\",\n";
   add "  \"scale\": %S,\n" (if quick then "quick" else "full");
   add "  \"cpus\": %d,\n" b2.b2_cpus;
   add "  \"scaled\": {\n";
@@ -451,19 +370,6 @@ let write_pool_json (b2 : b2_report) =
     b2.b2_points;
   add "    ]\n";
   add "  },\n";
-  add "  \"executor\": [\n";
-  List.iteri
-    (fun i (e : b2_exec) ->
-      add
-        "    {\"point\": %S, \"backend\": %S, \"time_s\": %.6f, \"speedup\": %.3f, \
-         \"bit_identical\": %b, \"gate_min_speedup\": %s}%s\n"
-        e.e_label e.e_backend e.e_time_s e.e_speedup e.e_identical
-        (match e.e_gate_min with
-        | Some g -> Printf.sprintf "%.1f" g
-        | None -> "null")
-        (if i = List.length b2.b2_exec - 1 then "" else ","))
-    b2.b2_exec;
-  add "  ],\n";
   let s = b2.b2_small in
   add
     "  \"small\": {\"tasks\": %d, \"sequential_s\": %.6f, \"auto_s\": %.6f, \"auto_speedup\": \
@@ -1792,10 +1698,6 @@ let () =
      heap is large enough to distort its per-run timings. *)
   let b5 = run_fastpath_bench () in
   let b6 = run_live_bench () in
-  (* B2 must precede every other pool user: its process-backend point
-     forks, and the runtime refuses fork once any worker domain was ever
-     spawned in the process (B2 itself forks before it spawns).  B5 and
-     B6 above are strictly sequential. *)
   let b2 = run_pool_bench () in
   let b1 =
     Pool.with_pool ~domains (fun pool ->
@@ -1805,8 +1707,6 @@ let () =
   let b3 = run_simcore_bench () in
   let b4 = run_stream_bench () in
   let b7 = Pool.with_pool ~domains run_bound_bench in
-  (* B8 spawns a server domain per point, so it must stay after B2 (the
-     fork-based pool point) like every other domain user. *)
   let b8 = run_serve_bench () in
   write_json b1 b3;
   write_pool_json b2;

@@ -58,23 +58,23 @@ let jobs_arg =
         ~env:(Cmd.Env.info "RR_JOBS" ~doc:"Default worker-domain count for $(b,--jobs).")
         ~doc:
           "Worker domains to run independent simulations on (0 means all recommended cores; \
-           values above the CPU count are clamped and the effective backend is printed). \
+           values above the CPU count are clamped and the effective width is printed). \
            Results are bit-identical to a sequential run.")
 
-(* --jobs routes through the executor layer's CPU clamp: a pool wider
-   than the machine only adds contention (on a 1-CPU box a 4-domain pool
-   loses to the plain sequential loop), so the effective width is
-   min(jobs, cpus) and a width of 1 degrades to the caller-only pool —
-   sequential semantics, no worker domains.  The chosen backend prints
-   to stderr whenever parallelism was requested, so scripted runs can
-   see what actually executed. *)
+(* --jobs is clamped to the CPU count: a pool wider than the machine
+   only adds contention (on a 1-CPU box a 4-domain pool loses to the
+   plain sequential loop), so the effective width is min(jobs, cpus) and
+   a width of 1 degrades to the caller-only pool — sequential semantics,
+   no worker domains.  The effective width prints to stderr whenever
+   parallelism was requested, so scripted runs can see what actually
+   executed. *)
 let with_jobs jobs f =
   let cpus = Pool.recommended_domains () in
   let requested = if jobs = 0 then cpus else jobs in
   let domains = Int.max 1 (Int.min requested cpus) in
   if requested > 1 then
     Printf.eprintf "rr_cli: --jobs %d -> %s%s\n%!" requested
-      (Run.backend_name (if domains <= 1 then `Sequential else `Domains domains))
+      (if domains <= 1 then "sequential" else Printf.sprintf "domains:%d" domains)
       (if domains < requested then Printf.sprintf " (clamped: %d CPU(s))" cpus else "");
   Pool.with_pool ~domains f
 
@@ -130,25 +130,11 @@ let engine_arg =
               relative flow time but is several times faster) and runs unclassified \
               policies on the general event loop; $(b,general) forces the general loop \
               everywhere (reproduces archived general-loop numbers bit-exactly); \
-              $(b,indexed) / $(b,equal-share) insist on a specialised kernel and fail on \
-              policies outside its reach; $(b,live) routes classified policies through \
-              the incremental submit-while-running core that $(b,rr_cli serve) uses."
+              $(b,closed) insists on the specialised kernel and fails on an unclassified \
+              policy; $(b,live) routes classified policies through the incremental \
+              submit-while-running core that $(b,rr_cli serve) uses (and fails on an \
+              unclassified policy too)."
              (String.concat " | " (List.map (Printf.sprintf "$(b,%s)") Run.engine_strings))))
-
-let no_fast_path_arg =
-  Arg.(
-    value
-    & flag
-    & info [ "no-fast-path" ]
-        ~doc:
-          "Deprecated alias for $(b,--engine general).  An explicit $(b,--engine) wins \
-           over this flag.")
-
-(* [Run.config]'s boolean shim is gone; the flag survives here purely as
-   CLI spelling: an explicit --engine wins, the bare flag means the
-   general loop. *)
-let resolve_engine engine no_fast_path =
-  match (engine, no_fast_path) with `Auto, true -> `General | e, _ -> e
 
 let print_cache_stats () =
   let st = Temporal_fairness.Cache.stats () in
@@ -306,8 +292,7 @@ let simulate_streamed ~policy ~machines ~speed ~k ~seed ~sizes ~load ~n ~engine 
     | None -> "")
 
 let simulate_cmd =
-  let run policy machines speed k file seed sizes load n engine no_fast_path stream =
-    let engine = resolve_engine engine no_fast_path in
+  let run policy machines speed k file seed sizes load n engine stream =
     if stream then begin
       if Option.is_some file then begin
         prerr_endline
@@ -347,16 +332,14 @@ let simulate_cmd =
     (Cmd.info "simulate" ~doc:"Run one policy on an instance and print its flow-time statistics.")
     Term.(
       const run $ policy_arg $ machines_arg $ speed_arg $ k_arg $ file_arg $ seed_arg $ sizes_arg
-      $ load_arg $ n_arg $ engine_arg $ no_fast_path_arg $ stream_arg)
+      $ load_arg $ n_arg $ engine_arg $ stream_arg)
 
 (* ------------------------------------------------------------------ *)
 (* compare                                                             *)
 (* ------------------------------------------------------------------ *)
 
 let compare_cmd =
-  let run machines speed file seed sizes load n jobs chunk engine no_fast_path no_cache
-      cache_stats =
-    let engine = resolve_engine engine no_fast_path in
+  let run machines speed file seed sizes load n jobs chunk engine no_cache cache_stats =
     let inst = load_instance ~file ~seed ~sizes ~load ~machines ~n in
     let table =
       Rr_util.Table.create
@@ -393,15 +376,14 @@ let compare_cmd =
     (Cmd.info "compare" ~doc:"Run every built-in policy on one instance and tabulate the outcomes.")
     Term.(
       const run $ machines_arg $ speed_arg $ file_arg $ seed_arg $ sizes_arg $ load_arg $ n_arg
-      $ jobs_arg $ chunk_arg $ engine_arg $ no_fast_path_arg $ no_cache_arg $ cache_stats_arg)
+      $ jobs_arg $ chunk_arg $ engine_arg $ no_cache_arg $ cache_stats_arg)
 
 (* ------------------------------------------------------------------ *)
 (* certify                                                             *)
 (* ------------------------------------------------------------------ *)
 
 let certify_cmd =
-  let run machines k eps file seed sizes load n engine no_fast_path =
-    let engine = resolve_engine engine no_fast_path in
+  let run machines k eps file seed sizes load n engine =
     let inst = load_instance ~file ~seed ~sizes ~load ~machines ~n in
     let speed = Rr_dualfit.Certificate.theorem_speed ~k ~eps in
     let res =
@@ -425,7 +407,7 @@ let certify_cmd =
        ~doc:"Run RR at the Theorem-1 speed and verify the paper's dual-fitting certificate.")
     Term.(
       const run $ machines_arg $ k_arg $ eps_arg $ file_arg $ seed_arg $ sizes_arg $ load_arg
-      $ n_arg $ engine_arg $ no_fast_path_arg)
+      $ n_arg $ engine_arg)
 
 (* ------------------------------------------------------------------ *)
 (* lowerbound                                                          *)
@@ -481,9 +463,8 @@ let lowerbound_cmd =
 (* ------------------------------------------------------------------ *)
 
 let crossover_cmd =
-  let run policy machines k theta lo hi iters file seed sizes load n jobs engine no_fast_path
+  let run policy machines k theta lo hi iters file seed sizes load n jobs engine
       no_cache cache_stats =
-    let engine = resolve_engine engine no_fast_path in
     let inst = load_instance ~file ~seed ~sizes ~load ~machines ~n in
     let f speed =
       Temporal_fairness.Ratio.vs_baseline
@@ -522,15 +503,14 @@ let crossover_cmd =
     Term.(
       const run $ policy_arg $ machines_arg $ k_arg $ theta_arg $ lo_arg $ hi_arg $ iters_arg
       $ file_arg $ seed_arg $ sizes_arg $ load_arg $ n_arg $ jobs_arg $ engine_arg
-      $ no_fast_path_arg $ no_cache_arg $ cache_stats_arg)
+      $ no_cache_arg $ cache_stats_arg)
 
 (* ------------------------------------------------------------------ *)
 (* gantt                                                               *)
 (* ------------------------------------------------------------------ *)
 
 let gantt_cmd =
-  let run policy machines speed file seed sizes load n width engine no_fast_path =
-    let engine = resolve_engine engine no_fast_path in
+  let run policy machines speed file seed sizes load n width engine =
     let inst = load_instance ~file ~seed ~sizes ~load ~machines ~n in
     let res =
       Run.simulate (Run.config ~machines ~speed ~record_trace:true ~engine ()) policy inst
@@ -553,15 +533,14 @@ let gantt_cmd =
           McNaughton's wrap-around rule).")
     Term.(
       const run $ policy_arg $ machines_arg $ speed_arg $ file_arg $ seed_arg $ sizes_arg
-      $ load_arg $ n_arg $ width_arg $ engine_arg $ no_fast_path_arg)
+      $ load_arg $ n_arg $ width_arg $ engine_arg)
 
 (* ------------------------------------------------------------------ *)
 (* experiments                                                         *)
 (* ------------------------------------------------------------------ *)
 
 let experiments_cmd =
-  let run quick jobs engine no_fast_path =
-    let engine = resolve_engine engine no_fast_path in
+  let run quick jobs engine =
     let scale =
       if quick then Temporal_fairness.Experiments.Quick else Temporal_fairness.Experiments.Full
     in
@@ -571,7 +550,7 @@ let experiments_cmd =
   let quick_arg = Arg.(value & flag & info [ "quick" ] ~doc:"Reduced instance sizes.") in
   Cmd.v
     (Cmd.info "experiments" ~doc:"Run the full evaluation suite (tables T1-T8, figures F1-F3).")
-    Term.(const run $ quick_arg $ jobs_arg $ engine_arg $ no_fast_path_arg)
+    Term.(const run $ quick_arg $ jobs_arg $ engine_arg)
 
 (* ------------------------------------------------------------------ *)
 (* serve                                                               *)
@@ -820,8 +799,8 @@ let () =
         Printf.eprintf "rr_cli: policy produced an invalid allocation: %s\n" msg;
         4
     | Invalid_argument msg ->
-        (* e.g. --engine equal-share with a non-RR policy: a usage error,
-           not an internal one. *)
+        (* e.g. --engine closed with an unclassified policy: a usage
+           error, not an internal one. *)
         Printf.eprintf "rr_cli: %s\n" msg;
         2
     (* A failure inside a pooled batch arrives wrapped with its task

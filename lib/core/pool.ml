@@ -199,13 +199,6 @@ let rec worker_loop pool p seen =
    collections while costing a bounded 32 MB per worker domain. *)
 let default_minor_heap_words = 1 lsl 22
 
-(* The OCaml 5 runtime refuses [Unix.fork] once any domain has EVER been
-   spawned — joining them does not lift the ban.  Pools are the only
-   domain spawner in this library, so this sticky flag is how the
-   process-fan-out backend (Procs) knows fork is still on the table. *)
-let spawned_domains = Atomic.make false
-let domains_ever_spawned () = Atomic.get spawned_domains
-
 let create ?(minor_heap_words = default_minor_heap_words) ~domains () =
   if domains < 1 then invalid_arg "Pool.create: domains must be >= 1";
   if minor_heap_words < 1 lsl 12 then
@@ -228,7 +221,6 @@ let create ?(minor_heap_words = default_minor_heap_words) ~domains () =
   (* Give this pool's domains contention-free cache striping: at least
      4 shards per domain (grow-only, so two pools never fight). *)
   Cache.reserve_shards ~domains;
-  if domains > 1 then Atomic.set spawned_domains true;
   pool.workers <-
     List.init (domains - 1) (fun i ->
         Domain.spawn (fun () ->

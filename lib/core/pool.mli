@@ -1,5 +1,7 @@
 (** Work-stealing pool of OCaml 5 domains for embarrassingly parallel
-    experiment sweeps.
+    experiment sweeps — the library's one batch executor: {!Run.batch},
+    {!Run.batch_stream} and {!Run.fold_stream} run on a caller-owned
+    pool, and a one-domain pool is the sequential loop.
 
     A pool owns [domains - 1] long-lived worker domains; the calling domain
     participates in every batch, so [create ~domains:1] spawns nothing and
@@ -97,15 +99,6 @@ val with_pool : ?minor_heap_words:int -> domains:int -> (t -> 'a) -> 'a
 val minor_heap_words : t -> int
 (** The per-worker minor heap size this pool was created with. *)
 
-val domains_ever_spawned : unit -> bool
-(** Whether any pool in this process has ever spawned a worker domain
-    ([create ~domains] with [domains > 1]; [~domains:1] spawns nothing).
-    Sticky: the OCaml 5 runtime refuses [Unix.fork] once other domains
-    were {e ever} created — joining them does not lift the ban — so the
-    {!Procs} backend consults this to know whether forking is still
-    possible.  Fork-dependent work must therefore run {e before} the
-    first multi-domain pool of the process. *)
-
 type gc_delta = {
   participant : int;  (** 0 = the submitting domain, 1.. = workers. *)
   minor_words : float;  (** Words allocated on this domain's minor heap. *)
@@ -122,15 +115,6 @@ val last_batch_gc_deltas : t -> gc_delta array
     = participant; [[||]] before the first batch.  High [promoted_words]
     or [minor_collections] per task is the signal that
     [?minor_heap_words] is too small for the workload. *)
-
-val chunk_offsets :
-  chunk:chunking -> costs:float array option -> n:int -> participants:int -> int array
-(** The chunking decision itself: [offsets] such that chunk [j] covers
-    task indices [[offsets.(j), offsets.(j+1))], with [offsets.(0) = 0]
-    and the last entry [n].  Exposed so alternative executors (the
-    process fan-out of {!Procs}) cut batches into the exact same units
-    as the domain pool.
-    @raise Invalid_argument on [`Fixed c] with [c < 1]. *)
 
 val map : ?chunk:chunking -> ?cost:('a -> float) -> t -> ('a -> 'b) -> 'a list -> 'b list
 (** [map pool f xs] computes [List.map f xs] with the pool's domains.

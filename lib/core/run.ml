@@ -1,4 +1,4 @@
-type engine = [ `Auto | `General | `Indexed | `Equal_share | `Live ]
+type engine = [ `Auto | `General | `Closed | `Live ]
 
 type config = {
   machines : int;
@@ -21,19 +21,17 @@ let engine_of_string s =
   match String.lowercase_ascii s with
   | "auto" -> Some `Auto
   | "general" -> Some `General
-  | "indexed" -> Some `Indexed
-  | "equal-share" | "equal_share" -> Some `Equal_share
+  | "closed" -> Some `Closed
   | "live" -> Some `Live
   | _ -> None
 
 let engine_to_string = function
   | `Auto -> "auto"
   | `General -> "general"
-  | `Indexed -> "indexed"
-  | `Equal_share -> "equal-share"
+  | `Closed -> "closed"
   | `Live -> "live"
 
-let engine_strings = [ "auto"; "general"; "indexed"; "equal-share"; "live" ]
+let engine_strings = [ "auto"; "general"; "closed"; "live" ]
 
 type selection =
   | General
@@ -55,16 +53,9 @@ let unsupported engine (policy : Rr_engine.Policy.t) =
 let selection_for cfg (policy : Rr_engine.Policy.t) =
   match (cfg.engine, policy.klass) with
   | `General, _ | `Auto, None -> General
-  | `Auto, Some klass -> Closed klass
-  | `Equal_share, Some (Rr_engine.Policy_class.Equal_share as klass) -> Closed klass
-  | `Equal_share, _ -> unsupported "equal-share" policy
-  (* "indexed" means "the policy's class kernel, whatever its class" —
-     any classified policy qualifies except Round Robin, whose kernel has
-     its own historical selector. *)
-  | `Indexed, (None | Some Rr_engine.Policy_class.Equal_share) -> unsupported "indexed" policy
-  | `Indexed, Some klass -> Closed klass
+  | (`Auto | `Closed), Some klass -> Closed klass
   | `Live, Some klass -> Live klass
-  | `Live, None -> unsupported "live" policy
+  | ((`Closed | `Live) as e), None -> unsupported (engine_to_string e) policy
 
 let engine_name cfg policy =
   match selection_for cfg policy with
@@ -307,9 +298,9 @@ let flows cfg policy inst =
 let norm cfg policy inst = (measure cfg policy inst).norm
 let power_sum cfg policy inst = (measure cfg policy inst).power_sum
 
-(* Order-of-magnitude per-task cost model for `Auto chunking and
-   executor choice, in microseconds.  The fast-path coefficients are
-   calibrated from the B5 benchmark (the committed BENCH_fastpaths.json,
+(* Order-of-magnitude per-task cost model for `Auto chunking, in
+   microseconds.  The fast-path coefficients are calibrated from the B5
+   benchmark (the committed BENCH_fastpaths.json,
    fast_ns / jobs at the quick scale): srpt/sjf/fcfs-index 0.13-0.23,
    hdf-index 0.35, setf-cascade 0.44, laps-dense 0.57, mlfq-ladder 0.99,
    wrr-age-dense 2.55, hybrid-index 0.64.  Absolute values drift by up to
@@ -373,88 +364,3 @@ let fold_stream ?chunk pool cfg ~sink ~merge ~init tasks =
       in
       Rr_metrics.Sink.value s)
     ~reduce:merge ~init tasks
-
-(* ---- Executor selection --------------------------------------------
-
-   Three ways to run a batch, one honest heuristic.  Domains win when
-   tasks are cheap enough that fork + Marshal would dominate but dear
-   enough to amortise chunk handoff; processes win when each task runs
-   long enough (tens of milliseconds) that private heaps beat the shared
-   major heap; and nothing beats the plain sequential loop when the
-   whole batch costs less than spawning anything.  All three backends
-   are bit-identical on the same tasks (Pool and Procs both cut with
-   [Pool.chunk_offsets] and evaluate chunks in ascending index order),
-   so the choice is purely a performance question and [`Auto] can never
-   change a result. *)
-
-type backend = [ `Sequential | `Domains of int | `Procs of int ]
-type executor = [ `Auto | backend ]
-
-let backend_name : backend -> string = function
-  | `Sequential -> "sequential"
-  | `Domains d -> Printf.sprintf "domains:%d" d
-  | `Procs p -> Printf.sprintf "procs:%d" p
-
-(* Below ~20 ms of total estimated work, even a warm pool loses to the
-   sequential loop (domain wake-up and chunk handoff are ~100 us each,
-   and the estimate itself is only order-of-magnitude).  Above ~50 ms
-   per task, fork + Marshal (~1-2 ms per chunk) amortises to noise and
-   private heaps beat the shared-major-heap domains on allocation-heavy
-   work. *)
-let sequential_cutoff_us = 20_000.
-let procs_per_task_us = 50_000.
-
-let choose_backend ?cpus ~tasks ~total_cost_us () =
-  let cpus =
-    match cpus with Some c -> Int.max 1 c | None -> Pool.recommended_domains ()
-  in
-  if cpus <= 1 || tasks <= 1 || total_cost_us < sequential_cutoff_us then
-    `Sequential
-  else
-    let width = Int.min cpus tasks in
-    let per_task = total_cost_us /. Float.of_int tasks in
-    if per_task >= procs_per_task_us && tasks >= cpus && Procs.available ()
-    then `Procs width
-    else `Domains width
-
-(* Sequential with Pool's failure contract, so callers see one exception
-   shape from every backend. *)
-let sequential_map f tasks =
-  List.mapi
-    (fun i t ->
-      match f t with
-      | y -> y
-      | exception e -> raise (Pool.Task_error (i, e)))
-    tasks
-
-let run_with ~backend ~cost f tasks =
-  match (backend : backend) with
-  | `Sequential -> sequential_map f tasks
-  | `Domains d -> Pool.with_pool ~domains:d (fun pool -> Pool.map ~cost pool f tasks)
-  | `Procs p -> Procs.map ~cost ~procs:p f tasks
-
-let resolve cfg ~executor tasks ~jobs_of =
-  let cost (p, x) = estimated_cost_us cfg p ~jobs:(jobs_of x) in
-  let backend =
-    match (executor : executor) with
-    | #backend as b -> b
-    | `Auto ->
-        let total = List.fold_left (fun acc t -> acc +. cost t) 0. tasks in
-        choose_backend ~tasks:(List.length tasks) ~total_cost_us:total ()
-  in
-  (backend, cost)
-
-let batch_auto ?(executor = `Auto) cfg tasks =
-  let backend, cost =
-    resolve cfg ~executor tasks ~jobs_of:Rr_workload.Instance.n
-  in
-  (backend, run_with ~backend ~cost (fun (policy, inst) -> measure cfg policy inst) tasks)
-
-let batch_stream_auto ?(executor = `Auto) cfg tasks =
-  let backend, cost =
-    resolve cfg ~executor tasks ~jobs_of:Rr_workload.Instance.Stream.n
-  in
-  ( backend,
-    run_with ~backend ~cost
-      (fun (policy, stream) -> measure_stream cfg policy stream)
-      tasks )

@@ -4,10 +4,12 @@
     resource-augmentation speed, norm index [k], trace recording, the two
     performance switches — and every entry point takes it first, so sweeps
     build one record and vary only the field under study
-    ([{ cfg with speed }]).  {!batch} evaluates many (policy, instance)
-    pairs on a {!Pool}; because simulation is deterministic given its
-    inputs and every task is independent, the batch results are
-    bit-identical to the sequential ones for any number of domains.
+    ([{ cfg with speed }]).  {!batch}, {!batch_stream} and {!fold_stream}
+    evaluate many (policy, instance) pairs on a caller-owned {!Pool} —
+    the one way to run a batch; a one-domain pool is the sequential
+    loop.  Because simulation is deterministic given its inputs and every
+    task is independent, the batch results are bit-identical to the
+    sequential ones for any number of domains.
 
     Measurements come in two shapes:
 
@@ -37,15 +39,15 @@
       general loop.
     - [`General]: force the per-event policy loop for every policy (e.g.
       to reproduce bit-exact historical numbers).
-    - [`Indexed] / [`Equal_share]: insist on a specialised kernel —
-      [`Indexed] accepts any classified policy except Round Robin
-      (which keeps its historical [`Equal_share] selector); selection
-      raises [Invalid_argument] for a policy outside the requested
-      kernel's reach instead of silently falling back.
+    - [`Closed]: insist on the class kernel under the closed driver —
+      the same selection [`Auto] makes for every classified policy, but
+      an unclassified policy raises [Invalid_argument] instead of
+      silently falling back to the general loop.
     - [`Live]: run the same kernel under the other driver, the
       incremental {!Rr_engine.Live} engine (submit-while-running; here
       fed from the materialized instance or stream), exercising the
-      exact engine a long-running [rr_cli serve] daemon uses.
+      exact engine a long-running [rr_cli serve] daemon uses.  Like
+      [`Closed], it refuses an unclassified policy.
 
     The remaining optimisation switch, [cache], stays a boolean:
     {!measure} and {!measure_stream} (and everything built on them —
@@ -55,9 +57,10 @@
     benchmarking or for custom policies whose [name] does not determine
     their behaviour. *)
 
-type engine = [ `Auto | `General | `Indexed | `Equal_share | `Live ]
-(** Engine-selection surface; see the module preamble for what each
-    variant selects.  Distinct engines never alias in the {!Cache} — the
+type engine = [ `Auto | `General | `Closed | `Live ]
+(** Engine-selection surface, one variant per {!selection} constructor
+    plus [`Auto]; see the module preamble for what each variant
+    selects.  Distinct engines never alias in the {!Cache} — the
     selection is part of every key via {!engine_name}. *)
 
 type config = {
@@ -84,14 +87,11 @@ val config :
   ?cache:bool ->
   unit ->
   config
-(** {!default} with the given fields overridden.  (The pre-variant
-    [?fast_path] boolean is gone; pass [~engine:`General] where
-    [~fast_path:false] was meant.  The CLI keeps [--no-fast-path] as an
-    alias for [--engine general].) *)
+(** {!default} with the given fields overridden. *)
 
 val engine_of_string : string -> engine option
-(** Parse a CLI spelling: ["auto"], ["general"], ["indexed"],
-    ["equal-share"], ["live"] (case-insensitive). *)
+(** Parse a CLI spelling: ["auto"], ["general"], ["closed"], ["live"]
+    (case-insensitive). *)
 
 val engine_to_string : engine -> string
 
@@ -112,9 +112,8 @@ val selection_for : config -> Rr_engine.Policy.t -> selection
     declared class ([Rr_engine.Policy.t.klass]) — never its name or
     structure: a policy without the declaration falls back to [General]
     even if it is a structural copy of a classified one (the declaration
-    is the contract the differential suite pins).  Under [`Indexed],
-    [`Equal_share] and [`Live] the same classification applies, but a
-    policy outside the requested kernel's reach
+    is the contract the differential suite pins).  Under [`Closed] and
+    [`Live] the same classification applies, but an unclassified policy
     @raise Invalid_argument instead of silently falling back. *)
 
 val engine_name : config -> Rr_engine.Policy.t -> string
@@ -245,58 +244,3 @@ val fold_stream :
     {!Rr_util.Welford.merge} [moments] sinks — to aggregate over a
     many-stream batch in O(alive) memory per domain.  Results are never
     cached (the cache stores {!measure} aggregates, not custom folds). *)
-
-(** {1 Executor selection}
-
-    {!batch} binds the caller to a {!Pool} — fine when one pool serves
-    many batches, wrong when the batch is the whole program and domains
-    may not even help.  The executor layer picks among three backends
-    with one heuristic and guarantees all three produce bit-identical
-    results (both parallel backends cut with {!Pool.chunk_offsets} and
-    evaluate chunks in ascending index order), so [`Auto] is purely a
-    performance decision. *)
-
-type backend = [ `Sequential | `Domains of int | `Procs of int ]
-(** How a batch actually runs: the plain in-process loop, a fresh
-    {!Pool} of [d] total participant domains, or {!Procs} fan-out over
-    [p] forked worker processes. *)
-
-type executor = [ `Auto | backend ]
-(** A backend, or [`Auto] to let {!choose_backend} pick from the CPU
-    count and the batch's {!estimated_cost_us}. *)
-
-val backend_name : backend -> string
-(** ["sequential"], ["domains:4"], ["procs:8"] — for logs and
-    diagnostics. *)
-
-val choose_backend :
-  ?cpus:int -> tasks:int -> total_cost_us:float -> unit -> backend
-(** The [`Auto] heuristic, exposed for tests and diagnostics.  [cpus]
-    defaults to {!Pool.recommended_domains} (clamped to at least 1).
-    Sequential when [cpus <= 1], [tasks <= 1], or the whole batch is
-    estimated under ~20 ms (spawning anything would dominate); processes
-    when each task averages >= ~50 ms, there are at least [cpus] tasks,
-    and the platform can fork (private heaps beat the shared major heap
-    once fork + [Marshal] amortise); domains otherwise.  Parallel widths
-    are clamped to [min cpus tasks]. *)
-
-val batch_auto :
-  ?executor:executor ->
-  config ->
-  (Rr_engine.Policy.t * Rr_workload.Instance.t) list ->
-  backend * result list
-(** {!batch} without the pool: runs the tasks on the chosen backend and
-    returns it alongside the results (print it with {!backend_name}).
-    Results are bit-identical to [List.map (measure cfg) tasks] for
-    every [?executor] value.  Failures raise [Pool.Task_error] with the
-    lowest failing task index from every backend; the [`Procs] backend
-    wraps the original exception's text as {!Procs.Remote_error}.
-    Creates a fresh pool per call under [`Domains] — callers amortising
-    many batches over one pool should keep using {!batch}. *)
-
-val batch_stream_auto :
-  ?executor:executor ->
-  config ->
-  (Rr_engine.Policy.t * Rr_workload.Instance.Stream.t) list ->
-  backend * result list
-(** {!batch_stream} under the executor heuristic; see {!batch_auto}. *)

@@ -22,7 +22,7 @@ let rec fill t n =
   if Ring.length t.rd < n then
     match Ring.read_from_fd t.rd t.fd with
     | `Read _ | `Again -> fill t n
-    | `Eof -> raise (Server_error "connection closed by server")
+    | `Eof | `Closed -> raise (Server_error "connection closed by server")
 
 (* One reply frame: returns (op, payload offset, payload length); the
    offsets point into [Ring.buf t.rd] and are valid until the frame is

@@ -75,6 +75,9 @@ let read_from_fd ?(chunk = 65536) t fd =
       t.len <- t.len + n;
       `Read n
   | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> `Again
+  (* ECONNRESET from a peer that hung up with our replies unread, or any
+     other error: the descriptor is unusable, never the whole process. *)
+  | exception Unix.Unix_error _ -> `Closed
 
 let write_to_fd t fd =
   match Unix.write fd t.buf t.pos t.len with

@@ -52,10 +52,13 @@ val consume : t -> int -> unit
 (** Drop [n] bytes from the front.
     @raise Invalid_argument when [n] exceeds {!length}. *)
 
-val read_from_fd : ?chunk:int -> t -> Unix.file_descr -> [ `Read of int | `Eof | `Again ]
+val read_from_fd :
+  ?chunk:int -> t -> Unix.file_descr -> [ `Read of int | `Eof | `Again | `Closed ]
 (** Read up to [chunk] (default 65536) bytes from [fd] into the tail.
     [`Again] covers [EAGAIN]/[EWOULDBLOCK]/[EINTR] on a non-blocking
-    descriptor; [`Eof] is an orderly zero-byte read. *)
+    descriptor; [`Eof] is an orderly zero-byte read; [`Closed] covers
+    every other [Unix_error] (e.g. [ECONNRESET] from a peer that hung up
+    with replies unread) — the connection is dead. *)
 
 val write_to_fd : t -> Unix.file_descr -> [ `Wrote of int | `Again | `Closed ]
 (** Write the readable region to [fd], consuming whatever the kernel

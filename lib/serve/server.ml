@@ -284,6 +284,10 @@ let run ?(config = default_config) ~proto ~engine ~path () =
                is discarded with the connection.  Replies still queued
                keep flushing until drained. *)
             conn.read_closed <- true
+        | `Closed ->
+            (* A reset (a rude hangup with replies unread) kills only this
+               connection; its queued replies have nowhere to go. *)
+            conn.dead <- true
         | `Again -> ()
         | `Read _ ->
             process conn;

@@ -485,16 +485,15 @@ let test_selection_surface () =
     | exception Invalid_argument _ -> ()
     | _ -> Alcotest.failf "%s: expected Invalid_argument" name
   in
-  expect_invalid "equal-share refuses srpt" (fun () -> sel `Equal_share srpt);
-  expect_invalid "indexed refuses rr" (fun () -> sel `Indexed rr);
-  (* Classified policies all carry a live core now; only policies with no
-     class declaration (klass = None) are refused. *)
+  (* Classified policies all carry a closed kernel and a live core; only
+     policies with no class declaration (klass = None) are refused. *)
   let laps = Rr_policies.Registry.make (Rr_policies.Registry.Laps 0.25) in
   Alcotest.(check bool) "live accepts classified laps" true
     (match sel `Live laps with Run.Live _ -> true | _ -> false);
   let unclassified =
     { Rr_policies.Srpt.policy with Rr_engine.Policy.name = "unclassified"; klass = None }
   in
+  expect_invalid "closed refuses unclassified policies" (fun () -> sel `Closed unclassified);
   expect_invalid "live refuses unclassified policies" (fun () -> sel `Live unclassified)
 
 let test_live_measure_agrees_and_never_aliases () =

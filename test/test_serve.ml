@@ -11,8 +11,9 @@
    - the multiplexed binary server: a socket-fed run reproduces an
      in-process run bit for bit, engine faults answer ERR without
      killing the connection, protocol corruption closes only the guilty
-     connection, a client hanging up mid-batch never corrupts others,
-     and a non-reading client is shed at the configured threshold;
+     connection, a client hanging up mid-batch (or resetting the
+     socket with replies unread) never corrupts or drops others, and a
+     non-reading client is shed at the configured threshold;
    - snapshot/restore over the wire: SNAPSHOT bytes from one server
      RESTOREd into a fresh server yield bit-identical STATS;
    - the text escape hatch: CRLF clients work (telnet/netcat), one
@@ -457,6 +458,28 @@ let test_binary_midbatch_disconnect () =
       Alcotest.(check int) "both jobs complete" 2 (Client.stats survivor).Live.completed;
       Client.shutdown survivor)
 
+let test_binary_rude_hangup () =
+  with_server ~proto:Server.Binary (fun path ->
+      let survivor = Client.connect path in
+      Alcotest.(check int) "survivor submits" 0 (Client.submit survivor ~arrival:0. ~size:1.);
+      (* The victim sends one SUBMIT, waits until its OK_ID is readable,
+         and closes without reading it.  Closing a Unix socket with
+         unread bytes resets the peer: the server's next read of the
+         victim fails with ECONNRESET, which must kill only the victim. *)
+      let fd = connect_raw path in
+      ignore (Unix.write fd (Bytes.of_string Frame.hello) 0 Frame.hello_len : int);
+      ignore (read_exactly fd Frame.hello_len : bytes);
+      let req = Ring.create () in
+      Frame.put_submit req ~arrival:0.5 ~size:1.;
+      ignore (Unix.write fd (Ring.buf req) (Ring.pos req) (Ring.length req) : int);
+      (match Unix.select [ fd ] [] [] 5. with
+      | [], _, _ -> Alcotest.fail "the victim's OK_ID never arrived"
+      | _ -> ());
+      Unix.close fd;
+      let s = Client.stats survivor in
+      Alcotest.(check int) "daemon alive, victim's job counted" 2 s.Live.submitted;
+      Client.shutdown survivor)
+
 let test_binary_bad_hello_closed () =
   with_server ~proto:Server.Binary (fun path ->
       let fd = connect_raw path in
@@ -597,6 +620,8 @@ let () =
             test_binary_wrapped_ring_snapshot;
           Alcotest.test_case "mid-batch disconnect leaves others intact" `Quick
             test_binary_midbatch_disconnect;
+          Alcotest.test_case "rude hangup with replies unread leaves others intact" `Quick
+            test_binary_rude_hangup;
           Alcotest.test_case "bad hello closes only that connection" `Quick
             test_binary_bad_hello_closed;
           Alcotest.test_case "non-reading client is shed" `Quick

@@ -262,9 +262,8 @@ let test_engine_classifier () =
       | Run.General ->
           Alcotest.failf "%s not classified under `Auto" policy.Rr_engine.Policy.name
       | _ -> ());
-      (* ... and each one also runs under the insisting selectors. *)
-      let insist = if spec = Registry.Rr then `Equal_share else `Indexed in
-      let (_ : Run.selection) = Run.selection_for (Run.config ~engine:insist ()) policy in
+      (* ... and each one also runs under the insisting selector. *)
+      let (_ : Run.selection) = Run.selection_for (Run.config ~engine:`Closed ()) policy in
       ())
     (Registry.default_specs ())
 
@@ -459,15 +458,41 @@ let test_run_config_new_defaults () =
   let cfg = Run.config ~engine:`General ~cache:false () in
   Alcotest.(check bool) "explicit engine respected" true (cfg.Run.engine = `General);
   Alcotest.(check bool) "cache off" false cfg.Run.cache;
-  (* The string round-trip backing the CLI's --engine option. *)
+  (* The string round-trip backing the CLI's --engine option, both ways. *)
   List.iter
     (fun s ->
       match Run.engine_of_string s with
-      | Some e -> Alcotest.(check string) ("engine round-trip " ^ s) s (Run.engine_to_string e)
+      | Some e ->
+          Alcotest.(check string) ("engine round-trip " ^ s) s (Run.engine_to_string e);
+          Alcotest.(check bool)
+            ("engine_of_string inverts engine_to_string for " ^ s)
+            true
+            (Run.engine_of_string (Run.engine_to_string e) = Some e)
       | None -> Alcotest.fail ("engine_of_string rejected " ^ s))
     Run.engine_strings;
-  Alcotest.(check bool) "unknown engine string rejected" true
-    (Run.engine_of_string "bogus" = None)
+  (* Unknown spellings are rejected, including per-class kernel names:
+     "closed" is the one spelling for every class kernel. *)
+  List.iter
+    (fun s ->
+      Alcotest.(check bool) (s ^ " engine string rejected") true (Run.engine_of_string s = None))
+    [ "bogus"; "indexed"; "equal-share" ];
+  (* `Closed selects exactly what `Auto selects for every classified
+     policy, so it shares `Auto's cache keys. *)
+  let auto = Run.config () and closed = Run.config ~engine:`Closed () in
+  List.iter
+    (fun spec ->
+      let policy = Registry.make spec in
+      let name = policy.Rr_engine.Policy.name in
+      Alcotest.(check bool)
+        (name ^ ": closed selection = auto selection")
+        true
+        (Run.selection_for closed policy = Run.selection_for auto policy);
+      Alcotest.(check string)
+        (name ^ ": closed engine name = auto engine name")
+        (Run.engine_name auto policy) (Run.engine_name closed policy))
+    (Registry.default_specs ());
+  Alcotest.(check int) "every registry policy checked" 13
+    (List.length (Registry.default_specs ()))
 
 let test_cache_engine_keys () =
   (* Fast and general runs of the same policy must land under distinct
