@@ -1465,8 +1465,20 @@ type b8_point = {
   s_gate_eps : float option;
 }
 
+(* A feeder's per-frame round trip with [i_idle] greeted idle connections
+   on the daemon against the same feed with none. *)
+type b8_idle = {
+  i_idle : int;
+  i_frames : int;
+  i_rtt_p50_us_none : float;
+  i_rtt_p50_us_idle : float;
+  i_ratio : float;
+  i_gate : float;
+}
+
 type b8_report = {
   b8_points : b8_point list;
+  b8_idle : b8_idle;
   b8_speedup : float;
   b8_speedup_gate : float;
   b8_stats_max_rel : float;
@@ -1607,6 +1619,75 @@ let b8_serve_point ~proto ~clients ~n ~gate_eps =
   in
   (point, report.final_stats)
 
+(* Idle connections must not tax the busy one: a loop that rebuilds and
+   scans its whole descriptor set on every wake-up pays for each idle
+   connection on every frame (~3x at 200 under the old select loop).
+   The feed is wire-open's: BATCH(16) and ADVANCE frames in turn, one
+   round trip each, the first tenth a warm-up. *)
+let b8_idle_connections = 200
+let b8_idle_gate = 1.5
+let b8_idle_batch = 16
+
+let b8_idle_rtt_p50_us ~idle ~frames =
+  let path = Printf.sprintf "/tmp/rr-bench-serve-%d-idle%d.sock" (Unix.getpid ()) idle in
+  let engine =
+    ref (Rr_engine.Live.create (Rr_engine.Live.Classified Rr_engine.Policy_class.Equal_share))
+  in
+  let config = { Rr_serve.Server.default_config with max_clients = idle + 2 } in
+  let d =
+    Domain.spawn (fun () ->
+        Rr_serve.Server.run ~config ~proto:Rr_serve.Server.Binary ~engine ~path ())
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      (try Rr_serve.Client.shutdown (Rr_serve.Client.connect ~retries:5 path) with _ -> ());
+      Domain.join d)
+    (fun () ->
+      let feeder = Rr_serve.Client.connect path in
+      let idlers = Array.init idle (fun _ -> Rr_serve.Client.connect path) in
+      let stream =
+        Rr_workload.Instance.Stream.generate_load ~seed:b8_seed
+          ~sizes:(Rr_workload.Distribution.Exponential { mean = 1. })
+          ~load:0.9 ~machines:1 ~n:(b8_idle_batch * ((frames / 2) + 1)) ()
+      in
+      let next = Rr_workload.Instance.Stream.start stream in
+      let arrivals = Array.make b8_idle_batch 0. and sizes = Array.make b8_idle_batch 0. in
+      let warmup = frames / 10 in
+      let rtts = Array.make (frames - warmup) 0. in
+      for f = 0 to frames - 1 do
+        let t0 = Unix.gettimeofday () in
+        if f land 1 = 0 then begin
+          for i = 0 to b8_idle_batch - 1 do
+            match next () with
+            | Some (j : Rr_engine.Job.t) ->
+                arrivals.(i) <- j.arrival;
+                sizes.(i) <- j.size
+            | None -> failwith "B8 idle feed ended early"
+          done;
+          ignore (Rr_serve.Client.submit_batch feeder ~arrivals ~sizes () : int)
+        end
+        else ignore (Rr_serve.Client.advance feeder arrivals.(b8_idle_batch - 1) : float * int * int);
+        let dt = Unix.gettimeofday () -. t0 in
+        if f >= warmup then rtts.(f - warmup) <- dt *. 1e6
+      done;
+      Array.iter Rr_serve.Client.bye idlers;
+      Rr_serve.Client.shutdown feeder;
+      Array.sort Float.compare rtts;
+      rtts.(Array.length rtts / 2))
+
+let run_idle_point () =
+  let frames = if quick then 20_000 else 60_000 in
+  let none = b8_idle_rtt_p50_us ~idle:0 ~frames in
+  let busy = b8_idle_rtt_p50_us ~idle:b8_idle_connections ~frames in
+  {
+    i_idle = b8_idle_connections;
+    i_frames = frames;
+    i_rtt_p50_us_none = none;
+    i_rtt_p50_us_idle = busy;
+    i_ratio = busy /. Float.max 1e-9 none;
+    i_gate = b8_idle_gate;
+  }
+
 let run_serve_bench () =
   Gc.compact ();
   let failures = ref [] in
@@ -1648,8 +1729,17 @@ let run_serve_bench () =
     text.s_jobs text.s_clients
     (text.s_events_per_s /. 1e3)
     speedup speedup_gate stats_max_rel;
+  let idle = run_idle_point () in
+  if idle.i_ratio > idle.i_gate then
+    fail "B8: %d idle connections raise the feeder's round trip %.2fx, above gate %.1fx"
+      idle.i_idle idle.i_ratio idle.i_gate;
+  Printf.printf
+    "B8: idle    %d connections: feeder rtt p50 %.1f us vs %.1f us with none = %.2fx (gate \
+     <=%.1fx)\n%!"
+    idle.i_idle idle.i_rtt_p50_us_idle idle.i_rtt_p50_us_none idle.i_ratio idle.i_gate;
   {
     b8_points = [ binary; text ];
+    b8_idle = idle;
     b8_speedup = speedup;
     b8_speedup_gate = speedup_gate;
     b8_stats_max_rel = stats_max_rel;
@@ -1663,7 +1753,7 @@ let write_serve_json (b8 : b8_report) =
   let buf = Buffer.create 1024 in
   let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   add "{\n";
-  add "  \"schema\": \"bench_serve/v1\",\n";
+  add "  \"schema\": \"bench_serve/v2\",\n";
   add "  \"scale\": %S,\n" (if quick then "quick" else "full");
   add "  \"points\": [\n";
   List.iteri
@@ -1683,6 +1773,12 @@ let write_serve_json (b8 : b8_report) =
     b8.b8_speedup_gate;
   add "  \"stats_max_rel_diff\": %.3e, \"stats_rtol\": %.0e, \"stats_bit_identical\": %b,\n"
     b8.b8_stats_max_rel diff_rtol b8.b8_stats_identical;
+  let i = b8.b8_idle in
+  add
+    "  \"idle\": {\"idle_connections\": %d, \"frames\": %d, \"rtt_p50_us_none\": %.2f, \
+     \"rtt_p50_us_idle\": %.2f, \"ratio\": %.3f, \"gate_max_ratio\": %.1f, \"gate_ok\": %b},\n"
+    i.i_idle i.i_frames i.i_rtt_p50_us_none i.i_rtt_p50_us_idle i.i_ratio i.i_gate
+    (i.i_ratio <= i.i_gate);
   add "  \"failures\": [%s],\n"
     (String.concat ", " (List.map (Printf.sprintf "%S") b8.b8_failures));
   add "  \"ok\": %b\n" (b8.b8_failures = []);

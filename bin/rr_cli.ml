@@ -635,8 +635,8 @@ let serve_cmd =
       `P
         "Run one incremental (submit-while-running) simulation as a long-lived process.  \
          On stdin/stdout it speaks the human-debuggable line protocol below; with \
-         $(b,--socket) it runs a single-threaded multiplexed event loop that by default \
-         speaks the length-prefixed binary framed protocol specified byte-by-byte in \
+         $(b,--socket) it runs a single-threaded readiness loop (epoll; Linux only) that by \
+         default speaks the length-prefixed binary framed protocol specified byte-by-byte in \
          $(b,PROTOCOL.md) at the repository root (versioned handshake, batched submits, \
          many concurrent clients, write backpressure).  $(b,--proto text) keeps the line \
          protocol on the socket instead.  In every mode a faulting request (bad \
@@ -650,8 +650,8 @@ let serve_cmd =
       `I ("ADVANCE <time>", "Process every completion/admission at or before <time> and move the clock exactly there; replies $(b,OK now=... completed=... alive=...).  $(b,ADVANCE inf) drains.");
       `I ("DRAIN", "Run until no job is alive or pending; replies $(b,OK now=... completed=...).");
       `I ("STATS", "One-line snapshot of the live metrics: jobs submitted/completed/alive/pending, clock, events, makespan, peak alive, mean/max flow, the Lk power sum and norm, and P-squared p50/p90/p99 estimates.");
-      `I ("SNAPSHOT <path>", "Serialize the whole engine (clock, alive and pending jobs, metric accumulators) to <path>; replies $(b,OK).");
-      `I ("RESTORE <path>", "Replace the engine with the one serialized at <path> (same build only); replies $(b,OK).");
+      `I ("SNAPSHOT <path>", "Serialize the whole engine (clock, alive and pending jobs, metric accumulators) to <path>; replies $(b,OK).  On stdin/stdout only: over $(b,--socket) it answers ERR and points to the binary SNAPSHOT frame.");
+      `I ("RESTORE <path>", "Replace the engine with the one serialized at <path> (same build only); replies $(b,OK).  On stdin/stdout only, like SNAPSHOT.");
       `I ("QUIT", "Reply $(b,OK bye) and exit the daemon.");
       `S "BINARY PROTOCOL";
       `P

@@ -4,10 +4,14 @@
    so the win is not parallel dispatch but keeping the wire out of the
    engine's way — reads and writes are batched through per-connection
    rings, frames decode in place out of the read ring, BATCH frames
-   amortize up to 64Ki submits per syscall, and select wakes the loop
-   only when a descriptor actually has work.  Every connection owns its
-   two rings for its whole lifetime, so steady-state traffic allocates
-   nothing per event on the server side.
+   amortize up to 64Ki submits per syscall, and the poller (epoll)
+   wakes the loop only for descriptors that have work.  A
+   request costs one wake-up, one read and one write: replies go out
+   right after the request that made them, and write interest is
+   registered only when the socket takes less than all of them.  Every
+   connection owns its two rings for its whole lifetime and sits in an
+   fd-indexed table, so steady-state traffic allocates nothing per
+   event on the server side.
 
    Failure discipline mirrors the text protocol: engine faults answer
    ERR and keep the connection; protocol corruption answers ERR and
@@ -40,7 +44,9 @@ type conn = {
   mutable greeted : bool;  (* binary hello exchanged *)
   mutable read_closed : bool;  (* peer sent EOF: flush replies, then close *)
   mutable closing : bool;  (* stop reading; close once [wr] drains *)
-  mutable dead : bool;  (* close at the next reap, replies dropped *)
+  mutable dead : bool;  (* close now, replies dropped *)
+  mutable counted : bool;  (* counts against max_clients: open and not closing *)
+  mutable interest : int;  (* Poller bits registered for [fd] *)
 }
 
 (* Reusable decode scratch for BATCH frames: the wire floats land in
@@ -200,7 +206,7 @@ let rec process_text ~engine ~stop conn =
     | Some i ->
         let line = Bytes.sub_string (Ring.buf conn.rd) (Ring.pos conn.rd) i in
         Ring.consume conn.rd (i + 1);
-        (match Session.handle engine line with
+        (match Session.handle ~files:false engine line with
         | Session.Silent -> ()
         | Session.Reply r ->
             Ring.add_string conn.wr r;
@@ -227,26 +233,79 @@ let new_conn fd =
     read_closed = false;
     closing = false;
     dead = false;
+    counted = true;
+    interest = 0;
   }
+
+(* What a connection turned away at accept time reads before the close:
+   the full-house answer and the out-of-descriptors one are the same. *)
+let busy_reply = function
+  | Text -> "ERR busy\n"
+  | Binary ->
+      let r = Ring.create ~capacity:64 () in
+      Ring.add_string r Frame.hello;
+      Frame.put_err r "busy: too many clients";
+      Bytes.sub_string (Ring.buf r) (Ring.pos r) (Ring.length r)
+
+(* A descriptor held in reserve, so that running out of descriptors
+   still lets the loop accept a newcomer just to turn it away. *)
+let reserve_descriptor () =
+  try Some (Unix.openfile "/dev/null" [ Unix.O_RDONLY; Unix.O_CLOEXEC ] 0)
+  with Unix.Unix_error _ -> None
+
+let starved_retry_ms = 100
 
 let run ?(config = default_config) ~proto ~engine ~path () =
   (match Sys.os_type with
   | "Unix" | "Cygwin" -> Sys.set_signal Sys.sigpipe Sys.Signal_ignore
   | _ -> ());
+  let poller = Poller.create () in
   (try Unix.unlink path with Unix.Unix_error _ -> ());
   let lsock = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  let conns = ref [] in
+  (* Connections by descriptor number; touched only when one opens,
+     closes or changes what it waits for. *)
+  let conns = ref (Array.make 64 None) in
+  let spare = ref None in
   Fun.protect
     ~finally:(fun () ->
-      List.iter (fun c -> close_quietly c.fd) !conns;
+      Array.iter (Option.iter (fun c -> close_quietly c.fd)) !conns;
+      Option.iter close_quietly !spare;
+      Poller.close poller;
       close_quietly lsock;
       try Unix.unlink path with Unix.Unix_error _ -> ())
     (fun () ->
       Unix.bind lsock (Unix.ADDR_UNIX path);
       Unix.listen lsock config.backlog;
       Unix.set_nonblock lsock;
+      spare := reserve_descriptor ();
+      let listener = Poller.index lsock in
+      let listening = ref false in
+      let listen_on want =
+        if want <> !listening then begin
+          Poller.set poller lsock
+            ~old:(if !listening then Poller.readable else 0)
+            (if want then Poller.readable else 0);
+          listening := want
+        end
+      in
+      listen_on true;
+      (* Out of descriptors with no spare to give up, the listener is off
+         (a level-triggered one would spin) and [starved]: the loop tries
+         again for a spare every [starved_retry_ms] and after every close,
+         and takes newcomers again once it has one. *)
+      let starved = ref false in
+      let recover () =
+        if !spare = None then spare := reserve_descriptor ();
+        if !spare <> None then begin
+          starved := false;
+          listen_on true
+        end
+      in
       let stop = ref false in
+      let open_conns = ref 0 in
+      let active = ref 0 in (* open connections that are not closing *)
       let scratch = { arrivals = [||]; sizes = [||] } in
+      let busy = busy_reply proto in
       let process conn =
         match proto with
         | Binary -> process_binary ~config ~engine ~scratch ~stop conn
@@ -255,90 +314,157 @@ let run ?(config = default_config) ~proto ~engine ~path () =
       let effective_max_clients =
         match proto with Text -> 1 | Binary -> config.max_clients
       in
+      (* Explicit rejection instead of silently queueing (or hanging) the
+         extra client: the reply fits an empty socket buffer, so one
+         write sends it. *)
+      let refuse fd =
+        (try
+           Unix.set_nonblock fd;
+           ignore (Unix.write_substring fd busy 0 (String.length busy) : int)
+         with Unix.Unix_error _ -> ());
+        close_quietly fd
+      in
+      let admit fd =
+        Unix.set_nonblock fd;
+        let i = Poller.index fd in
+        if i >= Array.length !conns then begin
+          let grown = Array.make (Int.max (i + 1) (2 * Array.length !conns)) None in
+          Array.blit !conns 0 grown 0 (Array.length !conns);
+          conns := grown
+        end;
+        let c = new_conn fd in
+        c.interest <- Poller.readable;
+        Poller.set poller fd ~old:0 c.interest;
+        !conns.(i) <- Some c;
+        incr open_conns;
+        incr active
+      in
+      let close_conn c =
+        Poller.set poller c.fd ~old:c.interest 0;
+        !conns.(Poller.index c.fd) <- None;
+        close_quietly c.fd;
+        decr open_conns;
+        if c.counted then decr active;
+        (* A freed descriptor refills the reserve. *)
+        if not !stop then recover ()
+      in
+      (* After every event on [c]: close it once it has nothing left to
+         do, else register what it now waits for. *)
+      let settle c =
+        if (not c.dead) && (c.closing || c.read_closed) && Ring.is_empty c.wr then
+          c.dead <- true;
+        if c.dead then close_conn c
+        else begin
+          if c.closing && c.counted then begin
+            c.counted <- false;
+            decr active
+          end;
+          let want =
+            (if c.closing || c.read_closed then 0 else Poller.readable)
+            lor if Ring.is_empty c.wr then 0 else Poller.writable
+          in
+          if want <> c.interest then begin
+            Poller.set poller c.fd ~old:c.interest want;
+            c.interest <- want
+          end
+        end
+      in
+      let flush c =
+        match Ring.write_to_fd c.wr c.fd with
+        | `Closed -> c.dead <- true
+        | `Again | `Wrote _ -> ()
+      in
+      let on_ready c flags =
+        let was_waiting_to_write = c.interest land Poller.writable <> 0 in
+        if flags land Poller.readable <> 0 && c.interest land Poller.readable <> 0 then begin
+          (* One read per readiness event: reading on to EAGAIN would add
+             a syscall to every small frame. *)
+          match Ring.read_from_fd c.rd c.fd with
+          | `Eof ->
+              (* Half-close: anything buffered was already parsed on the
+                 read that delivered it; a partial trailing frame or line
+                 is discarded with the connection.  Replies still queued
+                 keep flushing until drained. *)
+              c.read_closed <- true
+          | `Closed ->
+              (* A reset (a rude hangup with replies unread) kills only
+                 this connection; its queued replies have nowhere to go. *)
+              c.dead <- true
+          | `Again -> ()
+          | `Read _ ->
+              process c;
+              if Ring.length c.wr > config.max_pending then
+                (* Shed policy, checked before any reply goes out: a
+                   client that stops reading while replies accumulate
+                   past the cap is dropped outright. *)
+                c.dead <- true
+        end;
+        (* Eager write: a reply goes out right after the request that
+           made it.  Write interest is registered only when the socket
+           takes less than all of it (see [settle]). *)
+        if (not c.dead) && (not (Ring.is_empty c.wr))
+           && ((not was_waiting_to_write) || flags land Poller.writable <> 0)
+        then flush c;
+        settle c
+      in
       let rec accept_all () =
         match Unix.accept ~cloexec:true lsock with
         | fd, _ ->
-            Unix.set_nonblock fd;
-            let active = List.length (List.filter (fun c -> not c.closing) !conns) in
-            let c = new_conn fd in
-            if active >= effective_max_clients then begin
-              (* Explicit rejection instead of silently queueing (or
-                 hanging) the extra client. *)
-              (match proto with
-              | Text -> Ring.add_string c.wr "ERR busy\n"
-              | Binary ->
-                  Ring.add_string c.wr Frame.hello;
-                  Frame.put_err c.wr "busy: too many clients");
-              c.closing <- true
-            end;
-            conns := c :: !conns;
+            if !active >= effective_max_clients then refuse fd else admit fd;
             accept_all ()
-        | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) ->
-            ()
+        | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
+        | exception Unix.Unix_error ((Unix.EINTR | Unix.ECONNABORTED), _, _) -> accept_all ()
+        | exception Unix.Unix_error ((Unix.EMFILE | Unix.ENFILE), _, _) -> (
+            (* Out of descriptors: give up the reserve to take the
+               newcomer, turn it away, take the reserve back.  With no
+               reserve, starve (see [recover]). *)
+            match !spare with
+            | None ->
+                listen_on false;
+                starved := true
+            | Some s ->
+                close_quietly s;
+                spare := None;
+                let took =
+                  match Unix.accept ~cloexec:true lsock with
+                  | fd, _ ->
+                      refuse fd;
+                      true
+                  | exception Unix.Unix_error _ -> false
+                in
+                spare := reserve_descriptor ();
+                (* Linux answers EMFILE before it looks at the backlog:
+                   go on only while someone was actually waiting. *)
+                if took then accept_all ())
       in
-      let handle_readable conn =
-        match Ring.read_from_fd conn.rd conn.fd with
-        | `Eof ->
-            (* Half-close: anything buffered was already parsed on the
-               read that delivered it; a partial trailing frame or line
-               is discarded with the connection.  Replies still queued
-               keep flushing until drained. *)
-            conn.read_closed <- true
-        | `Closed ->
-            (* A reset (a rude hangup with replies unread) kills only this
-               connection; its queued replies have nowhere to go. *)
-            conn.dead <- true
-        | `Again -> ()
-        | `Read _ ->
-            process conn;
-            if Ring.length conn.wr > config.max_pending then
-              (* Shed policy: a client that stops reading while replies
-                 accumulate past the cap is dropped outright. *)
-              conn.dead <- true
-      in
-      let handle_writable conn =
-        match Ring.write_to_fd conn.wr conn.fd with
-        | `Closed -> conn.dead <- true
-        | `Again | `Wrote _ -> ()
-      in
-      let reap () =
-        conns :=
-          List.filter
-            (fun c ->
-              if (not c.dead) && (c.closing || c.read_closed) && Ring.is_empty c.wr then
-                c.dead <- true;
-              if c.dead then close_quietly c.fd;
-              not c.dead)
-            !conns
-      in
-      while not !stop do
-        let readers =
-          List.filter (fun c -> not (c.read_closed || c.closing || c.dead)) !conns
+      (* One loop serves and then, once a request has stopped the server,
+         gives pending replies (the OK that acknowledged the stop, and any
+         other client's queued output) a bounded chance to flush. *)
+      let deadline = ref infinity in
+      while not (!stop && (!open_conns = 0 || Unix.gettimeofday () >= !deadline)) do
+        let timeout_ms =
+          if !stop then
+            Int.max 0 (int_of_float (Float.ceil ((!deadline -. Unix.gettimeofday ()) *. 1000.)))
+          else if !starved then starved_retry_ms
+          else -1
         in
-        let writers = List.filter (fun c -> not (Ring.is_empty c.wr)) !conns in
-        let rds = lsock :: List.map (fun c -> c.fd) readers in
-        let wrs = List.map (fun c -> c.fd) writers in
-        match Unix.select rds wrs [] (-1.) with
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-        | r, w, _ ->
-            if List.memq lsock r then accept_all ();
-            List.iter (fun c -> if List.memq c.fd r then handle_readable c) readers;
-            List.iter (fun c -> if List.memq c.fd w then handle_writable c) writers;
-            reap ()
-      done;
-      (* Shutdown: give pending replies (the OK that acknowledged the
-         stop, and any other client's queued output) a bounded chance to
-         flush, then close everything. *)
-      let deadline = Unix.gettimeofday () +. 2.0 in
-      let rec flush_phase () =
-        reap ();
-        let writers = List.filter (fun c -> not (Ring.is_empty c.wr || c.dead)) !conns in
-        if writers <> [] && Unix.gettimeofday () < deadline then begin
-          (match Unix.select [] (List.map (fun c -> c.fd) writers) [] 0.1 with
-          | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-          | _, w, _ ->
-              List.iter (fun c -> if List.memq c.fd w then handle_writable c) writers);
-          flush_phase ()
+        let n = Poller.wait poller ~timeout_ms in
+        for i = 0 to n - 1 do
+          let fd = Poller.ready_fd poller i in
+          if fd = listener then (if not !stop then accept_all ())
+          else
+            match !conns.(fd) with
+            | Some c -> on_ready c (Poller.ready_flags poller i)
+            | None -> ()
+        done;
+        if !starved && not !stop then recover ();
+        if !stop && !deadline = infinity then begin
+          deadline := Unix.gettimeofday () +. 2.0;
+          listen_on false;
+          Array.iter
+            (Option.iter (fun c ->
+                 c.closing <- true;
+                 settle c))
+            !conns
         end
-      in
-      flush_phase ())
+      done)

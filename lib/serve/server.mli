@@ -1,9 +1,14 @@
 (** Multiplexed multi-client serving loop for [rr_cli serve].
 
-    One engine, one thread, many clients: a single [Unix.select] loop
-    over non-blocking descriptors accepts concurrent connections and
-    drives each through per-connection grow-on-demand read/write rings
-    ({!Ring}), so a slow or half-closed client never blocks the others.
+    One engine, one thread, many clients: a single readiness loop over
+    non-blocking descriptors ({!Poller}: level-triggered epoll, so Linux
+    only) accepts concurrent connections and drives each through
+    per-connection grow-on-demand read/write rings ({!Ring}), so a slow
+    or half-closed client never blocks the others.  Connections
+    sit in a table indexed by descriptor number that is touched only
+    when a connection opens, closes or changes what it waits for, so a
+    wake-up costs O(ready descriptors), and descriptor numbers have no
+    FD_SETSIZE cap.
 
     Two protocols share the loop:
 
@@ -16,14 +21,28 @@
       (the engine is a single sequential simulation; interleaving text
       clients would be order-fragile), extra connections answered with
       an explicit [ERR busy] line and closed instead of queueing
-      silently, daemon exit on [QUIT].
+      silently, daemon exit on [QUIT].  [SNAPSHOT <path>] and
+      [RESTORE <path>] answer [ERR] on a socket: a path would let any
+      local client write or read any file the daemon can reach; the
+      binary SNAPSHOT/RESTORE frames carry the bytes instead.
 
-    Flow control: partial writes resume when [select] reports the
-    descriptor writable again; a connection whose un-drained replies
-    exceed [max_pending] bytes is shed (closed and dropped — the
+    Flow control: each readiness event gets one read; the replies it
+    produces are written at once (eager write), and write interest is
+    registered only when the socket takes less than all of them, so a
+    request costs one wake-up, one read and one write.  A connection
+    whose un-drained replies exceed [max_pending] bytes after a read is
+    shed before any of them is written (closed and dropped — the
     documented policy for a consumer that stops reading).  A client
     disconnecting mid-frame (or mid-batch) simply discards its buffered
     partial input; other sessions and the engine are untouched.
+
+    Running out of descriptors (EMFILE, ENFILE) does not stop the loop:
+    it keeps one spare descriptor, gives it up to accept the newcomer,
+    answers it busy exactly like a client past [max_clients], and takes
+    the spare back; existing connections are served throughout.  With
+    no spare to be had, it stops accepting and tries again for one
+    every 100 ms and whenever a connection closes.  Calls a signal
+    interrupts are retried.
 
     Engine faults (bad arguments, exhausted event budget, unreadable
     snapshots) answer an ERR frame/line and leave the connection open;

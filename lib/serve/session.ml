@@ -25,8 +25,10 @@ let stats_line (s : Live.stats) =
 
 (* One request -> Reply / Quit / Silent (blank line).  Engine faults
    (bad arguments, event budget, unreadable snapshots) become ERR replies
-   so one bad request never kills the session. *)
-let handle (engine : Live.t ref) line =
+   so one bad request never kills the session.  Without [files], any
+   SNAPSHOT or RESTORE is refused: a path would let whoever reaches the
+   socket write or read any file the daemon can. *)
+let handle ~files (engine : Live.t ref) line =
   let normalized =
     String.map (function '\r' | '\t' -> ' ' | c -> c) (String.trim line)
   in
@@ -55,6 +57,11 @@ let handle (engine : Live.t ref) line =
               let s = Live.query !engine in
               Printf.sprintf "OK now=%.17g completed=%d" s.Live.now s.Live.completed
           | "STATS", [] -> stats_line (Live.query !engine)
+          | (("SNAPSHOT" | "RESTORE") as verb), _ when not files ->
+              Printf.sprintf
+                "ERR %s <path> is served on stdin/stdout only; over a socket use the \
+                 binary %s frame (--proto binary)"
+                verb verb
           | "SNAPSHOT", [ path ] ->
               Live.save !engine path;
               "OK"
@@ -84,7 +91,7 @@ let run_channels engine ic oc =
     match In_channel.input_line ic with
     | None -> false
     | Some line -> (
-        match handle engine line with
+        match handle ~files:true engine line with
         | Silent -> loop ()
         | Reply r ->
             reply r;

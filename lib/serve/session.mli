@@ -15,9 +15,12 @@ type outcome =
   | Reply of string
   | Quit  (** [QUIT]: reply [OK bye], then end the session. *)
 
-val handle : Rr_engine.Live.t ref -> string -> outcome
+val handle : files:bool -> Rr_engine.Live.t ref -> string -> outcome
 (** Parse and execute one request line against the engine.  [RESTORE]
-    replaces the engine in the ref; everything else mutates in place. *)
+    replaces the engine in the ref; everything else mutates in place.
+    [~files:true] (stdin/stdout) lets [SNAPSHOT <path>] and
+    [RESTORE <path>] name files; [~files:false] (a socket) makes both
+    answer [ERR] and point to the binary SNAPSHOT/RESTORE frames. *)
 
 val stats_line : Rr_engine.Live.stats -> string
 (** The one-line [STATS] reply ([%.17g] floats, round-trippable). *)

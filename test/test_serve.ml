@@ -256,16 +256,16 @@ let test_frame_f64_bitexact () =
 
 let test_session_crlf () =
   let engine = ref (Live.create (Live.Classified Rr_engine.Policy_class.Equal_share)) in
-  (match Session.handle engine "SUBMIT 0 1\r" with
+  (match Session.handle ~files:true engine "SUBMIT 0 1\r" with
   | Session.Reply r -> Alcotest.(check string) "CR-terminated SUBMIT" "OK 0" r
   | _ -> Alcotest.fail "CR-terminated SUBMIT not answered");
-  (match Session.handle engine "SUBMIT\t1\t2\r" with
+  (match Session.handle ~files:true engine "SUBMIT\t1\t2\r" with
   | Session.Reply r -> Alcotest.(check string) "tabs as separators" "OK 1" r
   | _ -> Alcotest.fail "tab-separated SUBMIT not answered");
-  (match Session.handle engine "\r" with
+  (match Session.handle ~files:true engine "\r" with
   | Session.Silent -> ()
   | _ -> Alcotest.fail "bare CR line should be silent");
-  match Session.handle engine "QUIT\r" with
+  match Session.handle ~files:true engine "QUIT\r" with
   | Session.Quit -> ()
   | _ -> Alcotest.fail "CR-terminated QUIT not recognized"
 
@@ -578,7 +578,578 @@ let test_text_err_busy () =
       ignore (In_channel.input_line ic3 : string option);
       Unix.close fd3)
 
+let test_text_snapshot_paths_refused () =
+  let file = Filename.temp_file "rr-serve" ".snap" in
+  Sys.remove file;
+  with_server ~proto:Server.Text (fun path ->
+      let fd = connect_raw path in
+      let ic = Unix.in_channel_of_descr fd and oc = Unix.out_channel_of_descr fd in
+      (* QUIT from this connection even when a check fails: it holds the
+         one text seat, so nobody else could stop the server. *)
+      Fun.protect ~finally:(fun () ->
+          (try
+             output_string oc "QUIT\n";
+             flush oc
+           with Sys_error _ -> ());
+          Unix.close fd)
+      @@ fun () ->
+      Printf.fprintf oc "SUBMIT 0 1\nSNAPSHOT %s\nRESTORE %s\nSNAPSHOT\nSTATS\n" file file;
+      flush oc;
+      Alcotest.(check (option string)) "SUBMIT answered" (Some "OK 0") (In_channel.input_line ic);
+      let refused verb =
+        match In_channel.input_line ic with
+        | Some line ->
+            let prefix = "ERR " ^ verb in
+            Alcotest.(check bool)
+              (verb ^ " refused, pointing to the binary frame: " ^ line)
+              true
+              (String.starts_with ~prefix line
+              && String.ends_with ~suffix:(Printf.sprintf "binary %s frame (--proto binary)" verb)
+                   line)
+        | None -> Alcotest.failf "no reply to %s" verb
+      in
+      refused "SNAPSHOT";
+      refused "RESTORE";
+      refused "SNAPSHOT";
+      (match In_channel.input_line ic with
+      | Some line ->
+          Alcotest.(check bool) "session goes on" true (String.starts_with ~prefix:"OK submitted=1" line)
+      | None -> Alcotest.fail "no STATS reply"));
+  Alcotest.(check bool) "no file written through the socket" false (Sys.file_exists file);
+  (* Stdio keeps the path form. *)
+  let engine = ref (Live.create (Live.Classified Rr_engine.Policy_class.Equal_share)) in
+  let ok line =
+    match Session.handle ~files:true engine line with
+    | Session.Reply r -> Alcotest.(check string) line "OK" r
+    | _ -> Alcotest.failf "%s not answered" line
+  in
+  ok ("SNAPSHOT " ^ file);
+  ok ("RESTORE " ^ file);
+  Sys.remove file
+
 (* ------------------------------------------------------------------ *)
+(* Descriptors: running out, and numbers past select's FD_SETSIZE      *)
+(* ------------------------------------------------------------------ *)
+
+(* This test binary, re-executed with [daemon_env] set to MODE:PATH
+   under a descriptor limit of its own, serves one binary socket at PATH
+   until SHUTDOWN: running out of descriptors, or holding a thousand of
+   them, takes a process of its own.  MODE says what the daemon holds
+   before it starts serving (see [daemon_main]):
+   - [plain]: nothing;
+   - [high]: every free descriptor up to 1030, so the poller, the
+     listener and every connection get numbers select(2) cannot watch;
+   - [starved]: every free descriptor but the two the poller and the
+     listener take, so there is none to spare; SIGUSR1 lets them go. *)
+let daemon_env = "RR_SERVE_TEST_DAEMON"
+
+(* The shell exits 77 when it cannot set the limit. *)
+let spawn_daemon ~mode ~nofile path =
+  Unix.create_process_env "/bin/sh"
+    [|
+      "/bin/sh";
+      "-c";
+      Printf.sprintf "ulimit -n %d || exit 77; exec \"$0\"" nofile;
+      Sys.executable_name;
+    |]
+    (Array.append [| Printf.sprintf "%s=%s:%s" daemon_env mode path |] (Unix.environment ()))
+    Unix.stdin Unix.stdout Unix.stderr
+
+(* Run [f pid path] against a re-executed daemon once its socket is
+   bound, then check that it exits 0 (the caller sends SHUTDOWN).  A
+   daemon left running by a failed check is killed. *)
+let with_daemon ~mode ~nofile f =
+  let path = temp_sock () in
+  let pid = spawn_daemon ~mode ~nofile path in
+  let reaped = ref false in
+  let reap flags =
+    let r, status = Unix.waitpid flags pid in
+    if r <> 0 then reaped := true;
+    (r, status)
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      if not !reaped then begin
+        (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+        ignore (reap [] : int * Unix.process_status)
+      end)
+    (fun () ->
+      let rec await tries =
+        if not (Sys.file_exists path) then
+          match reap [ Unix.WNOHANG ] with
+          | 0, _ when tries > 0 ->
+              Unix.sleepf 0.01;
+              await (tries - 1)
+          | 0, _ -> Alcotest.fail "daemon never bound its socket"
+          | _, Unix.WEXITED 77 -> Alcotest.skip ()
+          | _, _ -> Alcotest.fail "daemon exited before binding its socket"
+      in
+      await 1000;
+      f pid path;
+      let _, status = reap [] in
+      Alcotest.(check bool) "daemon exits 0 on SHUTDOWN" true (status = Unix.WEXITED 0))
+
+(* Open /dev/null until [enough] holds for the last descriptor or none
+   is left; newest first. *)
+let hold_descriptors enough =
+  let rec go held =
+    match Unix.openfile "/dev/null" [ Unix.O_RDONLY; Unix.O_CLOEXEC ] 0 with
+    | fd -> if enough fd then fd :: held else go (fd :: held)
+    | exception Unix.Unix_error ((Unix.EMFILE | Unix.ENFILE), _, _) -> held
+  in
+  go []
+
+let daemon_main spec =
+  let mode, path =
+    match String.index_opt spec ':' with
+    | Some i -> (String.sub spec 0 i, String.sub spec (i + 1) (String.length spec - i - 1))
+    | None -> ("plain", spec)
+  in
+  (match mode with
+  | "plain" -> ()
+  | "high" -> (
+      match hold_descriptors (fun fd -> Rr_serve.Poller.index fd >= 1030) with
+      | fd :: _ when Rr_serve.Poller.index fd >= 1030 -> ()
+      | _ -> exit 3)
+  | "starved" -> (
+      match hold_descriptors (fun _ -> false) with
+      | a :: b :: rest ->
+          Unix.close a;
+          Unix.close b;
+          let held = ref rest in
+          Sys.set_signal Sys.sigusr1
+            (Sys.Signal_handle
+               (fun _ ->
+                 List.iter Unix.close !held;
+                 held := []))
+      | _ -> exit 3)
+  | _ -> exit 2);
+  let engine = ref (Live.create (Live.Classified Rr_engine.Policy_class.Equal_share)) in
+  Server.run ~proto:Server.Binary ~engine ~path ();
+  exit 0
+
+let hello_stats =
+  let r = Ring.create () in
+  Ring.add_string r Frame.hello;
+  Frame.put_empty r ~op:Frame.op_stats;
+  Bytes.sub (Ring.buf r) (Ring.pos r) (Ring.length r)
+
+(* One greeted feeder, then 40 more connections on a daemon limited to
+   24 descriptors: the newcomers past the limit are turned away busy,
+   the feeder keeps its session, and freed descriptors take newcomers
+   again. *)
+let test_descriptor_exhaustion () =
+  with_daemon ~mode:"plain" ~nofile:24 (fun _ path ->
+      let feeder = Client.connect path in
+      Alcotest.(check int) "feeder submits" 0 (Client.submit feeder ~arrival:0. ~size:1.);
+      let extras = List.init 40 (fun _ -> connect_raw path) in
+      (* A refused connection may be closed before its hello lands. *)
+      List.iter
+        (fun fd ->
+          try ignore (Unix.write fd hello_stats 0 (Bytes.length hello_stats) : int)
+          with Unix.Unix_error _ -> ())
+        extras;
+      let greeted = ref 0 and busy = ref 0 in
+      List.iter
+        (fun fd ->
+          let reply = read_exactly fd (Frame.hello_len + Frame.header_size) in
+          Alcotest.(check bool) "hello first" true (Frame.hello_matches reply 0);
+          let op = Char.code (Bytes.get reply Frame.hello_len) in
+          if op = Frame.op_ok_stats then incr greeted
+          else if op = Frame.op_err then incr busy
+          else Alcotest.failf "unexpected reply %s" (Frame.op_name op))
+        extras;
+      Alcotest.(check int) "every extra connection answered" 40 (!greeted + !busy);
+      Alcotest.(check bool) "descriptors ran out" true (!busy > 0);
+      Alcotest.(check int) "feeder still served" 1 (Client.submit feeder ~arrival:1. ~size:1.);
+      List.iter Unix.close extras;
+      (* The daemon reaps the closed extras on its own wake-ups. *)
+      let rec newcomer tries =
+        let c = Client.connect path in
+        match Client.stats c with
+        | s -> (c, s)
+        | exception Client.Server_error _ when tries > 0 ->
+            Client.close c;
+            Unix.sleepf 0.01;
+            newcomer (tries - 1)
+      in
+      let c, s = newcomer 200 in
+      Alcotest.(check int) "newcomer served once descriptors free up" 2 s.Live.submitted;
+      Client.shutdown c;
+      Client.close feeder)
+
+(* No descriptor to spare from the start and no connection open: the
+   first accept fails, and the daemon stops listening.  When descriptors
+   free up without any connection of its own closing (here SIGUSR1 makes
+   the daemon let go of the ones it holds; ENFILE clears the same way
+   when other processes close files), it must take newcomers again. *)
+let test_descriptor_starvation () =
+  with_daemon ~mode:"starved" ~nofile:32 (fun pid path ->
+      let fd = connect_raw path in
+      Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+      ignore (Unix.write fd hello_stats 0 (Bytes.length hello_stats) : int);
+      (match Unix.select [ fd ] [] [] 0.3 with
+      | [], _, _ -> ()
+      | _ -> Alcotest.fail "answered or hung up with no descriptor to accept on");
+      Unix.kill pid Sys.sigusr1;
+      Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.;
+      let reply =
+        try read_exactly fd (Frame.hello_len + Frame.header_size)
+        with Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+          Alcotest.fail "not served within 10 s once descriptors freed up"
+      in
+      Alcotest.(check bool) "hello first" true (Frame.hello_matches reply 0);
+      Alcotest.(check string) "served, not turned away" (Frame.op_name Frame.op_ok_stats)
+        (Frame.op_name (Char.code (Bytes.get reply Frame.hello_len)));
+      let c = Client.connect path in
+      Client.shutdown c)
+
+(* Descriptors 3-1030 taken before the daemon starts.  The soft limit is
+   raised to 2048 for the daemon (up to the hard limit); the test skips
+   only when that fails. *)
+let test_high_descriptors () =
+  with_daemon ~mode:"high" ~nofile:2048 (fun _ path ->
+      let n = 2000 in
+      let arrivals, sizes = workload ~seed:19 ~n in
+      let feeder = Client.connect path and observer = Client.connect path in
+      let local = Live.create (Live.Classified Rr_engine.Policy_class.Equal_share) in
+      let i = ref 0 in
+      while !i < n do
+        let len = min 100 (n - !i) in
+        ignore (Client.submit_batch feeder ~arrivals ~sizes ~off:!i ~len () : int);
+        ignore (Live.submit_batch local ~arrivals ~sizes ~off:!i ~len () : int);
+        let h = arrivals.(!i + len - 1) in
+        ignore (Client.advance feeder h : float * int * int);
+        Live.advance local h;
+        ignore (Client.stats observer : Live.stats);
+        i := !i + len
+      done;
+      check_stats_equal "descriptors past 1023" (Live.query local) (Client.stats observer);
+      Client.bye observer;
+      Client.shutdown feeder)
+
+(* ------------------------------------------------------------------ *)
+(* Protocol fuzzing                                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* Each property runs against one server; every case first RESTOREs a
+   pristine engine over a harness connection, then checks that the
+   harness's STATS equal an in-process replay of the frames the daemon
+   accepted, byte for byte.  The server is joined at the end, so
+   anything that escaped Server.run fails the property.
+
+   The fuzzed bytes never carry a valid snapshot: a RESTORE payload with
+   the right magic still reaches Marshal (ROADMAP's snapshot-codec
+   item), and a crafted one can crash the daemon.  These cases pin the
+   framing and the event loop, not the snapshot decoder. *)
+
+let fuzz_config = { Server.default_config with max_frame_payload = 4096 }
+let pristine = Live.to_bytes (Live.create (Live.Classified Rr_engine.Policy_class.Equal_share))
+
+type req = Submit of float * float | Batch of (float * float) array | Advance of float | Stats | Drain
+
+(* Arrivals are non-decreasing and horizons follow them, but a DRAIN can
+   still push the clock past a later arrival: those answer ERR, which a
+   replay must reproduce too. *)
+let gen_reqs =
+  QCheck2.Gen.(
+    let item = quad (int_range 0 5) (float_range 0. 2.) (float_range 0.01 3.) (int_range 1 6) in
+    map
+      (fun items ->
+        let t = ref 0. in
+        let next gap =
+          t := !t +. gap;
+          !t
+        in
+        List.map
+          (fun (kind, gap, size, k) ->
+            match kind with
+            | 0 | 1 -> Submit (next gap, size)
+            | 2 -> Batch (Array.init k (fun i -> (next (gap /. Float.of_int (i + 1)), size)))
+            | 3 -> Advance (next gap)
+            | 4 -> Stats
+            | _ -> Drain)
+          items)
+      (list_size (int_range 1 12) item))
+
+let encode reqs =
+  let r = Ring.create () in
+  Ring.add_string r Frame.hello;
+  List.iter
+    (function
+      | Submit (arrival, size) -> Frame.put_submit r ~arrival ~size
+      | Batch js ->
+          Frame.put_batch r ~arrivals:(Array.map fst js) ~sizes:(Array.map snd js) ~off:0
+            ~len:(Array.length js)
+      | Advance h -> Frame.put_advance r h
+      | Stats -> Frame.put_empty r ~op:Frame.op_stats
+      | Drain -> Frame.put_empty r ~op:Frame.op_drain)
+    reqs;
+  Bytes.sub (Ring.buf r) (Ring.pos r) (Ring.length r)
+
+(* What the daemon does with the frame at [off] of one connection's
+   bytes [b], per PROTOCOL.md: [`Next off'] after applying it to
+   [engine], [`Partial] if [b] ends inside it, [`Closed] if it closes the
+   connection, [`Stop] on SHUTDOWN. *)
+let step engine b off =
+  let n = Bytes.length b in
+  if off + Frame.header_size > n then `Partial
+  else
+    match Frame.parse_header b off with
+    | Error _ -> `Closed
+    | Ok (_, plen) when plen > fuzz_config.max_frame_payload -> `Closed
+    | Ok (_, plen) when off + Frame.header_size + plen > n -> `Partial
+    | Ok (op, plen) ->
+        let p = off + Frame.header_size in
+        let apply f =
+          (try f () with Invalid_argument _ | Failure _ -> ());
+          `Next (p + plen)
+        in
+        let f64 i = Frame.get_f64 b (p + i) in
+        if op = Frame.op_submit && plen = 16 then
+          apply (fun () -> ignore (Live.submit !engine ~arrival:(f64 0) ~size:(f64 8) : int))
+        else if op = Frame.op_batch && plen >= 4 then
+          let count = Frame.get_u32 b p in
+          if count < 1 || count > Frame.max_batch || plen <> 4 + (16 * count) then `Closed
+          else
+            apply (fun () ->
+                let arrivals = Array.init count (fun i -> f64 (4 + (16 * i))) in
+                let sizes = Array.init count (fun i -> f64 (12 + (16 * i))) in
+                ignore (Live.submit_batch !engine ~arrivals ~sizes () : int))
+        else if op = Frame.op_advance && plen = 8 then apply (fun () -> Live.advance !engine (f64 0))
+        else if op = Frame.op_drain && plen = 0 then apply (fun () -> Live.drain !engine)
+        else if (op = Frame.op_stats || op = Frame.op_snapshot) && plen = 0 then `Next (p + plen)
+        else if op = Frame.op_restore then
+          apply (fun () -> engine := Live.of_bytes (Bytes.sub b p plen))
+        else if op = Frame.op_shutdown then `Stop
+        else `Closed (* BYE, a malformed payload or an unknown opcode *)
+
+(* Replay one connection's bytes; [`Stop] if they would stop the server. *)
+let replay engine b =
+  let rec go off = match step engine b off with `Next off -> go off | r -> r in
+  if Bytes.length b < Frame.hello_len then `Partial
+  else if Frame.hello_matches b 0 then go Frame.hello_len
+  else `Closed
+
+let fresh () = ref (Live.of_bytes pristine)
+
+let stats_bytes (s : Live.stats) =
+  let r = Ring.create () in
+  Frame.put_stats r s;
+  Bytes.sub_string (Ring.buf r) (Ring.pos r) (Ring.length r)
+
+(* The daemon reads each connection on its own wake-up, so a hung-up
+   connection's last frames may land after the harness asks: poll until
+   the STATS settle on the replay's, for up to 2 s. *)
+let expect_replay harness engine =
+  let want = Live.query !engine in
+  let deadline = Unix.gettimeofday () +. 2. in
+  let rec go () =
+    let got = Client.stats harness in
+    if String.equal (stats_bytes got) (stats_bytes want) then true
+    else if Unix.gettimeofday () > deadline then begin
+      check_stats_equal "daemon vs replay" want got;
+      false
+    end
+    else begin
+      Unix.sleepf 0.001;
+      go ()
+    end
+  in
+  go ()
+
+(* Writes that the daemon may refuse halfway (it closes a corrupt
+   connection) stop quietly. *)
+let send fd b off len =
+  try
+    ignore (Unix.write fd b off len : int);
+    true
+  with Unix.Unix_error _ -> false
+
+let read_reply fd =
+  let h = read_exactly fd Frame.header_size in
+  match Frame.parse_header h 0 with
+  | Error e -> Alcotest.failf "corrupt reply: %s" e
+  | Ok (_, plen) -> Bytes.to_string h ^ Bytes.to_string (read_exactly fd plen)
+
+let with_fuzz_server f =
+  with_server ~config:fuzz_config ~proto:Server.Binary (fun path ->
+      let harness = Client.connect path in
+      Fun.protect ~finally:(fun () -> Client.close harness) (fun () -> f harness path))
+
+(* A fixed-seed property whose cases all run against one fuzz server. *)
+let fuzz ~seed ~count ~name gen prop =
+  let server = ref None in
+  let name, speed, run =
+    QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| seed |])
+      (QCheck2.Test.make ~name ~count gen (fun case ->
+           let harness, path = Option.get !server in
+           prop harness path case))
+  in
+  ( name,
+    speed,
+    fun () ->
+      with_fuzz_server (fun harness path ->
+          server := Some (harness, path);
+          run ()) )
+
+(* Every split of a valid stream across two writes: the same replies,
+   byte for byte, and the same engine. *)
+let prop_split_points harness path reqs =
+  let b = encode reqs and replies = 1 + List.length reqs in
+  let exchange k =
+    Client.restore harness pristine;
+    let fd = connect_raw path in
+    ignore (send fd b 0 k && send fd b k (Bytes.length b - k) : bool);
+    let hello = Bytes.to_string (read_exactly fd Frame.hello_len) in
+    let out = hello ^ String.concat "" (List.init (replies - 1) (fun _ -> read_reply fd)) in
+    Unix.close fd;
+    out
+  in
+  let whole = exchange (Bytes.length b) in
+  let engine = fresh () in
+  ignore (replay engine b);
+  let ok = ref (expect_replay harness engine) in
+  for k = 0 to Bytes.length b - 1 do
+    let split = exchange k in
+    if not (String.equal split whole) then begin
+      ok := false;
+      Alcotest.failf "split at byte %d changes the replies" k
+    end;
+    ok := !ok && expect_replay harness engine
+  done;
+  !ok
+
+(* A hangup at every byte offset, replies unread: exactly the frames
+   complete before the cut reach the engine. *)
+let prop_hangups harness path reqs =
+  let b = encode reqs in
+  let ok = ref true in
+  for k = 0 to Bytes.length b do
+    Client.restore harness pristine;
+    let fd = connect_raw path in
+    ignore (send fd b 0 k : bool);
+    Unix.close fd;
+    let engine = fresh () in
+    ignore (replay engine (Bytes.sub b 0 k));
+    ok := !ok && expect_replay harness engine
+  done;
+  !ok
+
+(* Byte flips, then a truncation, sent in random chunks and hung up on. *)
+let gen_mutation =
+  QCheck2.Gen.(
+    quad gen_reqs
+      (list_size (int_range 1 4) (pair (float_range 0. 1.) (int_range 1 255)))
+      (float_range 0. 1.)
+      (list_size (int_range 1 4) (float_range 0. 1.)))
+
+let mutate (reqs, flips, cut, _) =
+  let b = encode reqs in
+  List.iter
+    (fun (at, x) ->
+      let i = Int.min (Bytes.length b - 1) (int_of_float (at *. Float.of_int (Bytes.length b))) in
+      Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor x)))
+    flips;
+  Bytes.sub b 0 (int_of_float (cut *. Float.of_int (Bytes.length b)))
+
+let prop_mutations harness path ((_, _, _, chunks) as m) =
+  let b = mutate m in
+  let engine = fresh () in
+  (* A flip that spells SHUTDOWN would end the shared server. *)
+  QCheck2.assume (replay engine b <> `Stop);
+  Client.restore harness pristine;
+  let fd = connect_raw path in
+  let n = Bytes.length b in
+  let cuts = List.sort_uniq compare (List.map (fun c -> int_of_float (c *. Float.of_int n)) chunks) in
+  ignore
+    (List.fold_left
+       (fun (off, alive) cut ->
+         if alive && cut > off then (cut, send fd b off (cut - off)) else (off, alive))
+       (0, true) (cuts @ [ n ])
+      : int * bool);
+  Unix.close fd;
+  expect_replay harness engine
+
+(* Two clients writing in random chunks; a client reads the reply of
+   every frame its chunk completes before anyone writes again, so the
+   daemon takes the frames in a known order. *)
+let gen_interleaved =
+  QCheck2.Gen.(
+    triple gen_reqs (list_size (int_range 1 12) bool) (list_size (int_range 1 40) (pair bool (int_range 1 40))))
+
+let prop_interleaved harness path (reqs, owners, schedule) =
+  Client.restore harness pristine;
+  let owner i = List.nth owners (i mod List.length owners) in
+  let mine o = List.filteri (fun i _ -> owner i = o) reqs in
+  let streams = [| encode (mine false); encode (mine true) |] in
+  let fds = [| connect_raw path; connect_raw path |] in
+  let sent = [| 0; 0 |] and parsed = [| 0; 0 |] in
+  let engine = fresh () in
+  let write c len =
+    let b = streams.(c) in
+    let len = Int.min len (Bytes.length b - sent.(c)) in
+    ignore (send fds.(c) b sent.(c) len : bool);
+    sent.(c) <- sent.(c) + len;
+    (* Replay and await every frame this chunk completed. *)
+    let rec settle () =
+      if parsed.(c) = 0 then begin
+        if sent.(c) >= Frame.hello_len then begin
+          ignore (read_exactly fds.(c) Frame.hello_len : bytes);
+          parsed.(c) <- Frame.hello_len;
+          settle ()
+        end
+      end
+      else
+        match step engine (Bytes.sub b 0 sent.(c)) parsed.(c) with
+        | `Next off ->
+            ignore (read_reply fds.(c) : string);
+            parsed.(c) <- off;
+            settle ()
+        | _ -> ()
+    in
+    settle ()
+  in
+  List.iter (fun (c, len) -> write (Bool.to_int c) len) schedule;
+  write 0 max_int;
+  write 1 max_int;
+  Array.iter Unix.close fds;
+  expect_replay harness engine
+
+(* A header announcing more than max_frame_payload: ERR, then the
+   connection closes before any payload is awaited. *)
+let test_fuzz_oversized_header () =
+  with_fuzz_server (fun harness path ->
+      List.iter
+        (fun op ->
+          Client.restore harness pristine;
+          let fd = connect_raw path in
+          let h = Bytes.make Frame.header_size '\000' in
+          Bytes.set h 0 (Char.chr op);
+          Bytes.set_int32_le h 4 (Int32.of_int (fuzz_config.max_frame_payload + 1));
+          ignore (send fd (Bytes.cat (Bytes.of_string Frame.hello) h) 0 (Frame.hello_len + 8) : bool);
+          ignore (read_exactly fd Frame.hello_len : bytes);
+          let reply = read_reply fd in
+          Alcotest.(check int) (Frame.op_name op ^ ": ERR") Frame.op_err (Char.code reply.[0]);
+          Alcotest.(check string)
+            (Frame.op_name op ^ ": then closed") "" (drain_to_eof fd);
+          Unix.close fd;
+          Alcotest.(check bool) "engine untouched" true (expect_replay harness (fresh ())))
+        [ Frame.op_submit; Frame.op_batch; Frame.op_restore; Frame.op_stats; 0x42 ])
+
+let fuzz_cases =
+  [
+    fuzz ~seed:7 ~count:6 ~name:"every split point gives identical replies" gen_reqs
+      prop_split_points;
+    fuzz ~seed:11 ~count:6 ~name:"hangup at every byte offset" gen_reqs prop_hangups;
+    fuzz ~seed:13 ~count:600 ~name:"byte flips and truncations" gen_mutation prop_mutations;
+    fuzz ~seed:17 ~count:200 ~name:"two interleaved clients" gen_interleaved prop_interleaved;
+    Alcotest.test_case "header over max_frame_payload" `Quick test_fuzz_oversized_header;
+  ]
+
+(* ------------------------------------------------------------------ *)
+
+let () = Option.iter daemon_main (Sys.getenv_opt daemon_env)
 
 let () =
   Alcotest.run "serve"
@@ -626,11 +1197,19 @@ let () =
             test_binary_bad_hello_closed;
           Alcotest.test_case "non-reading client is shed" `Quick
             test_binary_shed_nonreading_client;
+          Alcotest.test_case "running out of descriptors keeps the daemon serving" `Quick
+            test_descriptor_exhaustion;
+          Alcotest.test_case "no descriptor to spare: accepts again once some free up" `Quick
+            test_descriptor_starvation;
+          Alcotest.test_case "descriptors past 1023" `Quick test_high_descriptors;
         ] );
+      ("protocol fuzz", fuzz_cases);
       ( "text server",
         [
           Alcotest.test_case "CRLF clients (telnet/netcat) work" `Quick
             test_text_crlf_over_socket;
           Alcotest.test_case "second client answered ERR busy" `Quick test_text_err_busy;
+          Alcotest.test_case "SNAPSHOT/RESTORE paths refused over a socket" `Quick
+            test_text_snapshot_paths_refused;
         ] );
     ]
