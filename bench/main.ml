@@ -739,13 +739,15 @@ type b5_report = {
    ~2x margin so a real regression trips them but scheduler jitter does
    not.  The completion cascades (SJF/FCFS) clear far higher bars than
    the preemptive engines; SETF pays for group maintenance.  The dense
-   rate-vector kernels (laps, mlfq, wrr-age) remain O(alive) per event
-   like the general loop, but keep every per-job float in flat records,
-   so an event allocates nothing, and MLFQ reads a tabled ladder forward
-   from each job's cached level instead of re-deriving it from level 0 —
-   which is what LAPS's and MLFQ's floors now pin; wrr-age still pays a
-   power per job per event and keeps the structural 2x.  All five
-   classified additions ride the registry defaults.
+   rate-vector kernels keep every per-job float in flat records, so an
+   event allocates nothing.  LAPS and MLFQ touch only the jobs they
+   serve — LAPS the suffix of latest arrivals, MLFQ the buckets of its
+   lowest occupied ladder levels — where the general loop walks every
+   alive job, and their floors pin that; wrr-age serves every alive job,
+   pays a power per job per event and keeps the structural 2x.  The
+   hybrid finds its jobs in an int-keyed table without hashing or an
+   option per lookup, which its floor pins.  All five classified
+   additions ride the registry defaults.
 
    The third column is the allocation ceiling of each engine's streamed
    path ({!Run.measure_stream}: raw cursor -> kernel -> sink folds), the
@@ -762,11 +764,11 @@ let b5_cases =
     (Rr_policies.Sjf.policy, 4.0, 34.);
     (Rr_policies.Fcfs.policy, 5.0, 34.);
     (Rr_policies.Setf.policy, 2.0, 48.);
-    (classified (Rr_policies.Registry.Laps 0.5), 2.5, 34.);
-    (classified (Rr_policies.Registry.Mlfq 0.5), 2.3, 34.);
+    (classified (Rr_policies.Registry.Laps 0.5), 4.0, 34.);
+    (classified (Rr_policies.Registry.Mlfq 0.5), 5.0, 34.);
     (classified (Rr_policies.Registry.Wrr_age 2), 2.0, 34.);
     (classified (Rr_policies.Registry.Hdf 2.), 2.0, 45.);
-    (classified (Rr_policies.Registry.Hybrid 3.), 2.0, 60.);
+    (classified (Rr_policies.Registry.Hybrid 3.), 4.5, 26.);
   ]
 
 (* Allocated words per job on [policy]'s streamed path: one warm-up run
@@ -995,9 +997,9 @@ type b6_report = {
    serve pattern).  The acceptance bar of the live-engine work is one
    million events per second; the slot-kernel specs clear it with wide
    margin, the heap-cascade specs (equal-share, SETF) carry more state
-   per event and get the bare floor, and the dense rate-vector cores
-   (laps, mlfq, wrr-age) touch every alive job per event, so they get
-   half of it.
+   per event and get the bare floor, and so do LAPS and MLFQ, which
+   touch only the jobs they serve.  The one dense core that serves, and
+   so touches, every alive job per event (wrr-age) gets half of it.
 
    The third column is the allocation ceiling of the same feed, minor
    words per job, B5's measure applied to the live driver: ~1.5x what
@@ -1022,10 +1024,10 @@ let b6_cases =
         (Sjf, 1.0e6, 25.);
         (Fcfs, 1.0e6, 25.);
         (Setf, 1.0e6, 33.);
-        (Laps 0.5, 0.5e6, 24.);
-        (Mlfq 0.5, 0.5e6, 24.);
+        (Laps 0.5, 1.0e6, 24.);
+        (Mlfq 0.5, 1.0e6, 24.);
         (Wrr_age 2, 0.5e6, 24.);
-        (Hybrid 3., 1.0e6, 51.);
+        (Hybrid 3., 1.0e6, 23.);
       ]
 
 let run_live_bench () =

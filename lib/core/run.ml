@@ -301,10 +301,12 @@ let power_sum cfg policy inst = (measure cfg policy inst).power_sum
 (* Order-of-magnitude per-task cost model for `Auto chunking, in
    microseconds.  The fast-path coefficients are calibrated from the B5
    benchmark (the committed BENCH_fastpaths.json,
-   fast_ns / jobs at the quick scale): srpt/sjf/fcfs-index 0.13-0.23,
-   hdf-index 0.35, setf-cascade 0.44, laps-dense 0.57, mlfq-ladder 0.99,
-   wrr-age-dense 2.55, hybrid-index 0.64.  Absolute values drift by up to
-   ~1.5x between runs with the shared host's phase; the ratios hold.
+   fast_ns / jobs at the quick scale): srpt/sjf/fcfs-index 0.15-0.16,
+   hdf-index 0.31, setf-cascade 0.36, laps-dense 0.25, mlfq-ladder 0.37,
+   wrr-age-dense 2.40, hybrid-index 0.38.  Absolute values drift by up to
+   ~1.5x between runs with the shared host's phase (that file was written
+   in a fast one, where srpt-index reads 0.15 against its 0.2 here); the
+   ratios hold.
    Kernels B5 does not time (equal-share, quantum, wrr-static, budget)
    carry estimates interpolated from their event structure.  Only ratios
    matter —
@@ -320,10 +322,10 @@ let estimated_cost_us cfg policy ~jobs =
     (* The slot/heap kernels (hybrid, budget) cost a heap operation per
        event like the indexes, plus slot scans (hybrid's three heaps
        make it the dearer of the two). *)
-    | Starvation_hybrid _ -> 0.65
+    | Starvation_hybrid _ -> 0.5
     | Preempt_budget _ -> 0.4
-    | Latest_fraction _ -> 0.55
-    | Level_ladder _ -> 1.0
+    | Latest_fraction _ -> 0.3
+    | Level_ladder _ -> 0.45
     | Quantum_cycle _ -> 1.2
     | Aged_share _ -> 2.5
     | Sized_share _ -> 1.0

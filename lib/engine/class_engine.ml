@@ -5,18 +5,23 @@
    round-robin.  See class_engine.mli.
 
    Unlike the priority-index kernels (index_engine.ml), these classes
-   hand fractional rates to many jobs at once, so each event still costs
-   O(alive); the win over the general loop is structural.  The engine
-   keeps its jobs in exactly the order its class needs — admission order
-   doubles as (arrival asc, id asc) for LAPS and, because age-derived
-   weights are monotone in arrival, as (weight desc, id asc) for WRR-age
-   — so it never sorts, never rebuilds policy views, and never runs the
-   policy closure.  The numeric kernels (capped proportional shares, the
-   MLFQ ladder) are the shared ones in {!Policy_class}, and the fold
-   orders, guards, and float expressions mirror the reference policies
-   operation for operation, so on the same event sequence the two sides
-   produce the same floats; the differential suite in test_simcore pins
-   agreement to <= 1e-9 relative flow time. *)
+   hand fractional rates to many jobs at once.  The engine keeps its
+   jobs in exactly the order its class needs — admission order doubles
+   as (arrival asc, id asc) for LAPS and, because age-derived weights are
+   monotone in arrival, as (weight desc, id asc) for WRR-age; MLFQ keeps
+   one bucket per ladder level — so it never sorts, never rebuilds policy
+   views, and never runs the policy closure.  LAPS and MLFQ then pay per
+   event only for the jobs they serve: LAPS's served set is a suffix of
+   its vector, MLFQ's the buckets of its lowest occupied levels, and an
+   unserved job neither moves nor completes.  The proportional shares
+   and quantum round-robin serve every alive job (or touch only their m
+   slots), so each of their events costs O(alive) or O(m).  The numeric
+   kernels (capped proportional shares, the MLFQ ladder) are the shared
+   ones in {!Policy_class}, and the fold orders, guards, and float
+   expressions mirror the reference policies operation for operation, so
+   on the same event sequence the two sides produce the same floats; the
+   differential suite in test_simcore pins agreement to <= 1e-9 relative
+   flow time. *)
 
 module Vec = Rr_util.Vec
 
@@ -45,7 +50,9 @@ let kind_of_class = function
    held the int fields every such write would box a fresh float — the
    build has no flambda to unbox them.  [rate] caches the last decision
    for the whole inter-event interval — exactly the general loop's
-   allocate-once-per-event discipline. *)
+   allocate-once-per-event discipline — for the kinds that give each job
+   its own rate; LAPS and MLFQ keep one rate per served window or level
+   instead, and never write it. *)
 type jfl = {
   arrival : float;
   size : float;
@@ -54,24 +61,31 @@ type jfl = {
   mutable rate : float;
 }
 
-type djob = {
-  id : int;  (* -1 marks a Quantum core's vacant slot *)
-  mutable level : int;  (* Ladder only: MLFQ level as of the last refresh *)
-  f : jfl;
+type djob = { id : int; (* -1 marks a Quantum core's vacant slot *) f : jfl }
+
+(* The state's own floats, all-float (flat) so their per-event writes
+   never box. *)
+type sfl = {
+  mutable share : float;  (* Laps: the rate of every served job *)
+  mutable due : float;  (* Ladder: earliest completion under the cached decision *)
 }
 
 type state = {
   kind : kind;
   machines : int;
   speed : float;
-  jobs : djob Vec.t;  (* dense cores; class-specific order, see [admit] *)
+  jobs : djob Vec.t;  (* Laps / Aged / Sized: dense cores in class order, see [insert] *)
   vacant : djob;  (* Quantum: the empty-slot marker (id -1, never served) *)
   slots : djob array;  (* Quantum: seated jobs, one per machine *)
   deadlines : float array;  (* Quantum: per-slot quantum deadline *)
   ready : djob Queue.t;  (* Quantum: FIFO ready queue *)
   ladder : Policy_class.ladder_table;  (* Ladder: thresholds and bands *)
-  level_counts : int array;  (* Ladder scratch: alive jobs per level *)
-  level_share : float array;  (* Ladder scratch: rate per level *)
+  buckets : djob Vec.t array;  (* Ladder: the alive jobs of each level, unordered *)
+  level_share : float array;  (* Ladder: rate per level, 0. from [served] up *)
+  mutable served : int;  (* Ladder: every served job sits in a level below this *)
+  mutable first : int;  (* Laps: [jobs] from index [first] on are served *)
+  mutable settled : int;  (* Laps: [jobs] below this index have been through a settle *)
+  sf : sfl;
   mutable weights : float array;  (* Aged / Sized scratch, capacity >= alive *)
   mutable suffix : float array;  (* capped_rates_into scratch, capacity >= alive + 1 *)
   mutable rates : float array;  (* capped_rates_into output, capacity >= alive *)
@@ -80,11 +94,12 @@ type state = {
 }
 
 let[@inline] make_job ~id ~arrival ~size =
-  { id; level = 0; f = { arrival; size; remaining = size; attained = 0.; rate = 0. } }
+  { id; f = { arrival; size; remaining = size; attained = 0.; rate = 0. } }
 
 let create ~clk ~machines ~speed klass =
   let kind = kind_of_class klass in
   let vacant = make_job ~id:(-1) ~arrival:0. ~size:0. in
+  let levels = match kind with Ladder { levels; _ } -> levels | _ -> 0 in
   {
     kind;
     machines;
@@ -99,8 +114,12 @@ let create ~clk ~machines ~speed klass =
       | Ladder { base_quantum; factor; levels } ->
           Policy_class.ladder_table ~base_quantum ~factor ~levels
       | _ -> { Policy_class.thresholds = [||]; bands = [||] });
-    level_counts = (match kind with Ladder { levels; _ } -> Array.make levels 0 | _ -> [||]);
-    level_share = (match kind with Ladder { levels; _ } -> Array.make levels 0. | _ -> [||]);
+    buckets = Array.init levels (fun _ -> Vec.create ());
+    level_share = Array.make levels 0.;
+    served = 0;
+    first = 0;
+    settled = 0;
+    sf = { share = 0.; due = Float.infinity };
     weights = [||];
     suffix = [||];
     rates = [||];
@@ -128,11 +147,14 @@ let alive st = st.alive
    keeps it because age is decreasing in admission order and the
    age-derived weight is monotone non-decreasing in age, so admission
    order IS (weight desc, id asc) at every instant; WRR-static inserts
-   by its static weight; MLFQ's vector is unordered (rates depend only
-   on levels). *)
+   by its static weight; MLFQ files the newcomer under the level of zero
+   attained service — 0 unless the base quantum sits inside the
+   completion tolerance — and its buckets are unordered (rates depend
+   only on levels). *)
 let insert st dj =
   (match st.kind with
-  | Laps _ | Ladder _ | Aged _ -> Vec.push st.jobs dj
+  | Laps _ | Aged _ -> Vec.push st.jobs dj
+  | Ladder _ -> Vec.push st.buckets.(Policy_class.table_level st.ladder ~from:0 0.) dj
   | Sized { gamma } ->
       (* Keep (weight desc, id asc).  The newcomer has the largest id, so
          it goes after every incumbent of weight >= its own: shift the
@@ -150,8 +172,71 @@ let insert st dj =
 
 let admit st id = insert st (make_job ~id ~arrival:st.clk.arrival ~size:st.clk.size)
 
-(* Mirror of one [allocate] call at [st.clk.now]: recompute every cached
-   rate and the decision horizon.  Run exactly once per event, after
+(* MLFQ's decision at [st.clk.now].  Levels are served lowest-first with
+   the mirror policy's block arithmetic (and its 1e-12 exhaustion guard);
+   the sweep stops at the first level that finds the machines exhausted
+   or once every alive job has been counted, since every level past that
+   point gets rate 0.  One pass over the served buckets then finds the
+   horizon (the first promotion) and the earliest completion, with
+   [v = share *. speed] — the float [rate *. speed] gives for every job
+   of the level.  [now +. x /. v] is monotone in [x], each step being
+   correctly rounded, so a level's earliest completion is that of its
+   least remaining work and its first promotion that of its least gap
+   above 1e-12: the same floats as a division per job, at one per
+   level.  Job levels are current: [finish] re-levels every job it
+   serves, and no other job's attained service moves. *)
+let ladder_refresh st ~levels =
+  let clk = st.clk in
+  let now = clk.now in
+  let left = ref (Float.of_int st.machines) in
+  let counted = ref 0 in
+  let lvl = ref 0 in
+  while !lvl < levels && !left > 1e-12 && !counted < st.alive do
+    let count = Vec.length st.buckets.(!lvl) in
+    if count > 0 then begin
+      let c = Float.of_int count in
+      let share = Float.min 1. (!left /. c) in
+      st.level_share.(!lvl) <- share;
+      left := !left -. (share *. c);
+      counted := !counted + count
+    end
+    else st.level_share.(!lvl) <- 0.;
+    incr lvl
+  done;
+  for l = !lvl to st.served - 1 do
+    st.level_share.(l) <- 0.
+  done;
+  st.served <- !lvl;
+  let horizon = ref Float.infinity and due = ref Float.infinity in
+  for l = 0 to st.served - 1 do
+    let b = st.buckets.(l) in
+    if Vec.length b > 0 then begin
+      (* The last level promotes nobody: its infinite threshold leaves
+         [gap] infinite. *)
+      let threshold =
+        if l < levels - 1 then st.ladder.thresholds.(l) else Float.infinity
+      in
+      let least = ref Float.infinity and gap = ref Float.infinity in
+      for i = 0 to Vec.length b - 1 do
+        let f = (Vec.get b i).f in
+        if f.remaining < !least then least := f.remaining;
+        let g = threshold -. f.attained in
+        if g > 1e-12 && g < !gap then gap := g
+      done;
+      let v = st.level_share.(l) *. st.speed in
+      let c = now +. (!least /. v) in
+      if c < !due then due := c;
+      if !gap < Float.infinity then begin
+        let t = now +. (!gap /. v) in
+        if t < !horizon then horizon := t
+      end
+    end
+  done;
+  clk.horizon <- !horizon;
+  st.sf.due <- !due
+
+(* Mirror of one [allocate] call at [st.clk.now]: recompute the cached
+   decision and the decision horizon.  Run exactly once per event, after
    completions and admissions have settled — the same place the general
    loop invokes the policy. *)
 let refresh st =
@@ -159,53 +244,16 @@ let refresh st =
   let now = clk.now in
   match st.kind with
   | Laps { beta } ->
+      (* The latest ceil(beta n) arrivals — the suffix from [first] —
+         share the machines equally; every earlier job gets rate 0. *)
       let n = Vec.length st.jobs in
       if n > 0 then begin
         let share_count = Int.max 1 (int_of_float (Float.ceil (beta *. Float.of_int n))) in
-        let share = Float.min 1. (Float.of_int st.machines /. Float.of_int share_count) in
-        let first = n - share_count in
-        for i = 0 to n - 1 do
-          (Vec.get st.jobs i).f.rate <- (if i >= first then share else 0.)
-        done
+        st.sf.share <- Float.min 1. (Float.of_int st.machines /. Float.of_int share_count);
+        st.first <- n - share_count
       end;
       clk.horizon <- Float.infinity
-  | Ladder { levels; _ } ->
-      let n = Vec.length st.jobs in
-      Array.fill st.level_counts 0 levels 0;
-      (* Each job's level moves forward from its cached one (see
-         [Policy_class.table_level]): the same level [ladder_level] would
-         compute from 0, at the cost of the levels actually climbed. *)
-      for i = 0 to n - 1 do
-        let dj = Vec.get st.jobs i in
-        dj.level <- Policy_class.table_level st.ladder ~from:dj.level dj.f.attained;
-        st.level_counts.(dj.level) <- st.level_counts.(dj.level) + 1
-      done;
-      (* Serve levels lowest-first; same block arithmetic (and the same
-         1e-12 exhaustion guard) as the mirror policy's sorted sweep. *)
-      let left = ref (Float.of_int st.machines) in
-      for lvl = 0 to levels - 1 do
-        if st.level_counts.(lvl) > 0 && !left > 1e-12 then begin
-          let count = Float.of_int st.level_counts.(lvl) in
-          let share = Float.min 1. (!left /. count) in
-          st.level_share.(lvl) <- share;
-          left := !left -. (share *. count)
-        end
-        else st.level_share.(lvl) <- 0.
-      done;
-      let horizon = ref Float.infinity in
-      for i = 0 to n - 1 do
-        let dj = Vec.get st.jobs i in
-        let f = dj.f in
-        f.rate <- st.level_share.(dj.level);
-        if f.rate > 0. && dj.level < levels - 1 then begin
-          let gap = st.ladder.thresholds.(dj.level) -. f.attained in
-          if gap > 1e-12 then begin
-            let t = now +. (gap /. (f.rate *. st.speed)) in
-            if t < !horizon then horizon := t
-          end
-        end
-      done;
-      clk.horizon <- !horizon
+  | Ladder { levels; _ } -> ladder_refresh st ~levels
   | Aged { k; refresh; offset } ->
       let n = Vec.length st.jobs in
       ensure_scratch st n;
@@ -265,12 +313,26 @@ let refresh st =
    [st.clk.t_next]: analytic completion or decision horizon, whichever
    first.  The caller folds in the next arrival; the min over all three
    is the same float whatever the fold order, so the general loop's
-   completion -> arrival -> horizon sequencing needs no replication. *)
+   completion -> arrival -> horizon sequencing needs no replication.
+   MLFQ's earliest completion was found by [refresh] and is read back
+   here: a live engine scans again after a horizon split, with nothing
+   changed. *)
 let next_internal st =
   let clk = st.clk in
   let now = clk.now in
   let t = ref clk.horizon in
   (match st.kind with
+  | Ladder _ -> if st.sf.due < !t then t := st.sf.due
+  | Laps _ ->
+      (* One rate for the whole window: its earliest completion is that
+         of its least remaining work (see [ladder_refresh]). *)
+      let least = ref Float.infinity in
+      for i = st.first to Vec.length st.jobs - 1 do
+        let r = (Vec.get st.jobs i).f.remaining in
+        if r < !least then least := r
+      done;
+      let c = now +. (!least /. (st.sf.share *. st.speed)) in
+      if c < !t then t := c
   | Quantum _ ->
       for s = 0 to st.machines - 1 do
         let dj = st.slots.(s) in
@@ -282,7 +344,7 @@ let next_internal st =
           end
         end
       done
-  | _ ->
+  | Aged _ | Sized _ ->
       let n = Vec.length st.jobs in
       for i = 0 to n - 1 do
         let f = (Vec.get st.jobs i).f in
@@ -293,6 +355,78 @@ let next_internal st =
         end
       done);
   clk.t_next <- !t
+
+(* Remove [jobs.(i)], shifting the suffix left to preserve the class
+   order. *)
+let remove_ordered st i =
+  let len = Vec.length st.jobs in
+  for p = i to len - 2 do
+    Vec.set st.jobs p (Vec.get st.jobs (p + 1))
+  done;
+  Vec.swap_remove st.jobs (len - 1);
+  st.alive <- st.alive - 1
+
+(* MLFQ's event: one pass over the served levels that advances each job
+   by its level's rate, retires it if complete, and otherwise moves it up
+   to the level its new attained service reaches.  Levels are walked from
+   the highest served one down, so a job moved up lands in a level this
+   pass has already walked and is never advanced twice; within a bucket
+   the walk runs downwards, because of swap-remove.  Only served jobs can
+   complete: an unserved job's remaining work has not moved since the
+   settle that found it above the threshold, and a newcomer sits in the
+   level of zero attained service, the lowest occupied one, which is
+   always served. *)
+let ladder_finish st (complete : Clock.sink) =
+  let now = st.clk.now and dt = st.clk.dt in
+  for l = st.served - 1 downto 0 do
+    let b = st.buckets.(l) in
+    let delta = st.level_share.(l) *. st.speed *. dt in
+    for i = Vec.length b - 1 downto 0 do
+      let dj = Vec.get b i in
+      let f = dj.f in
+      f.remaining <- f.remaining -. delta;
+      f.attained <- f.attained +. delta;
+      if f.remaining <= Clock.threshold f.size then begin
+        complete ~id:dj.id ~arrival:f.arrival ~flow:(now -. f.arrival);
+        Vec.swap_remove b i;
+        st.alive <- st.alive - 1
+      end
+      else begin
+        let up = Policy_class.table_level st.ladder ~from:l f.attained in
+        if up <> l then begin
+          Vec.swap_remove b i;
+          Vec.push st.buckets.(up) dj
+        end
+      end
+    done
+  done
+
+(* LAPS's event: advance and settle the served suffix in one downward
+   pass.  Jobs before [first] have rate 0, and one that has been through
+   a settle cannot complete.  A newcomer outside the window can: a size
+   within [Clock.threshold] of zero is complete at the first event after
+   its admission, served or not, as in the general loop — so the jobs
+   admitted since the last event get that one check. *)
+let laps_finish st (complete : Clock.sink) =
+  let now = st.clk.now in
+  let delta = st.sf.share *. st.speed *. st.clk.dt in
+  for i = Vec.length st.jobs - 1 downto st.first do
+    let dj = Vec.get st.jobs i in
+    let f = dj.f in
+    f.remaining <- f.remaining -. delta;
+    if f.remaining <= Clock.threshold f.size then begin
+      complete ~id:dj.id ~arrival:f.arrival ~flow:(now -. f.arrival);
+      remove_ordered st i
+    end
+  done;
+  for i = st.first - 1 downto st.settled do
+    let dj = Vec.get st.jobs i in
+    if dj.f.remaining <= Clock.threshold dj.f.size then begin
+      complete ~id:dj.id ~arrival:dj.f.arrival ~flow:(now -. dj.f.arrival);
+      remove_ordered st i
+    end
+  done;
+  st.settled <- Vec.length st.jobs
 
 (* Advance every served job by the cached rates for [st.clk.dt]; a zero
    rate is a bit-exact no-op in the general loop, so skipping those jobs
@@ -321,10 +455,11 @@ let advance st =
         end
       done
 
-(* Retire completed jobs at [st.clk.now].  The dense cores check the
-   whole vector (the general loop does too, and it costs nothing extra at
-   O(alive) per event); the quantum core checks its slots — queued jobs
-   have rate 0 and cannot cross the threshold. *)
+(* Retire completed jobs at [st.clk.now].  The proportional cores check
+   the whole vector (the general loop does too, and it costs nothing
+   extra at O(alive) per event); the quantum core checks its slots —
+   queued jobs have rate 0 and cannot cross the threshold.  Downward
+   sweeps: indices below [i] are untouched by a removal. *)
 let settle st (complete : Clock.sink) =
   let now = st.clk.now in
   match st.kind with
@@ -337,32 +472,28 @@ let settle st (complete : Clock.sink) =
           st.alive <- st.alive - 1
         end
       done
+  | _ ->
+      for i = Vec.length st.jobs - 1 downto 0 do
+        let dj = Vec.get st.jobs i in
+        if dj.f.remaining <= Clock.threshold dj.f.size then begin
+          complete ~id:dj.id ~arrival:dj.f.arrival ~flow:(now -. dj.f.arrival);
+          remove_ordered st i
+        end
+      done
+
+let finish st complete =
+  let clk = st.clk in
+  match st.kind with
   | Ladder _ ->
-      (* Unordered vector: swap-remove, iterating downwards. *)
-      for i = Vec.length st.jobs - 1 downto 0 do
-        let dj = Vec.get st.jobs i in
-        if dj.f.remaining <= Clock.threshold dj.f.size then begin
-          complete ~id:dj.id ~arrival:dj.f.arrival ~flow:(now -. dj.f.arrival);
-          Vec.swap_remove st.jobs i;
-          st.alive <- st.alive - 1
-        end
-      done
-  | Laps _ | Aged _ | Sized _ ->
-      (* Ordered vectors: shift the suffix left to preserve the class
-         order.  Indices below [i] are untouched, so the downward sweep
-         stays valid. *)
-      for i = Vec.length st.jobs - 1 downto 0 do
-        let dj = Vec.get st.jobs i in
-        if dj.f.remaining <= Clock.threshold dj.f.size then begin
-          complete ~id:dj.id ~arrival:dj.f.arrival ~flow:(now -. dj.f.arrival);
-          let len = Vec.length st.jobs in
-          for p = i to len - 2 do
-            Vec.set st.jobs p (Vec.get st.jobs (p + 1))
-          done;
-          Vec.swap_remove st.jobs (len - 1);
-          st.alive <- st.alive - 1
-        end
-      done
+      clk.now <- clk.t_next;
+      ladder_finish st complete
+  | Laps _ ->
+      clk.now <- clk.t_next;
+      laps_finish st complete
+  | Aged _ | Sized _ | Quantum _ ->
+      advance st;
+      clk.now <- clk.t_next;
+      settle st complete
 
 let iter_alive st f =
   let g dj = f dj.id dj.f.arrival dj.f.rate in
@@ -370,5 +501,13 @@ let iter_alive st f =
   | Quantum _ ->
       Array.iter (fun dj -> if dj.id >= 0 then g dj) st.slots;
       Queue.iter g st.ready
-  | _ -> Vec.iter g st.jobs
-
+  | Ladder _ ->
+      Array.iteri
+        (fun l b -> Vec.iter (fun dj -> f dj.id dj.f.arrival st.level_share.(l)) b)
+        st.buckets
+  | Laps _ ->
+      for i = 0 to Vec.length st.jobs - 1 do
+        let dj = Vec.get st.jobs i in
+        f dj.id dj.f.arrival (if i >= st.first then st.sf.share else 0.)
+      done
+  | Aged _ | Sized _ -> Vec.iter g st.jobs

@@ -20,7 +20,10 @@
    authoritative fields.  Entries go stale when a job is seated,
    promoted, or completed; stale tops are lazily popped (a job re-enters
    a heap with a key no larger than its old entries, so the live entry
-   always surfaces first). *)
+   always surfaces first).  The records are found by id in an int-keyed
+   open-addressing table sized by the alive count: a lookup is an index
+   mask and a short probe, and a missing id answers the [vacant]
+   sentinel, so no lookup hashes or allocates. *)
 
 module Heap = Rr_util.Heap
 
@@ -43,7 +46,16 @@ type state = {
   theta : float;
   machines : int;
   speed : float;
-  info : (int, hjob) Hashtbl.t;  (* every alive job *)
+  (* Every alive job by id: linear probing from [id land mask] over an
+     array whose length is a power of two, at most half full, with
+     [vacant] in the empty slots.  Removal shifts the rest of the probe
+     run back, so there are no tombstones.  Ids numbered in arrival
+     order — a live engine's, a generated instance's — fill consecutive
+     slots; any other numbering costs probes, not answers.  The table
+     grows with the alive high-water mark, not with the range of ids a
+     long-lived engine hands out. *)
+  mutable table : hjob array;
+  mutable count : int;
   vacant : hjob;  (* the empty-slot marker *)
   slots : hjob array;  (* running set, <= machines occupied entries *)
   starved : Heap.Scalar.t;  (* waiting starved: key = arrival, val = id *)
@@ -51,6 +63,8 @@ type state = {
   promo : Heap.Scalar.t;  (* pending promotions: key = starve, val = id *)
   clk : Clock.t;
 }
+
+let table_slots = 16
 
 (* In a closed run the three priority heaps come from the per-domain
    arena, so back-to-back runs reuse their capacity; a live engine passes
@@ -63,7 +77,8 @@ let create ~clk ~scratch ~machines ~speed ~theta =
     theta;
     machines;
     speed;
-    info = Hashtbl.create 64;
+    table = Array.make table_slots vacant;
+    count = 0;
     vacant;
     slots = Array.make machines vacant;
     starved = Arena.scalar_of scratch;
@@ -72,13 +87,68 @@ let create ~clk ~scratch ~machines ~speed ~theta =
     clk;
   }
 
-let alive st = Hashtbl.length st.info
+let alive st = st.count
+
+(* The record of alive job [id], or [vacant] (hid -1, [where] =
+   [w_running]) when no such job is alive: the probe stops at either. *)
+let find st id =
+  let t = st.table in
+  let mask = Array.length t - 1 in
+  let i = ref (id land mask) in
+  while
+    let hid = (Array.unsafe_get t !i).hid in
+    hid <> id && hid >= 0
+  do
+    i := (!i + 1) land mask
+  done;
+  Array.unsafe_get t !i
+
+let place t (h : hjob) =
+  let mask = Array.length t - 1 in
+  let i = ref (h.hid land mask) in
+  while (Array.unsafe_get t !i).hid >= 0 do
+    i := (!i + 1) land mask
+  done;
+  Array.unsafe_set t !i h
+
+let insert st (h : hjob) =
+  if 2 * (st.count + 1) > Array.length st.table then begin
+    let grown = Array.make (2 * Array.length st.table) st.vacant in
+    Array.iter (fun (g : hjob) -> if g.hid >= 0 then place grown g) st.table;
+    st.table <- grown
+  end;
+  place st.table h;
+  st.count <- st.count + 1
+
+(* Remove alive job [id]: empty its slot, then walk the rest of the
+   probe run and move back every entry whose home slot does not lie
+   cyclically in (hole, entry] — the one lookups would no longer reach
+   across the hole. *)
+let remove st id =
+  let t = st.table in
+  let mask = Array.length t - 1 in
+  let hole = ref (id land mask) in
+  while (Array.unsafe_get t !hole).hid <> id do
+    hole := (!hole + 1) land mask
+  done;
+  let j = ref ((!hole + 1) land mask) in
+  while (Array.unsafe_get t !j).hid >= 0 do
+    let i = !hole and jj = !j in
+    let home = (Array.unsafe_get t jj).hid land mask in
+    if (if i <= jj then home <= i || home > jj else home <= i && home > jj) then begin
+      Array.unsafe_set t i (Array.unsafe_get t jj);
+      hole := jj
+    end;
+    j := (jj + 1) land mask
+  done;
+  Array.unsafe_set t !hole st.vacant;
+  st.count <- st.count - 1
 
 let admit st id =
   let arrival = st.clk.arrival and size = st.clk.size in
   let starve = Policy_class.starve_time ~theta:st.theta ~arrival ~size in
   let h = { hid = id; where = w_fresh; f = { arrival; size; starve; remaining = size } } in
-  Hashtbl.replace st.info h.hid h;
+  insert st h;
   Heap.Scalar.add st.fresh ~key:h.f.remaining h.hid;
   Heap.Scalar.add st.promo ~key:h.f.starve h.hid
 
@@ -94,25 +164,23 @@ let beats st (a : hjob) (b : hjob) =
   | false, false ->
       a.f.remaining < b.f.remaining || (a.f.remaining = b.f.remaining && a.hid < b.hid)
 
+(* Pop stale entries off [heap] until its top is a job alive in tier
+   [which] ([w_starved] or [w_fresh]; [vacant] is tagged [w_running], so
+   an id no longer alive never matches). *)
 let drain_stale st heap which =
-  let continue = ref true in
-  while !continue && Heap.Scalar.length heap > 0 do
-    match Hashtbl.find_opt st.info (Heap.Scalar.min_val_exn heap) with
-    | Some h when h.where = which -> continue := false
-    | _ -> ignore (Heap.Scalar.pop_exn heap)
+  while Heap.Scalar.length heap > 0 && (find st (Heap.Scalar.min_val_exn heap)).where <> which do
+    ignore (Heap.Scalar.pop_exn heap)
   done
 
-(* Best waiting job, starved tier first; [None] when all wait heaps are
+(* Best waiting job, starved tier first; [vacant] when all wait heaps are
    (effectively) empty. *)
 let best_waiting st =
   drain_stale st st.starved w_starved;
-  if Heap.Scalar.length st.starved > 0 then
-    Hashtbl.find_opt st.info (Heap.Scalar.min_val_exn st.starved)
+  if Heap.Scalar.length st.starved > 0 then find st (Heap.Scalar.min_val_exn st.starved)
   else begin
     drain_stale st st.fresh w_fresh;
-    if Heap.Scalar.length st.fresh > 0 then
-      Hashtbl.find_opt st.info (Heap.Scalar.min_val_exn st.fresh)
-    else None
+    if Heap.Scalar.length st.fresh > 0 then find st (Heap.Scalar.min_val_exn st.fresh)
+    else st.vacant
   end
 
 let seat st s (h : hjob) =
@@ -145,53 +213,55 @@ let unseat st s =
 let refresh st =
   let now = st.clk.now in
   while Heap.Scalar.length st.promo > 0 && Heap.Scalar.min_key_exn st.promo <= now do
-    let id = Heap.Scalar.pop_exn st.promo in
-    match Hashtbl.find_opt st.info id with
-    | Some h when h.where = w_fresh ->
-        (* A waiting job crossed its threshold: move it to the starved
-           tier (its old fresh-heap entry goes stale). *)
-        h.where <- w_starved;
-        Heap.Scalar.add st.starved ~key:h.f.arrival h.hid
-    | _ -> ()  (* running (rank only improves in place) or completed *)
+    let h = find st (Heap.Scalar.pop_exn st.promo) in
+    (* A waiting job crossed its threshold: move it to the starved tier
+       (its old fresh-heap entry goes stale).  A running job's rank only
+       improves in place; a completed one is gone. *)
+    if h.where = w_fresh then begin
+      h.where <- w_starved;
+      Heap.Scalar.add st.starved ~key:h.f.arrival h.hid
+    end
   done;
   (* Fill free slots best-first. *)
   for s = 0 to st.machines - 1 do
-    if st.slots.(s).hid < 0 then
-      match best_waiting st with Some h -> seat st s h | None -> ()
+    if st.slots.(s).hid < 0 then begin
+      let h = best_waiting st in
+      if h.hid >= 0 then seat st s h
+    end
   done;
   (* Preempt while some waiting job outranks the weakest incumbent. *)
   let continue = ref true in
   while !continue do
-    match best_waiting st with
-    | None -> continue := false
-    | Some w ->
-        let weakest = ref (-1) in
-        for s = 0 to st.machines - 1 do
-          let h = st.slots.(s) in
-          if h.hid >= 0 then
-            match !weakest with
-            | -1 -> weakest := s
-            | ws ->
-                let hw = st.slots.(ws) in
-                if hw.hid < 0 || beats st hw h then weakest := s
-        done;
-        if !weakest < 0 then continue := false
-        else begin
-          let ws = !weakest in
-          let hw = st.slots.(ws) in
-          if hw.hid >= 0 && beats st w hw then begin
-            unseat st ws;
-            seat st ws w
-          end
-          else continue := false
+    let w = best_waiting st in
+    if w.hid < 0 then continue := false
+    else begin
+      let weakest = ref (-1) in
+      for s = 0 to st.machines - 1 do
+        let h = st.slots.(s) in
+        if h.hid >= 0 then
+          match !weakest with
+          | -1 -> weakest := s
+          | ws ->
+              let hw = st.slots.(ws) in
+              if hw.hid < 0 || beats st hw h then weakest := s
+      done;
+      if !weakest < 0 then continue := false
+      else begin
+        let ws = !weakest in
+        let hw = st.slots.(ws) in
+        if hw.hid >= 0 && beats st w hw then begin
+          unseat st ws;
+          seat st ws w
         end
+        else continue := false
+      end
+    end
   done;
   (* Undrained promotion keys are strictly in the future and belong to
      still-fresh jobs — except entries of jobs that completed fresh,
      which the mirror policy no longer sees: lazily drop those. *)
   while
-    Heap.Scalar.length st.promo > 0
-    && not (Hashtbl.mem st.info (Heap.Scalar.min_val_exn st.promo))
+    Heap.Scalar.length st.promo > 0 && (find st (Heap.Scalar.min_val_exn st.promo)).hid < 0
   do
     ignore (Heap.Scalar.pop_exn st.promo)
   done;
@@ -226,11 +296,13 @@ let settle st (complete : Clock.sink) =
     let h = st.slots.(s) in
     if h.hid >= 0 && h.f.remaining <= Clock.threshold h.f.size then begin
       complete ~id:h.hid ~arrival:h.f.arrival ~flow:(now -. h.f.arrival);
-      Hashtbl.remove st.info h.hid;
+      remove st h.hid;
       st.slots.(s) <- st.vacant
     end
   done
 
 let iter_alive st f =
-  Hashtbl.iter (fun _ h -> f h.hid h.f.arrival (if h.where = w_running then 1. else 0.)) st.info
-
+  Array.iter
+    (fun (h : hjob) ->
+      if h.hid >= 0 then f h.hid h.f.arrival (if h.where = w_running then 1. else 0.))
+    st.table

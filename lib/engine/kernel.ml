@@ -180,9 +180,7 @@ let[@inline] finish k complete =
       before - Index_engine.setf_alive s
   | Dense s ->
       let before = Class_engine.alive s in
-      Class_engine.advance s;
-      clk.now <- clk.t_next;
-      Class_engine.settle s complete;
+      Class_engine.finish s complete;
       before - Class_engine.alive s
   | Hybrid s ->
       let before = Hybrid_engine.alive s in

@@ -31,8 +31,9 @@
 
     Each kernel module exposes the primitives one by one ([create],
     [admit], [refresh], [next_internal], [advance], [settle],
-    [iter_alive]); {!scan} and {!finish} run them in the fixed event
-    order.  Dispatch is a [match] over a closed sum, inlined into the
+    [iter_alive]; {!Class_engine} fuses advance and settle into one
+    [finish], so LAPS and MLFQ walk their served jobs once per event);
+    {!scan} and {!finish} run them in the fixed event order.  Dispatch is a [match] over a closed sum, inlined into the
     drivers, so each primitive is a direct call and no float is boxed on
     the way (this build has no flambda).  The state contains no
     closures, so a live engine snapshots with [Marshal]. *)

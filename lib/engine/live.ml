@@ -402,9 +402,10 @@ let k t = t.st.k
    version names the memory layout of [state] and of the kernel states
    it embeds: any change to either must bump it, or an older build's
    snapshot would be unmarshalled into the new layout.  v5: the pending
-   ring and the flat P² and Welford stores. *)
+   ring and the flat P² and Welford stores.  v6: MLFQ's level buckets,
+   LAPS's served window and the hybrid's open-addressing job table. *)
 
-let snapshot_magic = "rr-live-snapshot-v5\n"
+let snapshot_magic = "rr-live-snapshot-v6\n"
 
 let to_bytes t =
   Bytes.cat (Bytes.of_string snapshot_magic) (Marshal.to_bytes t.st [])

@@ -68,26 +68,32 @@ let connect ?(retries = 100) path =
   in
   let fd = go 0 in
   let t = { fd; rd = Ring.create ~capacity:8192 (); wr = Ring.create ~capacity:8192 () } in
-  Ring.add_string t.wr Frame.hello;
-  write_all t;
-  (* The server answers with its own hello — or an ERR frame (busy).
-     Both start with 8 bytes; disambiguate on the first byte, which is
-     'R' for a hello and an opcode byte for a frame. *)
-  fill t Frame.hello_len;
-  if Frame.hello_matches (Ring.buf t.rd) (Ring.pos t.rd) then begin
-    Ring.consume t.rd Frame.hello_len;
-    t
-  end
-  else begin
+  let refused () =
     match read_frame t with
     | op, p, plen when op = Frame.op_err ->
-        let msg = Bytes.sub_string (Ring.buf t.rd) p plen in
-        close t;
-        raise (Server_error msg)
-    | _ ->
-        close t;
-        failwith "Client.connect: server did not speak the RRSV protocol"
-  end
+        raise (Server_error (Bytes.sub_string (Ring.buf t.rd) p plen))
+    | _ -> failwith "Client.connect: server did not speak the RRSV protocol"
+  in
+  try
+    Ring.add_string t.wr Frame.hello;
+    (* A server that turned us away may already have closed the socket,
+       failing this write; its answer is still there to read. *)
+    (try write_all t with Server_error _ -> ());
+    (* The server answers with its own hello — or an ERR frame (bad
+       hello).  Both start with 8 bytes; disambiguate on the first byte,
+       which is 'R' for a hello and an opcode byte for a frame.  A server
+       that is full (or out of descriptors) sends its hello and then ERR
+       [busy], in one write: the server says nothing unasked, so an ERR
+       already buffered behind the hello is that refusal. *)
+    fill t Frame.hello_len;
+    if not (Frame.hello_matches (Ring.buf t.rd) (Ring.pos t.rd)) then refused ();
+    Ring.consume t.rd Frame.hello_len;
+    if Ring.length t.rd > 0 && Char.code (Bytes.get (Ring.buf t.rd) (Ring.pos t.rd)) = Frame.op_err
+    then refused ();
+    t
+  with e ->
+    close t;
+    raise e
 
 let submit t ~arrival ~size =
   Frame.put_submit t.wr ~arrival ~size;

@@ -18,6 +18,9 @@ val connect : ?retries:int -> string -> t
     still binding its socket (connection refused / missing path).
     SIGPIPE is ignored process-wide.
     @raise Unix.Unix_error when the server never comes up;
+    @raise Server_error when the server turns the connection away (its
+    message verbatim, e.g. [busy: too many clients]) or closes it during
+    the handshake;
     @raise Failure on a handshake mismatch. *)
 
 val close : t -> unit

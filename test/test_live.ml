@@ -277,15 +277,15 @@ let test_snapshot_rejects_old_version () =
       ignore (Live.submit live ~arrival:0.5 ~size:1.);
       Live.advance live 1.;
       let current = Live.to_bytes live in
-      let magic = "rr-live-snapshot-v5\n" in
+      let magic = "rr-live-snapshot-v6\n" in
       Alcotest.(check string)
         (Live.spec_name spec ^ " carries the current magic")
         magic
         (Bytes.sub_string current 0 (String.length magic));
       let old = Bytes.copy current in
-      Bytes.blit_string "rr-live-snapshot-v4\n" 0 old 0 (String.length magic);
+      Bytes.blit_string "rr-live-snapshot-v5\n" 0 old 0 (String.length magic);
       Alcotest.check_raises
-        (Live.spec_name spec ^ " v4 snapshot rejected")
+        (Live.spec_name spec ^ " v5 snapshot rejected")
         (Failure "Live.of_bytes: not a live-engine snapshot")
         (fun () -> ignore (Live.of_bytes old)))
     live_specs
@@ -438,6 +438,120 @@ let test_ring_idle_snapshot_small () =
   if idle >= 1024 then Alcotest.failf "equal-share idle snapshot is %d bytes" idle
 
 (* ------------------------------------------------------------------ *)
+(* The hybrid's job table                                              *)
+(* ------------------------------------------------------------------ *)
+
+(* The hybrid kernel finds its jobs by id in an open-addressing table
+   probed from [id land mask], sized by the alive count.  Closed ids are
+   any permutation of 0 .. n-1 against arrival order, and a live engine's
+   ids grow without bound, so both shapes are pinned to the general loop
+   (<= 1e-9) and to each other (bit for bit). *)
+
+let hybrid_theta = 3.
+
+let hybrid_class = Rr_engine.Policy_class.Starvation_hybrid { theta = hybrid_theta }
+
+let hybrid_policy () = Rr_policies.Registry.make (Rr_policies.Registry.Hybrid hybrid_theta)
+
+(* [bits] reversed: consecutive ranks get ids that share their low bits,
+   so the alive ids crowd a few home slots of a small table. *)
+let bit_reverse ~bits r =
+  let x = ref 0 in
+  for b = 0 to bits - 1 do
+    if r land (1 lsl b) <> 0 then x := !x lor (1 lsl (bits - 1 - b))
+  done;
+  !x
+
+let check_close name ~reference flows =
+  Array.iteri
+    (fun i f ->
+      if rel_diff f reference.(i) > flow_rtol then
+        Alcotest.failf "%s job %d: %.17g vs general %.17g" name i f reference.(i))
+    flows
+
+let check_bits name ~reference flows =
+  Array.iteri
+    (fun i f ->
+      if not (bits_equal f reference.(i)) then
+        Alcotest.failf "%s job %d: %h vs closed %h" name i f reference.(i))
+    flows
+
+let test_hybrid_ids_against_arrival () =
+  let bits = 9 in
+  let n = 1 lsl bits in
+  List.iter
+    (fun (label, relabel) ->
+      List.iter
+        (fun machines ->
+          let sorted = Array.of_list (Instance.jobs (poisson_instance ~seed:29 ~machines ~n)) in
+          let jobs =
+            Array.to_list
+              (Array.mapi
+                 (fun rank (j : Rr_engine.Job.t) ->
+                   Rr_engine.Job.make ~id:(relabel rank) ~arrival:j.arrival ~size:j.size)
+                 sorted)
+          in
+          let name = Printf.sprintf "%s ids, m=%d" label machines in
+          let closed = Rr_engine.Simulator.(flows (run_class ~machines hybrid_class jobs)) in
+          let general =
+            Rr_engine.Simulator.(flows (run ~machines ~policy:(hybrid_policy ()) jobs))
+          in
+          check_close (name ^ ": closed") ~reference:general closed;
+          (* The live engine numbers the same jobs 0 .. n-1 in arrival
+             order; no two keys tie, so the ids decide nothing. *)
+          let live = Array.make n nan in
+          let t =
+            Live.create ~machines ~sink:(fun ~id ~arrival:_ ~flow -> live.(id) <- flow)
+              (Live.Classified hybrid_class)
+          in
+          Array.iter
+            (fun (j : Rr_engine.Job.t) ->
+              ignore (Live.submit t ~arrival:j.arrival ~size:j.size : int))
+            sorted;
+          Live.drain t;
+          check_bits (name ^ ": live") ~reference:(Array.init n (fun r -> closed.(relabel r))) live)
+        [ 1; 3 ])
+    [ ("reversed", fun r -> n - 1 - r); ("bit-reversed", bit_reverse ~bits) ]
+
+(* A long live feed in batches, each advanced to a horizon inside the
+   next batch's gap: the alive set outgrows the table's first sizes many
+   times over while the ids run far past its length. *)
+let test_hybrid_live_table_grows () =
+  let machines = 1 and n = 6000 in
+  let inst =
+    Instance.generate_load ~rng:(Rr_util.Prng.create ~seed:31)
+      ~sizes:(Rr_workload.Distribution.Exponential { mean = 1. })
+      ~load:0.97 ~machines ~n ()
+  in
+  let jobs = Instance.jobs inst in
+  let arrivals = Array.of_list (List.map (fun (j : Rr_engine.Job.t) -> j.arrival) jobs) in
+  let sizes = Array.of_list (List.map (fun (j : Rr_engine.Job.t) -> j.size) jobs) in
+  let live = Array.make n nan in
+  let t =
+    Live.create ~machines ~sink:(fun ~id ~arrival:_ ~flow -> live.(id) <- flow)
+      (Live.Classified hybrid_class)
+  in
+  let batch = 37 in
+  let off = ref 0 in
+  while !off < n do
+    let len = min batch (n - !off) in
+    ignore (Live.submit_batch t ~arrivals ~sizes ~off:!off ~len () : int);
+    off := !off + len;
+    if !off < n then Live.advance t ((arrivals.(!off - 1) +. arrivals.(!off)) /. 2.)
+  done;
+  Live.drain t;
+  let stats = Live.query t in
+  Alcotest.(check int) "every job completes" n stats.Live.completed;
+  Alcotest.(check bool)
+    (Printf.sprintf "the alive set outgrew the table's first sizes (max alive %d)"
+       stats.Live.max_alive)
+    true (stats.Live.max_alive > 64);
+  let closed = Rr_engine.Simulator.(flows (run_class ~machines hybrid_class jobs)) in
+  check_bits "live" ~reference:closed live;
+  let general = Rr_engine.Simulator.(flows (run ~machines ~policy:(hybrid_policy ()) jobs)) in
+  check_close "closed" ~reference:general closed
+
+(* ------------------------------------------------------------------ *)
 (* Submit validation and resumability                                  *)
 (* ------------------------------------------------------------------ *)
 
@@ -554,6 +668,13 @@ let () =
           Alcotest.test_case "wrapped snapshot restores bit for bit" `Quick
             test_ring_snapshot_wrapped;
           Alcotest.test_case "idle snapshot stays small" `Quick test_ring_idle_snapshot_small;
+        ] );
+      ( "hybrid table",
+        [
+          Alcotest.test_case "closed ids against arrival order = general, = live" `Quick
+            test_hybrid_ids_against_arrival;
+          Alcotest.test_case "long live feed grows the table, = closed bit for bit" `Quick
+            test_hybrid_live_table_grows;
         ] );
       ( "lifecycle",
         [ Alcotest.test_case "submit validation and resume after drain" `Quick test_submit_validation ] );

@@ -39,28 +39,15 @@ let temp_sock () =
   incr sock_counter;
   Printf.sprintf "/tmp/rr-serve-t%d-%d.sock" (Unix.getpid ()) !sock_counter
 
-(* Spawn a server domain on a fresh socket, run [f path], then stop the
-   server (best-effort, in case [f] already did) and join the domain. *)
-let with_server ?config ~proto f =
-  let path = temp_sock () in
-  let engine = ref (Live.create (Live.Classified Rr_engine.Policy_class.Equal_share)) in
-  let d = Domain.spawn (fun () -> Server.run ?config ~proto ~engine ~path ()) in
-  Fun.protect
-    ~finally:(fun () ->
-      (match proto with
-      | Server.Binary -> (
-          try Client.shutdown (Client.connect ~retries:5 path) with _ -> ())
-      | Server.Text -> (
-          try
-            let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-            Unix.connect fd (Unix.ADDR_UNIX path);
-            let oc = Unix.out_channel_of_descr fd in
-            output_string oc "QUIT\n";
-            flush oc;
-            Unix.close fd
-          with _ -> ()));
-      Domain.join d)
-    (fun () -> f path)
+(* Raw connections the running tests hold, newest first: [connect_raw]
+   adds one and [close_raw] removes it.  [with_server] closes the ones a
+   test left open before it stops the server — a text server serves one
+   client at a time, so while a failed test still holds the seat the
+   stopping QUIT would be answered busy and the server never joined.
+   Closing goes through the list, never by descriptor number alone: a
+   number closed behind the list's back may already belong to something
+   else. *)
+let raw_open : Unix.file_descr list ref = ref []
 
 (* Raw (no-handshake) socket, for text mode and corruption tests;
    retries cover the race against a server still binding. *)
@@ -73,7 +60,56 @@ let connect_raw ?(retries = 100) path =
         Unix.sleepf 0.02;
         go (n - 1)
   in
-  go retries
+  let fd = go retries in
+  raw_open := fd :: !raw_open;
+  fd
+
+let close_raw fd =
+  raw_open := List.filter (fun x -> x <> fd) !raw_open;
+  Unix.close fd
+
+(* Stop a text server: QUIT on a connection of our own, again while the
+   seat is still taken (the server may not have reaped a just-closed
+   holder yet); nothing to do once the socket is gone. *)
+let stop_text path =
+  let rec go tries =
+    let reply =
+      try
+        let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+        Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+        Unix.connect fd (Unix.ADDR_UNIX path);
+        let oc = Unix.out_channel_of_descr fd in
+        output_string oc "QUIT\n";
+        flush oc;
+        In_channel.input_line (Unix.in_channel_of_descr fd)
+      with _ -> None
+    in
+    if reply = Some "ERR busy" && tries > 0 then begin
+      Unix.sleepf 0.02;
+      go (tries - 1)
+    end
+  in
+  go 250
+
+(* Spawn a server domain on a fresh socket, run [f path], then close the
+   raw connections [f] left open, stop the server (best-effort, in case
+   [f] already did) and join the domain. *)
+let with_server ?config ~proto f =
+  let path = temp_sock () in
+  let engine = ref (Live.create (Live.Classified Rr_engine.Policy_class.Equal_share)) in
+  let d = Domain.spawn (fun () -> Server.run ?config ~proto ~engine ~path ()) in
+  let outer = !raw_open in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter
+        (fun fd -> if not (List.mem fd outer) then try close_raw fd with Unix.Unix_error _ -> ())
+        !raw_open;
+      (match proto with
+      | Server.Binary -> (
+          try Client.shutdown (Client.connect ~retries:5 path) with _ -> ())
+      | Server.Text -> stop_text path);
+      Domain.join d)
+    (fun () -> f path)
 
 let read_exactly fd n =
   let b = Bytes.create n in
@@ -475,7 +511,7 @@ let test_binary_rude_hangup () =
       (match Unix.select [ fd ] [] [] 5. with
       | [], _, _ -> Alcotest.fail "the victim's OK_ID never arrived"
       | _ -> ());
-      Unix.close fd;
+      close_raw fd;
       let s = Client.stats survivor in
       Alcotest.(check int) "daemon alive, victim's job counted" 2 s.Live.submitted;
       Client.shutdown survivor)
@@ -489,7 +525,7 @@ let test_binary_bad_hello_closed () =
       let seen = drain_to_eof fd in
       Alcotest.(check bool) "got an ERR frame" true (String.length seen >= Frame.header_size);
       Alcotest.(check int) "ERR opcode" Frame.op_err (Char.code seen.[0]);
-      Unix.close fd;
+      close_raw fd;
       (* The daemon itself is unharmed. *)
       let c = Client.connect path in
       Alcotest.(check int) "server still serving" 0 (Client.submit c ~arrival:0. ~size:1.);
@@ -512,11 +548,28 @@ let test_binary_shed_nonreading_client () =
       done;
       ignore (Unix.write fd burst 0 (Bytes.length burst) : int);
       ignore (drain_to_eof fd : string);
-      Unix.close fd;
+      close_raw fd;
       (* Shedding one hog leaves the daemon serving. *)
       let c = Client.connect path in
       Alcotest.(check int) "server alive after shed" 0 (Client.submit c ~arrival:0. ~size:1.);
       Client.shutdown c)
+
+(* A full server answers a newcomer's hello with its own hello and then
+   ERR busy, and closes: [Client.connect] must raise that ERR, not hand
+   back a connection whose first request fails. *)
+let test_binary_connect_refused () =
+  let config = { Server.default_config with max_clients = 1 } in
+  with_server ~config ~proto:Server.Binary (fun path ->
+      let first = Client.connect path in
+      (* SHUTDOWN from this connection even when a check fails: it holds
+         the one seat, so nobody else could stop the server. *)
+      Fun.protect ~finally:(fun () -> try Client.shutdown first with _ -> ()) @@ fun () ->
+      Alcotest.(check int) "first client served" 0 (Client.submit first ~arrival:0. ~size:1.);
+      Alcotest.check_raises "second connect refused"
+        (Client.Server_error "busy: too many clients") (fun () ->
+          let c = Client.connect path in
+          Client.close c);
+      Alcotest.(check int) "first client undisturbed" 1 (Client.submit first ~arrival:1. ~size:1.))
 
 (* ------------------------------------------------------------------ *)
 (* Text over the socket                                                *)
@@ -539,7 +592,7 @@ let test_text_crlf_over_socket () =
       flush oc;
       Alcotest.(check (option string)) "CRLF QUIT answered" (Some "OK bye")
         (In_channel.input_line ic);
-      Unix.close fd)
+      close_raw fd)
 
 let test_text_err_busy () =
   with_server ~proto:Server.Text (fun path ->
@@ -553,7 +606,7 @@ let test_text_err_busy () =
       let fd2 = connect_raw path in
       let seen = drain_to_eof fd2 in
       Alcotest.(check string) "second client refused explicitly" "ERR busy\n" seen;
-      Unix.close fd2;
+      close_raw fd2;
       (* The first session is undisturbed, and once it leaves the seat
          frees up for the next client. *)
       output_string oc1 "STATS\n";
@@ -562,7 +615,7 @@ let test_text_err_busy () =
       | Some line -> Alcotest.(check bool) "first client undisturbed" true
             (String.length line >= 2 && String.sub line 0 2 = "OK")
       | None -> Alcotest.fail "first client lost its session");
-      Unix.close fd1;
+      close_raw fd1;
       Unix.sleepf 0.05;
       let fd3 = connect_raw path in
       let ic3 = Unix.in_channel_of_descr fd3 and oc3 = Unix.out_channel_of_descr fd3 in
@@ -576,7 +629,7 @@ let test_text_err_busy () =
       output_string oc3 "QUIT\n";
       flush oc3;
       ignore (In_channel.input_line ic3 : string option);
-      Unix.close fd3)
+      close_raw fd3)
 
 let test_text_snapshot_paths_refused () =
   let file = Filename.temp_file "rr-serve" ".snap" in
@@ -591,7 +644,7 @@ let test_text_snapshot_paths_refused () =
              output_string oc "QUIT\n";
              flush oc
            with Sys_error _ -> ());
-          Unix.close fd)
+          close_raw fd)
       @@ fun () ->
       Printf.fprintf oc "SUBMIT 0 1\nSNAPSHOT %s\nRESTORE %s\nSNAPSHOT\nSTATS\n" file file;
       flush oc;
@@ -762,14 +815,12 @@ let test_descriptor_exhaustion () =
       Alcotest.(check int) "every extra connection answered" 40 (!greeted + !busy);
       Alcotest.(check bool) "descriptors ran out" true (!busy > 0);
       Alcotest.(check int) "feeder still served" 1 (Client.submit feeder ~arrival:1. ~size:1.);
-      List.iter Unix.close extras;
+      List.iter close_raw extras;
       (* The daemon reaps the closed extras on its own wake-ups. *)
       let rec newcomer tries =
-        let c = Client.connect path in
-        match Client.stats c with
-        | s -> (c, s)
+        match Client.connect path with
+        | c -> (c, Client.stats c)
         | exception Client.Server_error _ when tries > 0 ->
-            Client.close c;
             Unix.sleepf 0.01;
             newcomer (tries - 1)
       in
@@ -786,7 +837,7 @@ let test_descriptor_exhaustion () =
 let test_descriptor_starvation () =
   with_daemon ~mode:"starved" ~nofile:32 (fun pid path ->
       let fd = connect_raw path in
-      Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+      Fun.protect ~finally:(fun () -> close_raw fd) @@ fun () ->
       ignore (Unix.write fd hello_stats 0 (Bytes.length hello_stats) : int);
       (match Unix.select [ fd ] [] [] 0.3 with
       | [], _, _ -> ()
@@ -1003,7 +1054,7 @@ let prop_split_points harness path reqs =
     ignore (send fd b 0 k && send fd b k (Bytes.length b - k) : bool);
     let hello = Bytes.to_string (read_exactly fd Frame.hello_len) in
     let out = hello ^ String.concat "" (List.init (replies - 1) (fun _ -> read_reply fd)) in
-    Unix.close fd;
+    close_raw fd;
     out
   in
   let whole = exchange (Bytes.length b) in
@@ -1029,7 +1080,7 @@ let prop_hangups harness path reqs =
     Client.restore harness pristine;
     let fd = connect_raw path in
     ignore (send fd b 0 k : bool);
-    Unix.close fd;
+    close_raw fd;
     let engine = fresh () in
     ignore (replay engine (Bytes.sub b 0 k));
     ok := !ok && expect_replay harness engine
@@ -1068,7 +1119,7 @@ let prop_mutations harness path ((_, _, _, chunks) as m) =
          if alive && cut > off then (cut, send fd b off (cut - off)) else (off, alive))
        (0, true) (cuts @ [ n ])
       : int * bool);
-  Unix.close fd;
+  close_raw fd;
   expect_replay harness engine
 
 (* Two clients writing in random chunks; a client reads the reply of
@@ -1113,7 +1164,7 @@ let prop_interleaved harness path (reqs, owners, schedule) =
   List.iter (fun (c, len) -> write (Bool.to_int c) len) schedule;
   write 0 max_int;
   write 1 max_int;
-  Array.iter Unix.close fds;
+  Array.iter close_raw fds;
   expect_replay harness engine
 
 (* A header announcing more than max_frame_payload: ERR, then the
@@ -1133,7 +1184,7 @@ let test_fuzz_oversized_header () =
           Alcotest.(check int) (Frame.op_name op ^ ": ERR") Frame.op_err (Char.code reply.[0]);
           Alcotest.(check string)
             (Frame.op_name op ^ ": then closed") "" (drain_to_eof fd);
-          Unix.close fd;
+          close_raw fd;
           Alcotest.(check bool) "engine untouched" true (expect_replay harness (fresh ())))
         [ Frame.op_submit; Frame.op_batch; Frame.op_restore; Frame.op_stats; 0x42 ])
 
@@ -1197,6 +1248,8 @@ let () =
             test_binary_bad_hello_closed;
           Alcotest.test_case "non-reading client is shed" `Quick
             test_binary_shed_nonreading_client;
+          Alcotest.test_case "connect to a full server raises busy" `Quick
+            test_binary_connect_refused;
           Alcotest.test_case "running out of descriptors keeps the daemon serving" `Quick
             test_descriptor_exhaustion;
           Alcotest.test_case "no descriptor to spare: accepts again once some free up" `Quick

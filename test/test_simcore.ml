@@ -230,6 +230,62 @@ let test_zero_length_event () =
         Alcotest.failf "job %d: closed %.17g vs general %.17g" i closed.(i) general.(i))
     pairs
 
+(* A job whose size is within the completion threshold of zero is
+   complete at the first event after its release, served or not: the
+   general loop retires every such job there.  Released with three
+   others, it falls outside LAPS(0.5)'s window of the two latest
+   arrivals, which only serves; the closed and live kernels must still
+   retire it at t = 2, when the window's jobs complete. *)
+let test_born_complete_outside_laps_window () =
+  let inst = instance_of_pairs [ (0., 1e-10); (0., 1.); (0., 1.); (0., 1.) ] in
+  let policy = Registry.make (Registry.Laps 0.5) in
+  let general = Run.flows (Run.config ~cache:false ~engine:`General ()) policy inst in
+  Alcotest.(check (float 1e-9)) "general retires it with the window" 2. general.(0);
+  List.iter
+    (fun engine ->
+      let flows = Run.flows (Run.config ~cache:false ~engine ()) policy inst in
+      Array.iteri
+        (fun i f ->
+          if rel_diff f general.(i) > flow_rtol then
+            Alcotest.failf "%s job %d: %.17g vs general %.17g" (Run.engine_to_string engine) i f
+              general.(i))
+        flows)
+    [ `Closed; `Live ]
+
+(* A zero-length event in the general loop: a job of size 5e-10
+   released at t = 1e7, where one ulp of the clock is ~1.9e-9, completes
+   at [now + 5e-10], which rounds onto [now].  The general loop runs
+   that event with dt = 0, as both class drivers do (it used to trip an
+   assertion), and all three report flow 0. *)
+let test_zero_length_event_general () =
+  let pairs = [ (1e7, 5e-10) ] in
+  let jobs = Instance.jobs (instance_of_pairs pairs) in
+  let bits a = Array.to_list (Array.map Int64.bits_of_float a) in
+  List.iter
+    (fun spec ->
+      let policy = Registry.make spec in
+      let klass = Option.get policy.Rr_engine.Policy.klass in
+      let name = policy.Rr_engine.Policy.name in
+      let general = Simulator.flows (Simulator.run ~machines:1 ~policy jobs) in
+      let closed = Simulator.flows (Simulator.run_class ~machines:1 klass jobs) in
+      let live =
+        let flows = Array.make 1 nan in
+        let t =
+          Rr_engine.Live.create
+            ~sink:(fun ~id ~arrival:_ ~flow -> flows.(id) <- flow)
+            (Rr_engine.Live.Classified klass)
+        in
+        List.iter
+          (fun (arrival, size) -> ignore (Rr_engine.Live.submit t ~arrival ~size : int))
+          pairs;
+        Rr_engine.Live.drain t;
+        flows
+      in
+      Alcotest.(check (list int64)) (name ^ ": general = closed") (bits closed) (bits general);
+      Alcotest.(check (list int64)) (name ^ ": live = closed") (bits closed) (bits live);
+      Alcotest.(check (float 0.)) (name ^ ": flow 0") 0. general.(0))
+    [ Registry.Rr; Registry.Srpt; Registry.Fcfs ]
+
 (* ------------------------------------------------------------------ *)
 (* Engine classifier                                                   *)
 (* ------------------------------------------------------------------ *)
@@ -507,6 +563,133 @@ let test_cache_engine_keys () =
   Alcotest.(check int) "no aliasing hit" 0 s.hits;
   Alcotest.(check bool) "engines agree" true (rel_diff r_fast.Run.norm r_gen.Run.norm <= flow_rtol)
 
+(* ------------------------------------------------------------------ *)
+(* Golden values                                                       *)
+(* ------------------------------------------------------------------ *)
+
+(* The aggregates [Run.measure_stream] reports for the three kernels that
+   serve only part of their alive set (LAPS's latest arrivals, MLFQ's
+   lowest levels, the hybrid's top m), on both offline-mix shapes of the
+   repository benchmark, three seeds, n = 5000, under the closed and the
+   live driver: norm, power sum, mean and max flow as exact hex floats,
+   then the event count.  Recorded from the kernels that touched every
+   alive job on every event; a kernel that skips the unserved jobs must
+   reproduce them bit for bit. *)
+let golden_shapes =
+  [
+    ("exp-m1", Rr_workload.Distribution.Exponential { mean = 1. }, 0.9, 1);
+    ( "bpareto-m4",
+      Rr_workload.Distribution.Bounded_pareto { alpha = 1.5; x_min = 1.; x_max = 1000. },
+      0.95,
+      4 );
+  ]
+
+let golden =
+  [
+    ( "laps:0.5/exp-m1/11/auto",
+      "0x1.c7df2b0f0d7dp+11 0x1.95e586cdc6b5p+23 0x1.69936d7acaa59p+3 0x1.3f17ed226bbd7p+10 9999" );
+    ( "laps:0.5/exp-m1/11/live",
+      "0x1.c7df2b0f0d7dp+11 0x1.95e586cdc6b5p+23 0x1.69936d7acaa59p+3 0x1.3f17ed226bbd7p+10 10000" );
+    ( "laps:0.5/exp-m1/12/auto",
+      "0x1.459beb6cef0e9p+11 0x1.9e2542b98565ap+22 0x1.34186b87682efp+3 0x1.2ec110cd51794p+9 9999" );
+    ( "laps:0.5/exp-m1/12/live",
+      "0x1.459beb6cef0e9p+11 0x1.9e2542b98565ap+22 0x1.34186b87682efp+3 0x1.2ec110cd51794p+9 10000" );
+    ( "laps:0.5/exp-m1/13/auto",
+      "0x1.1ff8b6f5ce3b2p+11 0x1.43ef9bde236aap+22 0x1.50f605cb25601p+3 0x1.f6758e8b68c2p+8 9999" );
+    ( "laps:0.5/exp-m1/13/live",
+      "0x1.1ff8b6f5ce3b2p+11 0x1.43ef9bde236aap+22 0x1.50f605cb25601p+3 0x1.f6758e8b68c2p+8 10000" );
+    ( "laps:0.5/bpareto-m4/11/auto",
+      "0x1.04a6ddd56875bp+13 0x1.09635f5ded2cbp+26 0x1.773a7f2a96eccp+3 0x1.0588f9cea089ep+12 9999" );
+    ( "laps:0.5/bpareto-m4/11/live",
+      "0x1.04a6ddd56875bp+13 0x1.09635f5ded2cbp+26 0x1.773a7f2a96eccp+3 0x1.0588f9cea089ep+12 10000" );
+    ( "laps:0.5/bpareto-m4/12/auto",
+      "0x1.ee4bf09c4d797p+11 0x1.dd3495910c5dcp+23 0x1.0c59f8ee747d8p+3 0x1.afbcdee89c83cp+10 9999" );
+    ( "laps:0.5/bpareto-m4/12/live",
+      "0x1.ee4bf09c4d797p+11 0x1.dd3495910c5dcp+23 0x1.0c59f8ee747d8p+3 0x1.afbcdee89c83cp+10 10000" );
+    ( "laps:0.5/bpareto-m4/13/auto",
+      "0x1.ecdb14f4a9ed4p+11 0x1.da6d6a04a4bcep+23 0x1.275430c8fca7dp+3 0x1.27ba35ca06df8p+11 9999" );
+    ( "laps:0.5/bpareto-m4/13/live",
+      "0x1.ecdb14f4a9ed4p+11 0x1.da6d6a04a4bcep+23 0x1.275430c8fca7dp+3 0x1.27ba35ca06df8p+11 10000" );
+    ( "mlfq/exp-m1/11/auto",
+      "0x1.992d49aba7898p+11 0x1.4700deb4bc70dp+23 0x1.5b914d0eb2ba7p+3 0x1.065856c13a07ep+10 14109" );
+    ( "mlfq/exp-m1/11/live",
+      "0x1.992d49aba7898p+11 0x1.4700deb4bc70dp+23 0x1.5b914d0eb2ba7p+3 0x1.065856c13a07ep+10 14110" );
+    ( "mlfq/exp-m1/12/auto",
+      "0x1.2f33733619f73p+11 0x1.671ad5112cdf1p+22 0x1.2db3e1ec88eb3p+3 0x1.10b5fd74766a4p+9 14115" );
+    ( "mlfq/exp-m1/12/live",
+      "0x1.2f33733619f73p+11 0x1.671ad5112cdf1p+22 0x1.2db3e1ec88eb3p+3 0x1.10b5fd74766a4p+9 14116" );
+    ( "mlfq/exp-m1/13/auto",
+      "0x1.28b8781659f5ap+11 0x1.57eb1aa0887e4p+22 0x1.55da46706c0dp+3 0x1.e4e00ca9b524p+8 14139" );
+    ( "mlfq/exp-m1/13/live",
+      "0x1.28b8781659f5ap+11 0x1.57eb1aa0887e4p+22 0x1.55da46706c0dp+3 0x1.e4e00ca9b524p+8 14140" );
+    ( "mlfq/bpareto-m4/11/auto",
+      "0x1.64a1135cb5195p+12 0x1.f0d0633333c1p+24 0x1.fd99daa1f7c6bp+2 0x1.6cf82c9d8416ap+11 18774" );
+    ( "mlfq/bpareto-m4/11/live",
+      "0x1.64a1135cb5195p+12 0x1.f0d0633333c1p+24 0x1.fd99daa1f7c6bp+2 0x1.6cf82c9d8416ap+11 18775" );
+    ( "mlfq/bpareto-m4/12/auto",
+      "0x1.15999c0a96204p+11 0x1.2d05c7dacca63p+22 0x1.7437559269388p+2 0x1.bfd15a190bddcp+9 18819" );
+    ( "mlfq/bpareto-m4/12/live",
+      "0x1.15999c0a96204p+11 0x1.2d05c7dacca63p+22 0x1.7437559269388p+2 0x1.bfd15a190bddcp+9 18820" );
+    ( "mlfq/bpareto-m4/13/auto",
+      "0x1.94063041d32p+10 0x1.3ed1c43b0745dp+21 0x1.75a1a6438e87dp+2 0x1.5ae9834fd97a8p+9 18811" );
+    ( "mlfq/bpareto-m4/13/live",
+      "0x1.94063041d32p+10 0x1.3ed1c43b0745dp+21 0x1.75a1a6438e87dp+2 0x1.5ae9834fd97a8p+9 18812" );
+    ( "hybrid:3/exp-m1/11/auto",
+      "0x1.223aa35a57fb5p+10 0x1.4908e7871c817p+20 0x1.3fb04b372e3adp+3 0x1.1f929f6f2b98p+6 12636" );
+    ( "hybrid:3/exp-m1/11/live",
+      "0x1.223aa35a57fb5p+10 0x1.4908e7871c817p+20 0x1.3fb04b372e3adp+3 0x1.1f929f6f2b98p+6 12637" );
+    ( "hybrid:3/exp-m1/12/auto",
+      "0x1.bad74711acc65p+9 0x1.7f060b38be03fp+19 0x1.06ddb93add6c5p+3 0x1.510eaf3bd8ep+5 12498" );
+    ( "hybrid:3/exp-m1/12/live",
+      "0x1.bad74711acc65p+9 0x1.7f060b38be03fp+19 0x1.06ddb93add6c5p+3 0x1.510eaf3bd8ep+5 12499" );
+    ( "hybrid:3/exp-m1/13/auto",
+      "0x1.f4b7d4a3a9929p+9 0x1.e9af4d5080803p+19 0x1.3bb83214710a8p+3 0x1.b33a7f95b4e54p+5 13017" );
+    ( "hybrid:3/exp-m1/13/live",
+      "0x1.f4b7d4a3a9929p+9 0x1.e9af4d5080803p+19 0x1.3bb83214710a8p+3 0x1.b33a7f95b4e54p+5 13018" );
+    ( "hybrid:3/bpareto-m4/11/auto",
+      "0x1.3970ac1b4f5b3p+12 0x1.7fc4b671d3a72p+24 0x1.020a999e65c6cp+5 0x1.5ef1af77cfcfcp+11 12189" );
+    ( "hybrid:3/bpareto-m4/11/live",
+      "0x1.3970ac1b4f5b3p+12 0x1.7fc4b671d3a72p+24 0x1.020a999e65c6cp+5 0x1.5ef1af77cfcfcp+11 12190" );
+    ( "hybrid:3/bpareto-m4/12/auto",
+      "0x1.7b4acbe9754c1p+10 0x1.18fb46cfe3599p+21 0x1.5d4960410b145p+2 0x1.be276febe400cp+9 10261" );
+    ( "hybrid:3/bpareto-m4/12/live",
+      "0x1.7b4acbe9754c1p+10 0x1.18fb46cfe3599p+21 0x1.5d4960410b145p+2 0x1.be276febe400cp+9 10262" );
+    ( "hybrid:3/bpareto-m4/13/auto",
+      "0x1.0e96439fdbd1cp+10 0x1.1e014ed884e12p+20 0x1.3385ce108fd55p+2 0x1.6d2df8a4eabe8p+8 10232" );
+    ( "hybrid:3/bpareto-m4/13/live",
+      "0x1.0e96439fdbd1cp+10 0x1.1e014ed884e12p+20 0x1.3385ce108fd55p+2 0x1.6d2df8a4eabe8p+8 10233" );
+  ]
+
+let test_golden_values () =
+  List.iter
+    (fun spec ->
+      let policy =
+        match Registry.spec_of_string spec with
+        | Ok s -> Registry.make s
+        | Error msg -> Alcotest.fail msg
+      in
+      List.iter
+        (fun (label, sizes, load, machines) ->
+          List.iter
+            (fun seed ->
+              let stream =
+                Instance.Stream.generate_load ~seed ~sizes ~load ~machines ~n:5000 ()
+              in
+              List.iter
+                (fun (ename, engine) ->
+                  let key = Printf.sprintf "%s/%s/%d/%s" spec label seed ename in
+                  let r =
+                    Run.measure_stream (Run.config ~machines ~engine ~cache:false ()) policy stream
+                  in
+                  Alcotest.(check string)
+                    key (List.assoc key golden)
+                    (Printf.sprintf "%h %h %h %h %d" r.Run.norm r.power_sum r.mean_flow
+                       r.max_flow r.events))
+                [ ("auto", `Auto); ("live", `Live) ])
+            [ 11; 12; 13 ])
+        golden_shapes)
+    [ "laps:0.5"; "mlfq"; "hybrid:3" ]
+
 let qsuite =
   List.map QCheck_alcotest.to_alcotest
     ([
@@ -526,6 +709,10 @@ let () =
             Alcotest.test_case "trace equivalence" `Quick test_equal_share_trace;
             Alcotest.test_case "edge corpus, every engine" `Quick test_edge_corpus;
             Alcotest.test_case "zero-length event (setf)" `Quick test_zero_length_event;
+            Alcotest.test_case "zero-length event (general loop)" `Quick
+              test_zero_length_event_general;
+            Alcotest.test_case "born-complete job outside the LAPS window" `Quick
+              test_born_complete_outside_laps_window;
             Alcotest.test_case "fast engine traces" `Quick test_fast_engine_traces;
           ] );
       ( "engine",
@@ -533,6 +720,8 @@ let () =
           Alcotest.test_case "classifier" `Quick test_engine_classifier;
           Alcotest.test_case "cache keys per engine" `Quick test_cache_engine_keys;
         ] );
+      ( "golden",
+        [ Alcotest.test_case "laps, mlfq and hybrid aggregates" `Quick test_golden_values ] );
       ("digest", [ Alcotest.test_case "structural" `Quick test_digest ]);
       ( "cache",
         [
