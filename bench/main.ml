@@ -525,15 +525,17 @@ type b4_report = { b4_points : b4_point list; b4_failures : string list }
 
 (* The streamed pipeline must stay O(alive): near-zero allocation per job
    and a peak live heap an order of magnitude under the materialized
-   pipeline's at the largest size.  After the arena work the raw
-   equal-share path allocates ~11 words/job under the release profile
-   (the remaining words are the O(log alive) heap-node churn amortised
-   per job plus a handful of boxed floats at uninlined call boundaries);
-   anything past 16 means a per-job allocation leaked back in.  The gate
-   assumes the release profile: the dev profile passes [-opaque], which
-   kills cross-module inlining and roughly triples the figure — run the
-   bench with [dune exec --profile release]. *)
-let b4_max_words_per_job = 16.
+   pipeline's at the largest size.  This path hands every completion to
+   a caller's sink, so each job boxes its arrival and flow for that call
+   (4 words); the kernel, the source and the folds behind the sink
+   allocate nothing.  The release profile measures ~5.3 words/job at
+   n = 10^5 (Gc.allocated_bytes, which advances at minor collections
+   only, so the n = 10^4 point reads lower); anything past 8 (~1.5x)
+   means a per-job allocation leaked back in.  The gate assumes the
+   release profile: the dev profile passes [-opaque], which kills
+   cross-module inlining and multiplies the figure — run the bench with
+   [dune exec --profile release]. *)
+let b4_max_words_per_job = 8.
 let b4_min_peak_ratio = 10.
 let b4_rtol = 1e-9
 
@@ -750,25 +752,29 @@ type b5_report = {
    additions ride the registry defaults.
 
    The third column is the allocation ceiling of each engine's streamed
-   path ({!Run.measure_stream}: raw cursor -> kernel -> sink folds), the
-   B4 measure extended to every closed kernel: ~1.5x the words/job the
-   release profile measures (EXPERIMENTS.md; ~16 of them are the sink
-   folds' share, as in B4).  A boxed float in a per-event write costs
-   two words per job per event per alive job — hundreds of words per job
-   for the dense kernels — so it fails the bench while run-to-run noise
-   does not.  Like B4's, the ceilings assume the release profile. *)
+   path ({!Run.measure_stream}: raw cursor -> kernel -> completion log
+   -> folds), the B4 measure extended to every closed kernel.  Nothing
+   on that path allocates per job any more — admissions recycle their
+   records, completions leave through a flat log folded in place — so
+   the release profile measures 0.1-0.6 words/job at the quick n = 2000
+   (the run's fixed cost spread over its jobs; less at full scale), and
+   1.5x of that would be noise.  The ceiling is one word per job: a
+   boxed float back on the per-job path costs two, a boxed float in a
+   per-event write two per job per event per alive job, so either fails
+   the bench while run-to-run noise does not.  Like B4's, the ceilings
+   assume the release profile. *)
 let b5_cases =
   let classified spec = Rr_policies.Registry.(make spec) in
   [
-    (Rr_policies.Srpt.policy, 5.0, 34.);
-    (Rr_policies.Sjf.policy, 4.0, 34.);
-    (Rr_policies.Fcfs.policy, 5.0, 34.);
-    (Rr_policies.Setf.policy, 2.0, 48.);
-    (classified (Rr_policies.Registry.Laps 0.5), 4.0, 34.);
-    (classified (Rr_policies.Registry.Mlfq 0.5), 5.0, 34.);
-    (classified (Rr_policies.Registry.Wrr_age 2), 2.0, 34.);
-    (classified (Rr_policies.Registry.Hdf 2.), 2.0, 45.);
-    (classified (Rr_policies.Registry.Hybrid 3.), 4.5, 26.);
+    (Rr_policies.Srpt.policy, 5.0, 1.);
+    (Rr_policies.Sjf.policy, 4.0, 1.);
+    (Rr_policies.Fcfs.policy, 5.0, 1.);
+    (Rr_policies.Setf.policy, 2.0, 1.);
+    (classified (Rr_policies.Registry.Laps 0.5), 4.0, 1.);
+    (classified (Rr_policies.Registry.Mlfq 0.5), 5.0, 1.);
+    (classified (Rr_policies.Registry.Wrr_age 2), 2.0, 1.);
+    (classified (Rr_policies.Registry.Hdf 2.), 2.0, 1.);
+    (classified (Rr_policies.Registry.Hybrid 3.), 4.5, 1.);
   ]
 
 (* Allocated words per job on [policy]'s streamed path: one warm-up run
@@ -1002,13 +1008,14 @@ type b6_report = {
    so touches, every alive job per event (wrr-age) gets half of it.
 
    The third column is the allocation ceiling of the same feed, minor
-   words per job, B5's measure applied to the live driver: ~1.5x what
-   the release profile measures (EXPERIMENTS.md).  The pending ring and
-   the metric folds allocate nothing; what remains is the kernel's own
-   per-event churn plus the boxed arrival and flow each completion hands
-   to the sink.  A boxed float back on the per-job path costs two words
-   per job per update, so it fails the bench while run-to-run noise does
-   not.  Like B4's and B5's, the ceilings assume the release profile. *)
+   words per job, B5's measure applied to the live driver.  The pending
+   ring, the kernel (recycled job records, a flat completion log) and
+   the metric folds that read the log allocate nothing, so the release
+   profile measures 0.0-0.1 words/job (EXPERIMENTS.md), and the ceiling
+   is one word per job, as in B5: a boxed float back on the per-job path
+   costs two words per job per update, so it fails the bench while
+   run-to-run noise does not.  Like B4's and B5's, the ceilings assume
+   the release profile. *)
 let b6_cases =
   List.map
     (fun (spec, gate, max_words) ->
@@ -1019,15 +1026,15 @@ let b6_cases =
         max_words ))
     Rr_policies.Registry.
       [
-        (Rr, 1.0e6, 9.);
-        (Srpt, 1.0e6, 25.);
-        (Sjf, 1.0e6, 25.);
-        (Fcfs, 1.0e6, 25.);
-        (Setf, 1.0e6, 33.);
-        (Laps 0.5, 1.0e6, 24.);
-        (Mlfq 0.5, 1.0e6, 24.);
-        (Wrr_age 2, 0.5e6, 24.);
-        (Hybrid 3., 1.0e6, 23.);
+        (Rr, 1.0e6, 1.);
+        (Srpt, 1.0e6, 1.);
+        (Sjf, 1.0e6, 1.);
+        (Fcfs, 1.0e6, 1.);
+        (Setf, 1.0e6, 1.);
+        (Laps 0.5, 1.0e6, 1.);
+        (Mlfq 0.5, 1.0e6, 1.);
+        (Wrr_age 2, 0.5e6, 1.);
+        (Hybrid 3., 1.0e6, 1.);
       ]
 
 let run_live_bench () =

@@ -134,13 +134,14 @@ let simulate cfg policy inst =
         events = q.Rr_engine.Live.events;
       }
 
+(* The engine's default 10M-event livelock guard would trip on perfectly
+   healthy multi-million-job streams (>= 2 events per job); the stream
+   knows its size, so scale the budget with it instead of uncapping. *)
+let stream_max_events stream =
+  Int.max default_max_events (64 * Rr_workload.Instance.Stream.n stream)
+
 let simulate_stream cfg policy stream ~sink =
-  (* The engine's default 10M-event livelock guard would trip on perfectly
-     healthy multi-million-job streams (>= 2 events per job); the stream
-     knows its size, so scale the budget with it instead of uncapping. *)
-  let max_events =
-    Int.max default_max_events (64 * Rr_workload.Instance.Stream.n stream)
-  in
+  let max_events = stream_max_events stream in
   let speed = cfg.speed and machines = cfg.machines in
   (* The closed driver reads the stream through the unboxed raw cursor,
      so admitting a job builds no [Job.t] (bench B4 gates the equal-share
@@ -258,17 +259,24 @@ let measure cfg (policy : Rr_engine.Policy.t) inst =
 
 let measure_stream cfg (policy : Rr_engine.Policy.t) stream =
   let compute () =
-    (* One pass: the engine pushes each completion into the incremental
-       folds and discards it — nothing per-job survives the run. *)
-    let ps = Rr_metrics.Sink.power_sum ~k:cfg.k () in
-    let w = Rr_metrics.Sink.moments () in
-    let sink ~id:_ ~arrival:_ ~flow:f =
-      Rr_metrics.Sink.push ps f;
-      Rr_metrics.Sink.push w f
+    (* One pass: each completion goes into the incremental folds and is
+       discarded — nothing per-job survives the run.  The closed driver
+       folds straight out of its kernel's completion log, with no sink
+       call and no boxed float per job; the general loop and the live
+       feed push into the same folds through a sink. *)
+    let folds = Rr_engine.Simulator.folds ~k:cfg.k in
+    let summary =
+      match selection_for cfg policy with
+      | Closed klass ->
+          Rr_engine.Simulator.run_class_fold ~speed:cfg.speed
+            ~max_events:(stream_max_events stream) ~machines:cfg.machines folds klass
+            (Rr_workload.Instance.Stream.start_raw stream)
+      | General | Live _ ->
+          simulate_stream { cfg with record_trace = false } policy stream
+            ~sink:(Rr_engine.Simulator.fold_sink folds)
     in
-    let summary = simulate_stream { cfg with record_trace = false } policy stream ~sink in
-    let wv = Rr_metrics.Sink.value w in
-    let power_sum = Rr_metrics.Sink.value ps in
+    let wv = folds.Rr_engine.Simulator.moments in
+    let power_sum = Rr_util.Kahan.total folds.Rr_engine.Simulator.power_sum in
     let n = summary.Rr_engine.Simulator.n in
     {
       Cache.n;

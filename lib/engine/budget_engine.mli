@@ -32,5 +32,5 @@ val refresh : state -> unit
 
 val next_internal : state -> unit
 val advance : state -> unit
-val settle : state -> Clock.sink -> unit
+val settle : state -> Clock.log -> unit
 val iter_alive : state -> (int -> float -> float -> unit) -> unit

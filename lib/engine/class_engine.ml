@@ -52,16 +52,18 @@ let kind_of_class = function
    for the whole inter-event interval — exactly the general loop's
    allocate-once-per-event discipline — for the kinds that give each job
    its own rate; LAPS and MLFQ keep one rate per served window or level
-   instead, and never write it. *)
+   instead, and never write it.  A retired record goes onto the state's
+   free list and is refilled by a later admission, so in steady state an
+   admission allocates nothing. *)
 type jfl = {
-  arrival : float;
-  size : float;
+  mutable arrival : float;
+  mutable size : float;
   mutable remaining : float;
   mutable attained : float;
   mutable rate : float;
 }
 
-type djob = { id : int; (* -1 marks a Quantum core's vacant slot *) f : jfl }
+type djob = { mutable id : int; (* -1 marks a Quantum core's vacant slot *) f : jfl }
 
 (* The state's own floats, all-float (flat) so their per-event writes
    never box. *)
@@ -78,7 +80,15 @@ type state = {
   vacant : djob;  (* Quantum: the empty-slot marker (id -1, never served) *)
   slots : djob array;  (* Quantum: seated jobs, one per machine *)
   deadlines : float array;  (* Quantum: per-slot quantum deadline *)
-  ready : djob Queue.t;  (* Quantum: FIFO ready queue *)
+  mutable ready : djob array;
+      (* Quantum: the FIFO ready queue, a ring of [n_ready] jobs from
+         [r_head] whose length is a power of two; a push stores a
+         pointer, never a cell *)
+  mutable r_head : int;
+  mutable n_ready : int;
+  mutable tiny : int;
+      (* Quantum: newcomers within [Clock.threshold] since the last
+         settle, which may still sit in [ready] (see [settle]) *)
   ladder : Policy_class.ladder_table;  (* Ladder: thresholds and bands *)
   buckets : djob Vec.t array;  (* Ladder: the alive jobs of each level, unordered *)
   level_share : float array;  (* Ladder: rate per level, 0. from [served] up *)
@@ -90,15 +100,13 @@ type state = {
   mutable suffix : float array;  (* capped_rates_into scratch, capacity >= alive + 1 *)
   mutable rates : float array;  (* capped_rates_into output, capacity >= alive *)
   clk : Clock.t;
+  free : djob Vec.t;  (* retired records, refilled by [admit] *)
   mutable alive : int;
 }
 
-let[@inline] make_job ~id ~arrival ~size =
-  { id; f = { arrival; size; remaining = size; attained = 0.; rate = 0. } }
-
 let create ~clk ~machines ~speed klass =
   let kind = kind_of_class klass in
-  let vacant = make_job ~id:(-1) ~arrival:0. ~size:0. in
+  let vacant = { id = -1; f = { arrival = 0.; size = 0.; remaining = 0.; attained = 0.; rate = 0. } } in
   let levels = match kind with Ladder { levels; _ } -> levels | _ -> 0 in
   {
     kind;
@@ -108,7 +116,10 @@ let create ~clk ~machines ~speed klass =
     vacant;
     slots = (match kind with Quantum _ -> Array.make machines vacant | _ -> [||]);
     deadlines = (match kind with Quantum _ -> Array.make machines Float.infinity | _ -> [||]);
-    ready = Queue.create ();
+    ready = [||];
+    r_head = 0;
+    n_ready = 0;
+    tiny = 0;
     ladder =
       (match kind with
       | Ladder { base_quantum; factor; levels } ->
@@ -124,6 +135,7 @@ let create ~clk ~machines ~speed klass =
     suffix = [||];
     rates = [||];
     clk;
+    free = Vec.create ();
     alive = 0;
   }
 
@@ -140,6 +152,26 @@ let ensure_scratch st n =
   end
 
 let alive st = st.alive
+
+let ready_push st dj =
+  let cap = Array.length st.ready in
+  if st.n_ready = cap then begin
+    let grown = Array.make (Int.max 16 (2 * cap)) st.vacant in
+    for j = 0 to st.n_ready - 1 do
+      grown.(j) <- st.ready.((st.r_head + j) land (cap - 1))
+    done;
+    st.ready <- grown;
+    st.r_head <- 0
+  end;
+  st.ready.((st.r_head + st.n_ready) land (Array.length st.ready - 1)) <- dj;
+  st.n_ready <- st.n_ready + 1
+
+let ready_pop st =
+  let dj = st.ready.(st.r_head) in
+  st.ready.(st.r_head) <- st.vacant;
+  st.r_head <- (st.r_head + 1) land (Array.length st.ready - 1);
+  st.n_ready <- st.n_ready - 1;
+  dj
 
 (* Jobs must be admitted in (arrival asc, id asc) order — the order
    every source produces.  LAPS keeps that order directly (the policy
@@ -167,10 +199,39 @@ let insert st dj =
         decr i
       done;
       Vec.set st.jobs !i dj
-  | Quantum _ -> Queue.push dj st.ready);
+  | Quantum _ ->
+      if dj.f.size <= Clock.threshold dj.f.size then st.tiny <- st.tiny + 1;
+      ready_push st dj);
   st.alive <- st.alive + 1
 
-let admit st id = insert st (make_job ~id ~arrival:st.clk.arrival ~size:st.clk.size)
+(* The record of job [id], released at [clk.arrival] with size
+   [clk.size]: a recycled one when the free list has one. *)
+let take st id =
+  let n = Vec.length st.free in
+  let dj =
+    if n = 0 then { id; f = { arrival = 0.; size = 0.; remaining = 0.; attained = 0.; rate = 0. } }
+    else begin
+      let dj = Vec.get st.free (n - 1) in
+      Vec.swap_remove st.free (n - 1);
+      dj.id <- id;
+      dj
+    end
+  in
+  let f = dj.f in
+  f.arrival <- st.clk.arrival;
+  f.size <- st.clk.size;
+  f.remaining <- st.clk.size;
+  f.attained <- 0.;
+  f.rate <- 0.;
+  dj
+
+let admit st id = insert st (take st id)
+
+(* Hand a completed job to the log and its record to the free list. *)
+let[@inline] retire st out (dj : djob) =
+  let f = dj.f in
+  Clock.retire out ~id:dj.id ~arrival:f.arrival ~flow:(st.clk.now -. f.arrival);
+  Vec.push st.free dj
 
 (* MLFQ's decision at [st.clk.now].  Levels are served lowest-first with
    the mirror policy's block arithmetic (and its 1e-12 exhaustion guard);
@@ -291,13 +352,13 @@ let refresh st =
         let dj = st.slots.(s) in
         if dj.id >= 0 && now >= st.deadlines.(s) -. 1e-12 then begin
           dj.f.rate <- 0.;
-          Queue.push dj st.ready;
+          ready_push st dj;
           st.slots.(s) <- st.vacant
         end
       done;
       for s = 0 to st.machines - 1 do
-        if st.slots.(s).id < 0 && not (Queue.is_empty st.ready) then begin
-          let dj = Queue.pop st.ready in
+        if st.slots.(s).id < 0 && st.n_ready > 0 then begin
+          let dj = ready_pop st in
           dj.f.rate <- 1.;
           st.slots.(s) <- dj;
           st.deadlines.(s) <- now +. quantum
@@ -376,8 +437,8 @@ let remove_ordered st i =
    settle that found it above the threshold, and a newcomer sits in the
    level of zero attained service, the lowest occupied one, which is
    always served. *)
-let ladder_finish st (complete : Clock.sink) =
-  let now = st.clk.now and dt = st.clk.dt in
+let ladder_finish st out =
+  let dt = st.clk.dt in
   for l = st.served - 1 downto 0 do
     let b = st.buckets.(l) in
     let delta = st.level_share.(l) *. st.speed *. dt in
@@ -387,8 +448,8 @@ let ladder_finish st (complete : Clock.sink) =
       f.remaining <- f.remaining -. delta;
       f.attained <- f.attained +. delta;
       if f.remaining <= Clock.threshold f.size then begin
-        complete ~id:dj.id ~arrival:f.arrival ~flow:(now -. f.arrival);
         Vec.swap_remove b i;
+        retire st out dj;
         st.alive <- st.alive - 1
       end
       else begin
@@ -407,23 +468,22 @@ let ladder_finish st (complete : Clock.sink) =
    within [Clock.threshold] of zero is complete at the first event after
    its admission, served or not, as in the general loop — so the jobs
    admitted since the last event get that one check. *)
-let laps_finish st (complete : Clock.sink) =
-  let now = st.clk.now in
+let laps_finish st out =
   let delta = st.sf.share *. st.speed *. st.clk.dt in
   for i = Vec.length st.jobs - 1 downto st.first do
     let dj = Vec.get st.jobs i in
     let f = dj.f in
     f.remaining <- f.remaining -. delta;
     if f.remaining <= Clock.threshold f.size then begin
-      complete ~id:dj.id ~arrival:f.arrival ~flow:(now -. f.arrival);
-      remove_ordered st i
+      remove_ordered st i;
+      retire st out dj
     end
   done;
   for i = st.first - 1 downto st.settled do
     let dj = Vec.get st.jobs i in
     if dj.f.remaining <= Clock.threshold dj.f.size then begin
-      complete ~id:dj.id ~arrival:dj.f.arrival ~flow:(now -. dj.f.arrival);
-      remove_ordered st i
+      remove_ordered st i;
+      retire st out dj
     end
   done;
   st.settled <- Vec.length st.jobs
@@ -458,49 +518,64 @@ let advance st =
 (* Retire completed jobs at [st.clk.now].  The proportional cores check
    the whole vector (the general loop does too, and it costs nothing
    extra at O(alive) per event); the quantum core checks its slots —
-   queued jobs have rate 0 and cannot cross the threshold.  Downward
-   sweeps: indices below [i] are untouched by a removal. *)
-let settle st (complete : Clock.sink) =
-  let now = st.clk.now in
+   queued jobs have rate 0, and only a newcomer within the threshold of
+   zero can be complete there: the general loop retires it at the first
+   event after its release, served or not, so when one was admitted
+   since the last settle the queue is filtered once, in order.
+   Downward sweeps: indices below [i] are untouched by a removal. *)
+let settle st out =
   match st.kind with
   | Quantum _ ->
       for s = 0 to st.machines - 1 do
         let dj = st.slots.(s) in
         if dj.id >= 0 && dj.f.remaining <= Clock.threshold dj.f.size then begin
-          complete ~id:dj.id ~arrival:dj.f.arrival ~flow:(now -. dj.f.arrival);
+          retire st out dj;
           st.slots.(s) <- st.vacant;
           st.alive <- st.alive - 1
         end
-      done
+      done;
+      if st.tiny > 0 then begin
+        for _ = 1 to st.n_ready do
+          let dj = ready_pop st in
+          if dj.f.remaining <= Clock.threshold dj.f.size then begin
+            retire st out dj;
+            st.alive <- st.alive - 1
+          end
+          else ready_push st dj
+        done;
+        st.tiny <- 0
+      end
   | _ ->
       for i = Vec.length st.jobs - 1 downto 0 do
         let dj = Vec.get st.jobs i in
         if dj.f.remaining <= Clock.threshold dj.f.size then begin
-          complete ~id:dj.id ~arrival:dj.f.arrival ~flow:(now -. dj.f.arrival);
-          remove_ordered st i
+          remove_ordered st i;
+          retire st out dj
         end
       done
 
-let finish st complete =
+let finish st out =
   let clk = st.clk in
   match st.kind with
   | Ladder _ ->
       clk.now <- clk.t_next;
-      ladder_finish st complete
+      ladder_finish st out
   | Laps _ ->
       clk.now <- clk.t_next;
-      laps_finish st complete
+      laps_finish st out
   | Aged _ | Sized _ | Quantum _ ->
       advance st;
       clk.now <- clk.t_next;
-      settle st complete
+      settle st out
 
 let iter_alive st f =
   let g dj = f dj.id dj.f.arrival dj.f.rate in
   match st.kind with
   | Quantum _ ->
       Array.iter (fun dj -> if dj.id >= 0 then g dj) st.slots;
-      Queue.iter g st.ready
+      for j = 0 to st.n_ready - 1 do
+        g st.ready.((st.r_head + j) land (Array.length st.ready - 1))
+      done
   | Ladder _ ->
       Array.iteri
         (fun l b -> Vec.iter (fun dj -> f dj.id dj.f.arrival st.level_share.(l)) b)

@@ -47,7 +47,8 @@ val alive : state -> int
 val admit : state -> int -> unit
 (** Admit job [id] released at [clk.arrival] with size [clk.size].  Jobs
     must be admitted in (arrival asc, id asc) order — the order every
-    driver produces. *)
+    driver produces.  The job's record is a retired one when there is
+    one, so steady-state admissions allocate nothing. *)
 
 val refresh : state -> unit
 (** Recompute every cached rate and the decision horizon at [clk.now]:
@@ -58,12 +59,12 @@ val next_internal : state -> unit
 (** Earliest internal event under the cached decision (analytic
     completion or [clk.horizon]) into [clk.t_next]. *)
 
-val finish : state -> Clock.sink -> unit
+val finish : state -> Clock.log -> unit
 (** The event: advance the served jobs by the cached rates for
     [clk.dt], move [clk.now] to [clk.t_next] and retire the jobs
-    complete there.  LAPS and MLFQ do all three in one pass over their
-    served jobs, MLFQ moving each job that crossed a threshold up to its
-    new level. *)
+    complete there into the log.  LAPS and MLFQ do all three in one pass
+    over their served jobs, MLFQ moving each job that crossed a
+    threshold up to its new level. *)
 
 val iter_alive : state -> (int -> float -> float -> unit) -> unit
 (** [f id arrival rate] over every alive job. *)

@@ -11,7 +11,9 @@
     float crosses the kernel boundary boxed. *)
 
 type sink = id:int -> arrival:float -> flow:float -> unit
-(** A completion consumer; {!Simulator.sink} is the same type. *)
+(** A completion consumer; {!Simulator.sink} is the same type.  Kernels
+    never call one: they append completions to a {!log}, and a driver
+    hands them to a sink only for callers that want per-job data. *)
 
 type t = {
   mutable now : float;
@@ -40,3 +42,34 @@ val threshold : float -> float
     rounding of the analytic advance and is shared by every engine,
     the general loop included, so they agree on what "finished"
     means. *)
+
+(** {2 Completion log}
+
+    How a kernel hands its completions to the driver: [settle] appends
+    each retired job, in retirement order, and the driver folds the log
+    once the event is settled, then empties it.  The ids and floats sit
+    in an int array and two float arrays, so neither side boxes a float
+    or calls a closure per completed job. *)
+
+type log = {
+  mutable ids : int array;
+  mutable arrivals : float array;
+  mutable flows : float array;  (** [now -. arrival] at retirement. *)
+  mutable count : int;  (** Entries [0 .. count - 1] are this event's. *)
+}
+
+val log_create : unit -> log
+(** An empty log (capacity grows as needed). *)
+
+val retire : log -> id:int -> arrival:float -> flow:float -> unit
+(** Append one completion. *)
+
+val hold : log -> id:int -> arrival:float -> unit
+(** Append a job that is complete but not yet retired: a newcomer whose
+    size is within {!threshold} of zero and that has to wait, which the
+    general loop retires at the first event after its release.  Its flow
+    is not known until then ([flows] is unused in a log of held jobs). *)
+
+val release : log -> log -> now:float -> unit
+(** [release held out ~now] retires every held job into [out] with
+    [flow = now -. arrival], in holding order, and empties [held]. *)

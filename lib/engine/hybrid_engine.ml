@@ -37,10 +37,18 @@ let w_fresh = 2
 (* Per-job floats in an all-float (flat) record: the per-event
    [remaining] write of a running job is then a plain unboxed store —
    in a record that also held [hid] and [where] it would box a fresh
-   float. *)
-type hfl = { arrival : float; size : float; starve : float; mutable remaining : float }
+   float.  A completed job's record goes onto the state's free list and
+   is refilled by a later admission (no heap entry holds a record, only
+   ids, and a stale id no longer finds one), so in steady state an
+   admission allocates nothing. *)
+type hfl = {
+  mutable arrival : float;
+  mutable size : float;
+  mutable starve : float;
+  mutable remaining : float;
+}
 
-type hjob = { hid : int; (* -1 marks a vacant slot *) mutable where : int; f : hfl }
+type hjob = { mutable hid : int; (* -1 marks a vacant slot *) mutable where : int; f : hfl }
 
 type state = {
   theta : float;
@@ -61,6 +69,12 @@ type state = {
   starved : Heap.Scalar.t;  (* waiting starved: key = arrival, val = id *)
   fresh : Heap.Scalar.t;  (* waiting fresh: key = remaining at push, val = id *)
   promo : Heap.Scalar.t;  (* pending promotions: key = starve, val = id *)
+  free : hjob Rr_util.Vec.t;  (* completed jobs' records, refilled by [admit] *)
+  (* Ids of the newcomers within [Clock.threshold] admitted since the
+     last settle: one that [refresh] left waiting (a starved incumbent
+     outranks any fresh job) is complete at the next event, as the
+     general loop retires it, and [settle] retires it there. *)
+  tiny : int Rr_util.Vec.t;
   clk : Clock.t;
 }
 
@@ -84,6 +98,8 @@ let create ~clk ~scratch ~machines ~speed ~theta =
     starved = Arena.scalar_of scratch;
     fresh = Arena.scalar_of scratch;
     promo = Arena.scalar_of scratch;
+    free = Rr_util.Vec.create ();
+    tiny = Rr_util.Vec.create ();
     clk;
   }
 
@@ -145,9 +161,24 @@ let remove st id =
   st.count <- st.count - 1
 
 let admit st id =
-  let arrival = st.clk.arrival and size = st.clk.size in
-  let starve = Policy_class.starve_time ~theta:st.theta ~arrival ~size in
-  let h = { hid = id; where = w_fresh; f = { arrival; size; starve; remaining = size } } in
+  let n = Rr_util.Vec.length st.free in
+  let h =
+    if n = 0 then
+      { hid = id; where = w_fresh; f = { arrival = 0.; size = 0.; starve = 0.; remaining = 0. } }
+    else begin
+      let h = Rr_util.Vec.get st.free (n - 1) in
+      Rr_util.Vec.swap_remove st.free (n - 1);
+      h.hid <- id;
+      h.where <- w_fresh;
+      h
+    end
+  in
+  let f = h.f and clk = st.clk in
+  f.arrival <- clk.arrival;
+  f.size <- clk.size;
+  f.starve <- Policy_class.starve_time ~theta:st.theta ~arrival:clk.arrival ~size:clk.size;
+  f.remaining <- clk.size;
+  if clk.size <= Clock.threshold clk.size then Rr_util.Vec.push st.tiny id;
   insert st h;
   Heap.Scalar.add st.fresh ~key:h.f.remaining h.hid;
   Heap.Scalar.add st.promo ~key:h.f.starve h.hid
@@ -290,16 +321,29 @@ let advance st =
     if h.hid >= 0 then h.f.remaining <- h.f.remaining -. adv
   done
 
-let settle st (complete : Clock.sink) =
-  let now = st.clk.now in
+let retire st out (h : hjob) =
+  Clock.retire out ~id:h.hid ~arrival:h.f.arrival ~flow:(st.clk.now -. h.f.arrival);
+  remove st h.hid;
+  Rr_util.Vec.push st.free h
+
+(* Retire the running jobs within the completion threshold, then the
+   small newcomers still waiting (their heap entries go stale). *)
+let settle st out =
   for s = 0 to st.machines - 1 do
     let h = st.slots.(s) in
     if h.hid >= 0 && h.f.remaining <= Clock.threshold h.f.size then begin
-      complete ~id:h.hid ~arrival:h.f.arrival ~flow:(now -. h.f.arrival);
-      remove st h.hid;
+      retire st out h;
       st.slots.(s) <- st.vacant
     end
-  done
+  done;
+  if not (Rr_util.Vec.is_empty st.tiny) then begin
+    Rr_util.Vec.iter
+      (fun id ->
+        let h = find st id in
+        if h.hid >= 0 && h.where <> w_running then retire st out h)
+      st.tiny;
+    Rr_util.Vec.clear st.tiny
+  end
 
 let iter_alive st f =
   Array.iter

@@ -48,17 +48,17 @@ let[@inline] share_next_internal s =
   s.sf.due <- s.clk.now +. ((Heap.Scalar2.min_key_exn s.heap -. s.sf.vsrv) /. s.sf.rate);
   s.clk.t_next <- s.sf.due
 
-let[@inline] share_retire s (complete : Clock.sink) =
+let[@inline] share_retire s out =
   let id = Heap.Scalar2.min_val_exn s.heap in
   let arrival = Heap.Scalar2.min_aux1_exn s.heap in
   ignore (Heap.Scalar2.pop_exn s.heap : int);
-  complete ~id ~arrival ~flow:(s.clk.now -. arrival)
+  Clock.retire out ~id ~arrival ~flow:(s.clk.now -. arrival)
 
-let[@inline] share_settle s complete =
+let[@inline] share_settle s out =
   (* The head's deadline defined this event when it won the tie with the
      next arrival; retire it even if rounding left [vsrv] an ulp short of
      the deadline. *)
-  if s.clk.now >= s.sf.due then share_retire s complete;
+  if s.clk.now >= s.sf.due then share_retire s out;
   (* Cascade every job whose residual virtual service is within the
      completion threshold of this instant (simultaneous completions, and
      arrivals landing exactly on a completion). *)
@@ -67,7 +67,7 @@ let[@inline] share_settle s complete =
     && Heap.Scalar2.min_key_exn s.heap -. s.sf.vsrv
        <= Clock.threshold (Heap.Scalar2.min_aux2_exn s.heap)
   do
-    share_retire s complete
+    share_retire s out
   done
 
 (* ------------------------------------------------------------------ *)
@@ -82,7 +82,7 @@ type state =
   | Hybrid of Hybrid_engine.state
   | Budget of Budget_engine.state
 
-type t = { clk : Clock.t; state : state }
+type t = { clk : Clock.t; log : Clock.log; state : state }
 
 let create ~scratch ~machines ~speed (klass : Policy_class.t) =
   if machines < 1 then invalid_arg "Kernel.create: machines must be >= 1";
@@ -113,9 +113,10 @@ let create ~scratch ~machines ~speed (klass : Policy_class.t) =
     | Level_ladder _ | Quantum_cycle _ | Latest_fraction _ | Aged_share _ | Sized_share _ ->
         Dense (Class_engine.create ~clk ~machines ~speed klass)
   in
-  { clk; state }
+  { clk; log = Clock.log_create (); state }
 
 let clock k = k.clk
+let log k = k.log
 
 let[@inline] alive k =
   match k.state with
@@ -157,43 +158,32 @@ let[@inline] scan k ~refresh =
       if refresh then Budget_engine.refresh s;
       Budget_engine.next_internal s
 
-let[@inline] finish k complete =
-  let clk = k.clk in
-  match k.state with
+let[@inline] finish k =
+  let clk = k.clk and out = k.log in
+  out.count <- 0;
+  (match k.state with
   | Share s ->
-      let before = Heap.Scalar2.length s.heap in
       s.sf.vsrv <- s.sf.vsrv +. (s.sf.rate *. clk.dt);
       clk.now <- clk.t_next;
-      share_settle s complete;
-      before - Heap.Scalar2.length s.heap
+      share_settle s out
   | Index s ->
-      let before = Index_engine.alive s in
       Index_engine.advance s;
       clk.now <- clk.t_next;
-      Index_engine.settle s complete;
-      before - Index_engine.alive s
+      Index_engine.settle s out
   | Setf s ->
-      let before = Index_engine.setf_alive s in
       Index_engine.setf_advance s;
       clk.now <- clk.t_next;
-      Index_engine.setf_settle s complete;
-      before - Index_engine.setf_alive s
-  | Dense s ->
-      let before = Class_engine.alive s in
-      Class_engine.finish s complete;
-      before - Class_engine.alive s
+      Index_engine.setf_settle s out
+  | Dense s -> Class_engine.finish s out
   | Hybrid s ->
-      let before = Hybrid_engine.alive s in
       Hybrid_engine.advance s;
       clk.now <- clk.t_next;
-      Hybrid_engine.settle s complete;
-      before - Hybrid_engine.alive s
+      Hybrid_engine.settle s out
   | Budget s ->
-      let before = Budget_engine.alive s in
       Budget_engine.advance s;
       clk.now <- clk.t_next;
-      Budget_engine.settle s complete;
-      before - Budget_engine.alive s
+      Budget_engine.settle s out);
+  out.count
 
 let iter_alive k f =
   match k.state with

@@ -27,7 +27,8 @@
       event to [clk.t_next]; the driver folds in the next arrival
       (completion wins a tie) and sets [clk.dt = clk.t_next -. clk.now];
     + {!finish} advances, moves [clk.now] to [clk.t_next] and settles,
-      reporting each completion as [complete ~id ~arrival ~flow].
+      appending each completion to the kernel's {!log} as (id, arrival,
+      flow), which the driver folds before the next event.
 
     Each kernel module exposes the primitives one by one ([create],
     [admit], [refresh], [next_internal], [advance], [settle],
@@ -61,12 +62,17 @@ val scan : t -> refresh:bool -> unit
     (completion, catch-up or decision horizon) to [clock.t_next],
     [infinity] when none is pending. *)
 
-val finish : t -> Clock.sink -> int
+val finish : t -> int
 (** The event itself, once the driver has set [clock.t_next] to the
     event instant and [clock.dt] to [clock.t_next -. clock.now]: serve
     the alive jobs for [dt], move [clock.now] to [t_next], and retire the
-    jobs complete there, reporting each to the sink with
-    [flow = clock.now -. arrival].  Returns how many completed. *)
+    jobs complete there.  The {!log} then holds exactly those jobs, in
+    retirement order, with [flow = clock.now -. arrival]; returns how
+    many completed. *)
+
+val log : t -> Clock.log
+(** The kernel's completion log: emptied by every {!finish}, then filled
+    with that event's completions. *)
 
 val iter_alive : t -> (int -> float -> float -> unit) -> unit
 (** [f id arrival rate] for every alive job (for traces; allocates). *)

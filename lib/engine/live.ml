@@ -11,8 +11,11 @@
    float operations on the same jobs as the closed driver (see [step]).
 
    The per-job path allocates nothing of its own: pending jobs wait in a
-   ring of two flat float arrays, and the completion folds (Kahan power
-   sum, Welford moments, three P² sketches) update flat float stores.
+   ring of two flat float arrays, the kernel logs each completion in flat
+   arrays ({!Clock.log}), and [record] folds the log straight into flat
+   float stores (Kahan power sum, Welford moments, running max, three P²
+   sketches) — no closure is called and no float boxed per job unless a
+   caller attached a sink.
 
    Everything in [state] is plain mutable data — heaps and rings of
    float arrays, records, an option-linked group list — with no
@@ -70,9 +73,9 @@ type state = {
   p99 : Rr_util.P2.t;
 }
 
-(* [complete] is built once per engine and handed to the kernel's settle
-   step: it folds the metrics and forwards to the current [sink]. *)
-type t = { st : state; mutable sink : Simulator.sink; complete : Simulator.sink }
+(* The per-job data of a caller that wants it; [no_sink] (the default)
+   is never called. *)
+type t = { st : state; mutable sink : Simulator.sink }
 
 type stats = {
   submitted : int;
@@ -94,28 +97,28 @@ type stats = {
 
 let no_sink : Simulator.sink = fun ~id:_ ~arrival:_ ~flow:_ -> ()
 
-let record (st : state) flow =
-  st.completed <- st.completed + 1;
-  st.fl.makespan <- (Kernel.clock st.kernel).now;
-  Rr_util.Kahan.add st.ps (Rr_util.Floatx.powi flow st.k);
-  Rr_util.Welford.add st.moments flow;
-  if flow > st.fl.max_flow then st.fl.max_flow <- flow;
-  Rr_util.P2.add st.p50 flow;
-  Rr_util.P2.add st.p90 flow;
-  Rr_util.P2.add st.p99 flow
+(* Fold the [gone] completions the kernel logged at this event, in
+   retirement order, and forward each to the sink if one is attached. *)
+let record t gone =
+  let st = t.st in
+  let log = Kernel.log st.kernel in
+  let now = (Kernel.clock st.kernel).now in
+  let call_sink = t.sink != no_sink in
+  for i = 0 to gone - 1 do
+    let flow = Array.unsafe_get log.flows i in
+    st.completed <- st.completed + 1;
+    st.fl.makespan <- now;
+    Rr_util.Kahan.add st.ps (Rr_util.Floatx.powi flow st.k);
+    Rr_util.Welford.add st.moments flow;
+    if flow > st.fl.max_flow then st.fl.max_flow <- flow;
+    Rr_util.P2.add_at st.p50 log.flows i;
+    Rr_util.P2.add_at st.p90 log.flows i;
+    Rr_util.P2.add_at st.p99 log.flows i;
+    if call_sink then
+      t.sink ~id:(Array.unsafe_get log.ids i) ~arrival:(Array.unsafe_get log.arrivals i) ~flow
+  done
 
-let attach st sink =
-  let rec t =
-    {
-      st;
-      sink;
-      complete =
-        (fun ~id ~arrival ~flow ->
-          record st flow;
-          t.sink ~id ~arrival ~flow);
-    }
-  in
-  t
+let attach st sink = { st; sink }
 
 (* The pending ring's initial length: small, so an idle engine's
    snapshot stays small; [reserve] doubles it as submissions need. *)
@@ -336,7 +339,8 @@ let step t ~target =
              "alive jobs receive no service and no arrival or horizon is pending");
       bump_events st;
       clk.dt <- clk.t_next -. clk.now;
-      ignore (Kernel.finish k t.complete : int);
+      let gone = Kernel.finish k in
+      if gone > 0 then record t gone;
       st.fl.now <- clk.now;
       st.rates_dirty <- true;
       admit_upto st;
@@ -403,9 +407,12 @@ let k t = t.st.k
    it embeds: any change to either must bump it, or an older build's
    snapshot would be unmarshalled into the new layout.  v5: the pending
    ring and the flat P² and Welford stores.  v6: MLFQ's level buckets,
-   LAPS's served window and the hybrid's open-addressing job table. *)
+   LAPS's served window and the hybrid's open-addressing job table.  v7:
+   the kernel's completion log, the free lists of recycled job records
+   and SETF groups (whose links became a sentinel instead of options),
+   and the index kernel's staged insert and born-complete buffer. *)
 
-let snapshot_magic = "rr-live-snapshot-v6\n"
+let snapshot_magic = "rr-live-snapshot-v7\n"
 
 let to_bytes t =
   Bytes.cat (Bytes.of_string snapshot_magic) (Marshal.to_bytes t.st [])

@@ -25,12 +25,13 @@
     (test_live.ml pins this for every registry class on ladder
     knife-edge instances).
 
-    The per-job path allocates nothing of its own: pending jobs wait in a
-    growable power-of-two ring of two flat float arrays (16 slots at
-    {!create}, doubled as submissions need), and the completion folds
+    The per-job path allocates nothing: pending jobs wait in a growable
+    power-of-two ring of two flat float arrays (16 slots at {!create},
+    doubled as submissions need), the kernel logs each completion in
+    flat arrays ({!Clock.log}), and the completion folds
     ({!Rr_util.Kahan}, {!Rr_util.Welford}, three {!Rr_util.P2} sketches)
-    update flat float stores.  What a completion still allocates is the
-    boxed arrival and flow it hands to the sink.
+    read the log into flat float stores.  Only a caller that attaches a
+    sink pays for the boxed arrival and flow it is handed.
 
     Engine state is closure-free, so a whole engine — mid-run, with jobs
     alive and pending — serializes with {!to_bytes}/{!save} and resumes
@@ -83,7 +84,9 @@ val create :
     events as in the closed engines, for livelock parity
     (@raise Simulator.Event_limit_exceeded from {!advance}/{!drain} when
     exceeded).  [sink] is called once per completion with the job's id,
-    arrival and flow time, on top of the built-in metric folds.
+    arrival and flow time, on top of the built-in metric folds, right
+    after the event that completed the job has been settled (the
+    default is never called).
     @raise Invalid_argument on non-positive [machines]/[speed]/[k]. *)
 
 val set_sink : t -> Simulator.sink -> unit

@@ -56,7 +56,7 @@ let clairvoyant = function
 (* The static priority key of a job under a [Static_key] class.  Shared
    between the mirror policies (via {!static_key_of_view}) and the index
    kernel so both compute the identical float. *)
-let static_key k ~arrival ~size ~remaining =
+let[@inline] static_key k ~arrival ~size ~remaining =
   match k with
   | Key_remaining -> remaining
   | Key_size -> size

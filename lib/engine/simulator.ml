@@ -34,6 +34,11 @@ module Source = struct
   type cursor = { mutable arrival : float; mutable size : float }
   (* All-float record: flat representation, so field writes never box. *)
 
+  type watermark = { mutable last : float }
+  (* The latest arrival handed out: a one-float record, flat like the
+     cursor, so the per-job update is an unboxed store (as a field of
+     [t], a mixed record, every write would box a fresh float). *)
+
   type t = {
     refill : t -> int;
         (* Write the next job into [cur] and return its id, or -1 when
@@ -42,7 +47,7 @@ module Source = struct
     cur : cursor;
     mutable head_id : int;  (* -1 = no job buffered *)
     mutable head_job : Job.t option;  (* boxed memo of the buffered job *)
-    mutable last_arrival : float;
+    last_arrival : watermark;
     mutable drained : bool;
   }
 
@@ -52,7 +57,7 @@ module Source = struct
       cur = { arrival = 0.; size = 0. };
       head_id = -1;
       head_job = None;
-      last_arrival = Float.neg_infinity;
+      last_arrival = { last = Float.neg_infinity };
       drained = false;
     }
 
@@ -96,12 +101,12 @@ module Source = struct
       if not (Float.is_finite t.cur.size && t.cur.size > 0.) then
         invalid_arg
           (Printf.sprintf "Simulator.Source: job #%d has invalid size %g" id t.cur.size);
-      if t.cur.arrival < t.last_arrival then
+      if t.cur.arrival < t.last_arrival.last then
         invalid_arg
           (Printf.sprintf
              "Simulator.Source: arrivals must be non-decreasing (job #%d at %g after %g)" id
-             t.cur.arrival t.last_arrival);
-      t.last_arrival <- t.cur.arrival;
+             t.cur.arrival t.last_arrival.last);
+      t.last_arrival.last <- t.cur.arrival;
       t.head_id <- id
     end
 
@@ -428,26 +433,41 @@ let run_stream ?(speed = 1.) ?(max_events = 10_000_000) ~machines ~(policy : Pol
 (* The closed driver: one loop over every class kernel                 *)
 (* ------------------------------------------------------------------ *)
 
+(* The flow folds [Run.measure_stream] reports: a Kahan-compensated
+   power sum of [Floatx.powi flow k] and Welford moments, in completion
+   order — the per-element updates of [Rr_metrics.Sink.power_sum] and
+   [Sink.moments], so a run folded here and one pushed through those
+   sinks produce the same floats. *)
+type folds = { k : int; power_sum : Rr_util.Kahan.t; moments : Rr_util.Welford.t }
+
+let folds ~k =
+  if k < 1 then invalid_arg "Simulator.folds: k must be >= 1";
+  { k; power_sum = Rr_util.Kahan.create (); moments = Rr_util.Welford.create () }
+
+let[@inline] fold f flow =
+  if flow < 0. then invalid_arg "Sink.power_sum: negative flow time";
+  Rr_util.Kahan.add f.power_sum (Rr_util.Floatx.powi flow f.k);
+  Rr_util.Welford.add f.moments flow
+
+let fold_sink f : sink = fun ~id:_ ~arrival:_ ~flow -> fold f flow
+
 (* The general loop's event semantics over a {!Kernel}: refresh the
    decision once per event, take the earliest of the kernel's internal
    event and the next arrival (completion wins a tie), advance, settle,
    admit.  Nothing is built per event: the clock is the kernel's flat
    record, admission hands the source's raw cursor over through it (no
-   [Job.t], no option, no boxed float), and completions go straight from
-   the kernel to the sink — one unknown call, two boxed floats. *)
+   [Job.t], no option, no boxed float), and the kernel logs its
+   completions in flat arrays that this loop folds straight into the
+   completion times, the [folds] and — only for a caller that passed
+   one — the [sink], the one place a completion's floats are boxed. *)
 let closed_core ~record_trace ~speed ~max_events ~machines klass ~(source : Source.t)
-    ~(completions : float array) ~(sink : sink) =
+    ~(completions : float array) ~(folds : folds option) ~(sink : sink) =
   let scratch = Arena.borrow () in
   Fun.protect ~finally:(fun () -> Arena.release scratch) @@ fun () ->
   let k = Kernel.create ~scratch ~machines ~speed klass in
-  let clk = Kernel.clock k in
+  let clk = Kernel.clock k and log = Kernel.log k in
   let alive = ref 0 and max_alive = ref 0 and completed = ref 0 and events = ref 0 in
-  let sink =
-    if Array.length completions = 0 then sink
-    else fun ~id ~arrival ~flow ->
-      completions.(id) <- clk.now;
-      sink ~id ~arrival ~flow
-  in
+  let record = Array.length completions > 0 and call_sink = sink != no_sink in
   let admit_upto () =
     while clk.next_arr <= clk.now do
       clk.arrival <- Source.head_arrival source;
@@ -493,8 +513,15 @@ let closed_core ~record_trace ~speed ~max_events ~machines klass ~(source : Sour
          still stops at [max_events]. *)
       assert (clk.dt >= 0.);
       if record_trace then push_trace ();
-      let gone = Kernel.finish k sink in
+      let gone = Kernel.finish k in
       if gone > 0 then begin
+        for i = 0 to gone - 1 do
+          if record then completions.(Array.unsafe_get log.ids i) <- clk.now;
+          (match folds with Some f -> fold f (Array.unsafe_get log.flows i) | None -> ());
+          if call_sink then
+            sink ~id:(Array.unsafe_get log.ids i) ~arrival:(Array.unsafe_get log.arrivals i)
+              ~flow:(Array.unsafe_get log.flows i)
+        done;
         alive := !alive - gone;
         completed := !completed + gone;
         clk.makespan <- clk.now
@@ -520,14 +547,19 @@ let run_class ?(record_trace = false) ?(speed = 1.) ?(max_events = 10_000_000) ?
   let completions = Array.make n Float.nan in
   let summary, trace =
     closed_core ~record_trace ~speed ~max_events ~machines klass ~source:(Source.of_array order)
-      ~completions ~sink
+      ~completions ~folds:None ~sink
   in
   { jobs = jobs_arr; completions; trace; machines; speed; events = summary.events }
 
 let run_class_stream ?(speed = 1.) ?(max_events = 10_000_000) ~machines ~sink klass fill =
   fst
     (closed_core ~record_trace:false ~speed ~max_events ~machines klass
-       ~source:(Source.of_raw fill) ~completions:[||] ~sink)
+       ~source:(Source.of_raw fill) ~completions:[||] ~folds:None ~sink)
+
+let run_class_fold ?(speed = 1.) ?(max_events = 10_000_000) ~machines folds klass fill =
+  fst
+    (closed_core ~record_trace:false ~speed ~max_events ~machines klass
+       ~source:(Source.of_raw fill) ~completions:[||] ~folds:(Some folds) ~sink:no_sink)
 
 let run_equal_share_stream_raw ?speed ?max_events ~machines ~sink fill =
   run_class_stream ?speed ?max_events ~machines ~sink Policy_class.Equal_share fill

@@ -25,7 +25,8 @@
       {!Live} step.
 
     Both consume arrivals through the peekable {!Source} interface and
-    report completions through a {!sink}, in two shapes of entry point:
+    report completions through a {!sink} (the closed driver also folds
+    them directly, {!run_class_fold}), in two shapes of entry point:
 
     - the {e materialized} entry points ({!run}, {!run_class}) take a job
       list, return the full {!result} with per-job completion times,
@@ -206,6 +207,37 @@ val run_class_stream :
     O(max alive) heap.  Combined with the per-domain scratch {!Arena}
     the equal-share kernel runs at ~0 words allocated per job in steady
     state (the B4 benchmark gate). *)
+
+(** {2 Flow folds}
+
+    The closed driver can fold each completion's flow straight out of
+    the kernel's completion log ({!Clock.log}) into caller-owned
+    accumulators, with no closure call and no boxed float per job. *)
+
+type folds = { k : int; power_sum : Rr_util.Kahan.t; moments : Rr_util.Welford.t }
+(** A Kahan-compensated power sum of [flow^k] ({!Rr_util.Floatx.powi})
+    and Welford moments, updated in completion order: the same
+    per-element updates as [Rr_metrics.Sink.power_sum] and
+    [Sink.moments], so the floats equal theirs on the same flows. *)
+
+val folds : k:int -> folds
+(** Empty folds.  @raise Invalid_argument when [k < 1]. *)
+
+val fold_sink : folds -> sink
+(** The same folds behind a {!sink}, for the drivers that report
+    completions through one (the general loop, the live feed). *)
+
+val run_class_fold :
+  ?speed:float ->
+  ?max_events:int ->
+  machines:int ->
+  folds ->
+  Policy_class.t ->
+  (Source.cursor -> int) ->
+  summary
+(** {!run_class_stream} folding every completion into [folds] instead of
+    calling a sink: [Run.measure_stream]'s closed path.
+    @raise Invalid_argument on a negative flow (as the sink folds). *)
 
 val run_equal_share_stream_raw :
   ?speed:float ->

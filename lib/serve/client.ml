@@ -56,15 +56,18 @@ let connect ?(retries = 100) path =
   (match Sys.os_type with
   | "Unix" | "Cygwin" -> Sys.set_signal Sys.sigpipe Sys.Signal_ignore
   | _ -> ());
+  (* The socket is closed on every failed attempt, retried or not. *)
   let rec go attempt =
     let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
     match Unix.connect fd (Unix.ADDR_UNIX path) with
     | () -> fd
-    | exception Unix.Unix_error ((Unix.ECONNREFUSED | Unix.ENOENT), _, _)
-      when attempt < retries ->
+    | exception (Unix.Unix_error (err, _, _) as e) ->
         (try Unix.close fd with Unix.Unix_error _ -> ());
-        Unix.sleepf 0.02;
-        go (attempt + 1)
+        if (err = Unix.ECONNREFUSED || err = Unix.ENOENT) && attempt < retries then begin
+          Unix.sleepf 0.02;
+          go (attempt + 1)
+        end
+        else raise e
   in
   let fd = go 0 in
   let t = { fd; rd = Ring.create ~capacity:8192 (); wr = Ring.create ~capacity:8192 () } in

@@ -44,6 +44,9 @@ type conn = {
   mutable greeted : bool;  (* binary hello exchanged *)
   mutable read_closed : bool;  (* peer sent EOF: flush replies, then close *)
   mutable closing : bool;  (* stop reading; close once [wr] drains *)
+  mutable write_closed : bool;
+      (* the peer refused a reply write: keep applying its frames to EOF
+         or reset, drop every reply *)
   mutable dead : bool;  (* close now, replies dropped *)
   mutable counted : bool;  (* counts against max_clients: open and not closing *)
   mutable interest : int;  (* Poller bits registered for [fd] *)
@@ -232,6 +235,7 @@ let new_conn fd =
     greeted = false;
     read_closed = false;
     closing = false;
+    write_closed = false;
     dead = false;
     counted = true;
     interest = 0;
@@ -369,9 +373,17 @@ let run ?(config = default_config) ~proto ~engine ~path () =
           end
         end
       in
+      (* A refused write (EPIPE, ECONNRESET) means the peer hung up
+         without reading its replies; frames it wrote before hanging up
+         may still be queued in the socket.  Drop the replies and stop
+         writing, but go on reading and applying those frames until EOF
+         or a reset, as a peer that had read its replies would have had
+         them applied. *)
       let flush c =
         match Ring.write_to_fd c.wr c.fd with
-        | `Closed -> c.dead <- true
+        | `Closed ->
+            c.write_closed <- true;
+            Ring.clear c.wr
         | `Again | `Wrote _ -> ()
       in
       let on_ready c flags =
@@ -393,7 +405,8 @@ let run ?(config = default_config) ~proto ~engine ~path () =
           | `Again -> ()
           | `Read _ ->
               process c;
-              if Ring.length c.wr > config.max_pending then
+              if c.write_closed then Ring.clear c.wr
+              else if Ring.length c.wr > config.max_pending then
                 (* Shed policy, checked before any reply goes out: a
                    client that stops reading while replies accumulate
                    past the cap is dropped outright. *)

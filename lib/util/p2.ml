@@ -62,7 +62,7 @@ let[@inline] adjust s i =
     set s (pos i) (pi +. d)
   end
 
-let add t x =
+let[@inline] push t x =
   let s = t.s in
   t.count <- t.count + 1;
   if t.count <= 5 then begin
@@ -108,6 +108,12 @@ let add t x =
     adjust s 2;
     adjust s 3
   end
+
+let add t x = push t x
+
+(* The observation is read out of [a] here, so a caller whose floats sit
+   in a flat array hands none over boxed. *)
+let add_at t (a : float array) i = push t (Array.unsafe_get a i)
 
 let count t = t.count
 

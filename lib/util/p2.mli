@@ -32,6 +32,12 @@ val create : p:float -> unit -> t
 val add : t -> float -> unit
 (** Feed one observation. *)
 
+val add_at : t -> float array -> int -> unit
+(** [add_at t a i] is [add t a.(i)] (no bounds check), with the float
+    read inside the call: the live engine feeds its sketches straight
+    from the kernel's completion log this way, so no float is boxed to
+    cross the call. *)
+
 val count : t -> int
 (** Observations fed so far. *)
 

@@ -96,12 +96,26 @@ let[@inline] pareto t ~alpha ~x_min =
   let u = 1. -. float t in
   x_min /. (u ** (1. /. alpha))
 
+(* Inverse CDF of the bounded Pareto distribution at [u], given
+   [l = x_min ** alpha], [h = x_max ** alpha] and [e = -1 / alpha]: the
+   one expression every bounded-Pareto draw goes through. *)
+let[@inline] bounded_pareto_inv u ~l ~h ~e = ((-.(u *. h) +. (u *. l) +. h) /. (h *. l)) ** e
+
 let[@inline] bounded_pareto t ~alpha ~x_min ~x_max =
   assert (alpha > 0. && 0. < x_min && x_min < x_max);
   let u = float t in
-  let l = x_min ** alpha and h = x_max ** alpha in
-  (* Inverse CDF of the bounded Pareto distribution. *)
-  ((-.(u *. h) +. (u *. l) +. h) /. (h *. l)) ** (-1. /. alpha)
+  bounded_pareto_inv u ~l:(x_min ** alpha) ~h:(x_max ** alpha) ~e:(-1. /. alpha)
+
+(* All-float, hence flat: a stream's draws read the constants unboxed. *)
+type bounded_pareto = { l : float; h : float; e : float }
+
+let bounded_pareto_constants ~alpha ~x_min ~x_max =
+  assert (alpha > 0. && 0. < x_min && x_min < x_max);
+  { l = x_min ** alpha; h = x_max ** alpha; e = -1. /. alpha }
+
+let[@inline] bounded_pareto_draw t c =
+  let u = float t in
+  bounded_pareto_inv u ~l:c.l ~h:c.h ~e:c.e
 
 let shuffle t a =
   for i = Array.length a - 1 downto 1 do

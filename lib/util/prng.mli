@@ -46,5 +46,17 @@ val pareto : t -> alpha:float -> x_min:float -> float
 val bounded_pareto : t -> alpha:float -> x_min:float -> x_max:float -> float
 (** Bounded Pareto on [\[x_min, x_max\]] via inverse-transform sampling. *)
 
+type bounded_pareto = { l : float; h : float; e : float }
+(** A bounded Pareto's per-distribution constants: [l = x_min ** alpha],
+    [h = x_max ** alpha] and [e = -1 /. alpha].  All-float, so flat. *)
+
+val bounded_pareto_constants : alpha:float -> x_min:float -> x_max:float -> bounded_pareto
+(** Compute the constants once, for a stream of draws. *)
+
+val bounded_pareto_draw : t -> bounded_pareto -> float
+(** One draw with precomputed constants: one [pow] instead of three, and
+    the same float {!bounded_pareto} returns for the same generator
+    state — both go through one inverse-CDF expression. *)
+
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher-Yates shuffle. *)

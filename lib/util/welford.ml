@@ -12,7 +12,7 @@ type t = {
 
 let create () = { n = 0.; mean = 0.; m2 = 0.; min = Float.infinity; max = Float.neg_infinity }
 
-let add t x =
+let[@inline] add t x =
   t.n <- t.n +. 1.;
   let delta = x -. t.mean in
   t.mean <- t.mean +. (delta /. t.n);

@@ -201,11 +201,14 @@ module Stream = struct
                     i
                   end
             | Distribution.Bounded_pareto { alpha; x_min; x_max } ->
+                (* The distribution's powers, once per stream: a draw
+                   then costs one [pow], and equals the boxed path's. *)
+                let c = Rr_util.Prng.bounded_pareto_constants ~alpha ~x_min ~x_max in
                 fun (cur : Rr_engine.Simulator.Source.cursor) ->
                   if !id >= n then -1
                   else begin
                     cur.arrival <- cur.arrival +. Rr_util.Prng.exponential rng ~rate;
-                    cur.size <- Rr_util.Prng.bounded_pareto rng ~alpha ~x_min ~x_max;
+                    cur.size <- Rr_util.Prng.bounded_pareto_draw rng c;
                     let i = !id in
                     incr id;
                     i

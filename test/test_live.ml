@@ -277,15 +277,15 @@ let test_snapshot_rejects_old_version () =
       ignore (Live.submit live ~arrival:0.5 ~size:1.);
       Live.advance live 1.;
       let current = Live.to_bytes live in
-      let magic = "rr-live-snapshot-v6\n" in
+      let magic = "rr-live-snapshot-v7\n" in
       Alcotest.(check string)
         (Live.spec_name spec ^ " carries the current magic")
         magic
         (Bytes.sub_string current 0 (String.length magic));
       let old = Bytes.copy current in
-      Bytes.blit_string "rr-live-snapshot-v5\n" 0 old 0 (String.length magic);
+      Bytes.blit_string "rr-live-snapshot-v6\n" 0 old 0 (String.length magic);
       Alcotest.check_raises
-        (Live.spec_name spec ^ " v5 snapshot rejected")
+        (Live.spec_name spec ^ " v6 snapshot rejected")
         (Failure "Live.of_bytes: not a live-engine snapshot")
         (fun () -> ignore (Live.of_bytes old)))
     live_specs

@@ -21,6 +21,42 @@ let all_valid_dists =
     Distribution.Bimodal { small = 1.; large = 10.; prob_large = 0.1 };
   ]
 
+(* The raw cursor of [Stream.start_raw] (one specialised fill per size
+   constructor under Poisson arrivals, the generic samplers otherwise)
+   and the boxed [Stream.start] must yield the same jobs, bit for bit:
+   the closed driver reads the first, the general loop and the live feed
+   the second, and the differential suites compare them. *)
+let test_stream_raw_matches_boxed () =
+  let arrivals =
+    [ Arrivals.Poisson { rate = 0.8 }; Arrivals.Periodic { interval = 0.5 } ]
+  in
+  List.iter
+    (fun sizes ->
+      List.iter
+        (fun arr ->
+          let s = Instance.Stream.generate ~seed:31 ~arrivals:arr ~sizes ~n:2000 () in
+          let label = Arrivals.name arr ^ "/" ^ Distribution.name sizes in
+          let boxed = Instance.Stream.start s in
+          let raw = Instance.Stream.start_raw s in
+          let cur = { Rr_engine.Simulator.Source.arrival = 0.; size = 0. } in
+          let rec go i =
+            let id = raw cur in
+            match boxed () with
+            | None -> Alcotest.(check int) (label ^ ": both exhausted") (-1) id
+            | Some (j : Rr_engine.Job.t) ->
+                if
+                  id <> j.id
+                  || Int64.bits_of_float cur.arrival <> Int64.bits_of_float j.arrival
+                  || Int64.bits_of_float cur.size <> Int64.bits_of_float j.size
+                then
+                  Alcotest.failf "%s job %d: raw (%d, %h, %h) vs boxed (%d, %h, %h)" label i id
+                    cur.arrival cur.size j.id j.arrival j.size;
+                go (i + 1)
+          in
+          go 0)
+        arrivals)
+    all_valid_dists
+
 let test_distribution_validate () =
   List.iter
     (fun d ->
@@ -331,6 +367,7 @@ let () =
           Alcotest.test_case "samples positive" `Quick test_distribution_sample_positive;
           Alcotest.test_case "empirical means" `Quick test_distribution_means_empirical;
           Alcotest.test_case "pareto infinite mean" `Quick test_pareto_infinite_mean;
+          Alcotest.test_case "raw stream = boxed stream" `Quick test_stream_raw_matches_boxed;
         ] );
       ( "arrivals",
         [
