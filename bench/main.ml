@@ -527,13 +527,15 @@ type b4_report = { b4_points : b4_point list; b4_failures : string list }
    and a peak live heap an order of magnitude under the materialized
    pipeline's at the largest size.  This path hands every completion to
    a caller's sink, so each job boxes its arrival and flow for that call
-   (4 words); the kernel, the source and the folds behind the sink
-   allocate nothing.  The release profile measures ~5.3 words/job at
-   n = 10^5 (Gc.allocated_bytes, which advances at minor collections
-   only, so the n = 10^4 point reads lower); anything past 8 (~1.5x)
-   means a per-job allocation leaked back in.  The gate assumes the
-   release profile: the dev profile passes [-opaque], which kills
-   cross-module inlining and multiplies the figure — run the bench with
+   (4 words), and the lk fold this bench's sink feeds boxes one more
+   float per update (2 words); the kernel, the source and the driver
+   allocate nothing.  Counted with [Gc.minor_words], as B5 and B6 count,
+   the release profile reads 6.0 words/job at n = 10^4 and at n = 10^5
+   alike ([Gc.allocated_bytes] advances only at minor collections and
+   read 0.8 and 5.3 for the same path); anything past 8 means a per-job
+   allocation leaked back in.  The gate assumes the release profile: the
+   dev profile passes [-opaque], which kills cross-module inlining and
+   multiplies the figure — run the bench with
    [dune exec --profile release]. *)
 let b4_max_words_per_job = 8.
 let b4_min_peak_ratio = 10.
@@ -581,11 +583,11 @@ let run_stream_bench () =
          walk the heap, so the probe is cheap at 1/4096 completions. *)
       if !completions land 4095 = 0 then peak := Int.max !peak (heap_words () - base)
     in
-    let bytes0 = Gc.allocated_bytes () in
+    let words0 = Gc.minor_words () in
     let t0 = Unix.gettimeofday () in
     let (_ : Simulator.summary) = Run.simulate_stream cfg rr stream ~sink in
     let t_stream = Unix.gettimeofday () -. t0 in
-    let alloc_stream = (Gc.allocated_bytes () -. bytes0) /. 8. in
+    let alloc_stream = Gc.minor_words () -. words0 in
     peak := Int.max !peak (heap_words () - base);
     let norm_stream = Rr_metrics.Sink.value lk in
     let peak_stream = !peak in
@@ -1238,9 +1240,10 @@ let b7_speedup_floor = 25.
 let b7_n40_rtol = 1e-6
 
 (* Wall-clock ceiling for the n=2000 certified point (doubled under
-   --quick for slow CI runners): about 3x the 1.0-1.5 s the job-by-job
-   LP routing measures under --quick on a 2-vCPU box, so a return to the
-   super-source routing (5.3-8.6 s there) fails. *)
+   --quick for slow CI runners): about 4x the 0.8-1.2 s the job-by-job
+   LP routing, one search per job, measures under --quick on a 2-vCPU
+   box (1.1-1.5 s with one search per augmenting path), so a return to
+   the super-source routing (5.3-8.6 s there) fails. *)
 let b7_curve_ceiling_s = 2.25
 let b7_curve_tol = 0.1
 let b7_warm_rtol = 1e-9

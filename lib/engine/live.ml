@@ -266,10 +266,13 @@ let submit_batch t ~arrivals ~sizes ?(off = 0) ?len () =
 let[@inline] next_pending (st : state) =
   if st.pending = 0 then Float.infinity else Array.unsafe_get st.arrivals st.head
 
+(* Count the event about to be processed, or refuse it when the budget
+   is spent.  The check comes first, so a refused step leaves [events]
+   at the limit and every other counter where the last event left it. *)
 let bump_events (st : state) =
-  st.events <- st.events + 1;
-  if st.events > st.max_events then
-    raise (Simulator.Event_limit_exceeded { limit = st.max_events; now = st.fl.now })
+  if st.events >= st.max_events then
+    raise (Simulator.Event_limit_exceeded { limit = st.max_events; now = st.fl.now });
+  st.events <- st.events + 1
 
 (* Admit every pending job released at or before the kernel's instant. *)
 let admit_upto (st : state) =

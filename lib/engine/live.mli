@@ -83,10 +83,10 @@ val create :
     metrics accumulate; [max_events] (default unbounded) bounds total
     events as in the closed engines, for livelock parity
     (@raise Simulator.Event_limit_exceeded from {!advance}/{!drain} when
-    exceeded).  [sink] is called once per completion with the job's id,
-    arrival and flow time, on top of the built-in metric folds, right
-    after the event that completed the job has been settled (the
-    default is never called).
+    exceeded; see {!advance} for the state it leaves).  [sink] is called
+    once per completion with the job's id, arrival and flow time, on top
+    of the built-in metric folds, right after the event that completed
+    the job has been settled (the default is never called).
     @raise Invalid_argument on non-positive [machines]/[speed]/[k]. *)
 
 val set_sink : t -> Simulator.sink -> unit
@@ -121,7 +121,17 @@ val advance : t -> float -> unit
     but the clock.  A horizon at or before [now] is a no-op; [infinity]
     behaves like {!drain}.  @raise Invalid_argument on NaN;
     @raise Simulator.Invalid_allocation when alive jobs can never finish
-    (the closed driver's check; no registry class trips it). *)
+    (the closed driver's check; no registry class trips it).
+
+    An event past the [max_events] budget is refused before it is
+    counted: {!advance} and {!drain} raise
+    [Simulator.Event_limit_exceeded { limit; now }] and the engine stays
+    at its last event within the budget.  [events] reads [limit], and
+    [now] is that event's instant (or a later horizon that needed no
+    event); every other statistic is what that event left.  Each later
+    {!advance} or {!drain} that needs an event raises the same way and
+    changes nothing, while {!submit}, {!submit_batch}, {!query} and
+    {!to_bytes} keep working. *)
 
 val drain : t -> unit
 (** Run until no job is alive or pending.  The clock ends at the last

@@ -43,13 +43,35 @@
     A later path may cancel flow an earlier one routed, through a reverse
     edge.  {!resolve} runs its Bellman-Ford repair only when {!add_edge}
     was called since the last augmentation, so routing supply after
-    supply costs one Dijkstra per augmenting path and nothing more. *)
+    supply costs Dijkstra searches and nothing more.
+
+    {2 One search, many paths}
+
+    A search never stops at the sink.  It records every residual edge
+    into the sink from a node it settles, at that node's distance plus
+    the edge's reduced cost, and keeps going until the edges whose
+    lengths no open label can undercut have room for the supply still to
+    route (with no [max_flow], until it has reached everything).  The
+    solver then augments along those edges' shortest-path-tree paths,
+    shortest first, for as long as each path is intact and the one before
+    it filled its sink edge: each such path is a shortest path of the
+    residual network at its turn, so the flows — and the cost — are the
+    ones a search per path would give, ties between equally short paths
+    going to the edge recorded first.  Routing one job's p_j into the
+    LP's slots takes about one search however many slots it fills
+    ({!searches}, {!augmentations}). *)
 
 type t
 
 val create : n_nodes:int -> t
 (** Network with nodes [0 .. n_nodes-1] and no edges.
     @raise Invalid_argument when [n_nodes < 1]. *)
+
+val reserve : t -> edges:int -> unit
+(** [reserve t ~edges] makes room for [edges] more {!add_edge} calls, so
+    a caller that knows its edge count builds the network without
+    regrowing it.  Adding more still works.
+    @raise Invalid_argument when [edges < 0]. *)
 
 val add_edge : t -> src:int -> dst:int -> capacity:float -> cost:float -> int
 (** Add a directed edge and its implicit residual reverse edge; returns an
@@ -91,6 +113,12 @@ val resolve : ?max_flow:float -> t -> source:int -> sink:int -> outcome
 val solved : t -> bool
 (** Whether {!solve} has consumed this network (i.e. whether the next
     entry point is {!resolve}). *)
+
+val searches : t -> int
+(** Dijkstra searches run on this network so far. *)
+
+val augmentations : t -> int
+(** Augmenting paths pushed on this network so far. *)
 
 val flow_on : t -> int -> float
 (** Flow routed over the edge with the given handle after {!solve}. *)

@@ -86,6 +86,15 @@ let solve_part ~mode ~gamma ~k ~machines ~delta ~(jobs : Rr_engine.Job.t array) 
   let slot_node s = nm + (s - s_lo) in
   let sink = nm + (s_reach - s_lo) in
   let net = Rr_flow.Mcmf.create ~n_nodes:(sink + 1) in
+  let member_lo =
+    Array.map (fun ji -> Int.max s_lo (int_of_float (jobs.(ji).arrival /. delta))) members
+  in
+  (* One slot arc per slot and at most one job arc per member and slot of
+     its window: the edge arrays are sized once. *)
+  Rr_flow.Mcmf.reserve net
+    ~edges:
+      (Array.fold_left (fun acc lo -> acc + Int.max 0 (s_hi_init - lo)) (s_hi_init - s_lo)
+         member_lo);
   let m_cap = Float.of_int machines *. delta in
   let s_hi = ref s_hi_init in
   for s = s_lo to !s_hi - 1 do
@@ -111,9 +120,6 @@ let solve_part ~mode ~gamma ~k ~machines ~delta ~(jobs : Rr_engine.Job.t array) 
         if Option.is_some on_arc then arcs := (members.(mi), slot_start, e) :: !arcs
       end
     done
-  in
-  let member_lo =
-    Array.map (fun ji -> Int.max s_lo (int_of_float (jobs.(ji).arrival /. delta))) members
   in
   Array.iteri (fun mi _ -> add_arcs mi ~from_slot:member_lo.(mi) ~to_slot:!s_hi) members;
   let size mi = jobs.(members.(mi)).size in

@@ -55,7 +55,15 @@
     routed; release order, smallest first, is close to how the optimum
     fills slots, so such cancellations are rare (about 3x fewer
     augmentations than a super-source solve on the benchmark's certify
-    instance).  {!value} keeps no network once its cost is read. *)
+    instance).  A job usually fills several slots, and one Dijkstra
+    search routes all of them: the search runs past the sink until the
+    sink edges it has certified can take the job's work, and the
+    solver augments along their shortest-path-tree paths in turn (see
+    {!Rr_flow.Mcmf}), with the same flows as one search per path
+    (1,002 searches for 2,976 paths at Δ = 0.5 on that instance).  Each
+    network's edge arrays are sized once, from its slot count plus its
+    members' windows.  {!value} keeps no network once its cost is
+    read. *)
 
 type mode = Slot_start | Slot_end
 

@@ -73,6 +73,7 @@ let test_validation () =
       (fun () -> ignore (Mcmf.add_edge net ~src:0 ~dst:1 ~capacity:1. ~cost:(-1.)));
       (fun () -> ignore (Mcmf.add_edge net ~src:0 ~dst:1 ~capacity:Float.nan ~cost:1.));
       (fun () -> ignore (Mcmf.solve net ~source:0 ~sink:0));
+      (fun () -> Mcmf.reserve net ~edges:(-1));
     ]
 
 (* Routing from several sources: two jobs (nodes 0, 1) and two slots
@@ -394,10 +395,203 @@ let prop_per_source_widening_equals_cold =
         && Mcmf.no_negative_cycle warm
       end)
 
+(* ------------------------------------------------------------------ *)
+(* One search, many augmenting paths                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* Networks where ties are the rule: integer capacities and costs, and
+   one to three parallel edges from every slot into the sink.  Supply i
+   sits at node i, slot j is node ns + j, the sink comes after the
+   slots.  [extra] slots join after the first round; every one of their
+   edges costs more than all earlier edges together, so no residual path
+   back from the sink can make a cycle through them negative and the
+   widening keeps the flow optimal. *)
+let ties_gen =
+  QCheck2.Gen.(
+    let* ns = int_range 1 4 in
+    let* nd = int_range 1 5 in
+    let* extra = int_range 1 3 in
+    let* supplies = list_repeat ns (int_range 1 6) in
+    let* quarters = list_repeat ns (int_range 0 4) in
+    let* job_arcs = list_repeat (ns * (nd + extra)) (pair (int_range 1 3) (int_range 0 3)) in
+    let* sink_arcs =
+      list_repeat (nd + extra) (list_size (int_range 1 3) (pair (int_range 1 2) (int_range 0 2)))
+    in
+    let* seed = int in
+    return (ns, nd, extra, supplies, quarters, job_arcs, sink_arcs, seed))
+
+let prop_ties_match_cold_solves =
+  QCheck2.Test.make ~name:"integer costs, parallel sink edges: every call = cold solve"
+    ~count:200 ties_gen
+    (fun (ns, nd, extra, supplies, quarters, job_arcs, sink_arcs, seed) ->
+      let supplies = Array.of_list (List.map Float.of_int supplies) in
+      let job_arcs = Array.of_list job_arcs and sink_arcs = Array.of_list sink_arcs in
+      let sink = ns + nd + extra in
+      let net = Mcmf.create ~n_nodes:(sink + 1) in
+      (* Every edge added so far, in order, to rebuild the network cold. *)
+      let edges = ref [] in
+      let add ~src ~dst ~capacity ~cost =
+        ignore (Mcmf.add_edge net ~src ~dst ~capacity ~cost);
+        edges := (src, dst, capacity, cost) :: !edges
+      in
+      let add_slot j ~offset =
+        List.iter
+          (fun (c, w) ->
+            add ~src:(ns + j) ~dst:sink ~capacity:(Float.of_int c) ~cost:(offset +. Float.of_int w))
+          sink_arcs.(j);
+        for i = 0 to ns - 1 do
+          let c, w = job_arcs.((i * (nd + extra)) + j) in
+          add ~src:i ~dst:(ns + j) ~capacity:(Float.of_int c) ~cost:(offset +. Float.of_int w)
+        done
+      in
+      for j = 0 to nd - 1 do
+        add_slot j ~offset:0.
+      done;
+      let routed = Array.make ns 0. in
+      let out = ref { Mcmf.flow = 0.; cost = 0. } in
+      (* Cold super-source solve of the amounts routed so far, on the
+         edges present so far. *)
+      let matches_cold () =
+        let cold = Mcmf.create ~n_nodes:(sink + 2) in
+        List.iter
+          (fun (src, dst, capacity, cost) -> ignore (Mcmf.add_edge cold ~src ~dst ~capacity ~cost))
+          (List.rev !edges);
+        Array.iteri
+          (fun i r -> ignore (Mcmf.add_edge cold ~src:(sink + 1) ~dst:i ~capacity:r ~cost:0.))
+          routed;
+        let c = Mcmf.solve cold ~source:(sink + 1) ~sink in
+        let close a b = Float.abs (a -. b) <= 1e-9 *. (1. +. Float.abs b) in
+        close !out.Mcmf.flow c.Mcmf.flow && close !out.Mcmf.cost c.Mcmf.cost
+        && Mcmf.no_negative_cycle net
+      in
+      let route i amount =
+        let before = !out.Mcmf.flow in
+        let go = if Mcmf.solved net then Mcmf.resolve else Mcmf.solve in
+        out := go ~max_flow:amount net ~source:i ~sink;
+        routed.(i) <- routed.(i) +. (!out.Mcmf.flow -. before);
+        matches_cold ()
+      in
+      (* Each supply in two parts, all parts in one random order. *)
+      let parts =
+        List.concat
+          (List.mapi
+             (fun i q ->
+               let first = supplies.(i) *. Float.of_int q /. 4. in
+               [ (i, first); (i, supplies.(i) -. first) ])
+             quarters)
+      in
+      let order = shuffled (List.length parts) seed in
+      let parts = Array.of_list parts in
+      let first_round = List.for_all (fun p -> let i, a = parts.(p) in route i a) order in
+      let offset = 1. +. List.fold_left (fun a (_, _, _, w) -> a +. w) 0. !edges in
+      for j = nd to nd + extra - 1 do
+        add_slot j ~offset
+      done;
+      first_round
+      && List.for_all
+           (fun i -> route i (supplies.(i) -. routed.(i)))
+           (shuffled ns (seed + 1)))
+
+(* The LP's network for one batch of 20 Exp(1) jobs released at 0 (the
+   benchmark's certify family) at slot width 0.5, k = 2, slot-start
+   costs: job nodes first, then the slots, then the sink. *)
+let batch_network () =
+  let delta = 0.5 in
+  let jobs =
+    Array.of_list
+      (Rr_workload.Instance.jobs
+         (Rr_workload.Instance.generate ~rng:(Rr_util.Prng.create ~seed:1)
+            ~arrivals:(Rr_workload.Arrivals.Batched { batch = 20; interval = 40. })
+            ~sizes:(Rr_workload.Distribution.Exponential { mean = 1. })
+            ~n:20 ()))
+  in
+  let sizes = Array.map (fun (j : Rr_engine.Job.t) -> j.size) jobs in
+  let nj = Array.length sizes in
+  let work = Array.fold_left ( +. ) 0. sizes in
+  let n_slots = 2 + int_of_float (Float.ceil (work /. delta)) in
+  let sink = nj + n_slots in
+  let net = Mcmf.create ~n_nodes:(sink + 1) in
+  for s = 0 to n_slots - 1 do
+    ignore (Mcmf.add_edge net ~src:(nj + s) ~dst:sink ~capacity:delta ~cost:0.)
+  done;
+  Array.iteri
+    (fun j p ->
+      for s = 0 to n_slots - 1 do
+        let age = Float.of_int s *. delta in
+        ignore
+          (Mcmf.add_edge net ~src:j ~dst:(nj + s) ~capacity:delta
+             ~cost:(((age *. age) +. (p *. p)) /. p))
+      done)
+    sizes;
+  (net, sink, sizes, n_slots)
+
+(* Routed job by job, smallest first as the LP routes a batch, each job
+   fills two to four slots, through reverse edges once the early slots
+   are taken: one search per job must serve all of its paths.  The cost
+   and the number of augmenting paths were recorded with the solver that
+   ran one search per path (60 searches for 60 paths). *)
+let test_one_search_per_job () =
+  let net, sink, sizes, n_slots = batch_network () in
+  Alcotest.(check int) "slots" 43 n_slots;
+  let order =
+    List.stable_sort
+      (fun a b -> Float.compare sizes.(a) sizes.(b))
+      (List.init (Array.length sizes) Fun.id)
+  in
+  let _, out, _ = route_each net ~sink ~supplies:sizes order in
+  check_close ~tol:1e-9 "all work routed" (Array.fold_left ( +. ) 0. sizes) !out.Mcmf.flow;
+  Alcotest.(check string) "cost, bit for bit" "0x1.df8340a74c0d7p+9"
+    (Printf.sprintf "%h" !out.Mcmf.cost);
+  Alcotest.(check int) "augmenting paths" 60 (Mcmf.augmentations net);
+  Alcotest.(check bool)
+    (Printf.sprintf "%d searches for 20 jobs" (Mcmf.searches net))
+    true
+    (Mcmf.searches net <= 22);
+  Alcotest.(check bool) "optimality certificate" true (Mcmf.no_negative_cycle net)
+
+(* Four parallel unit edges from node 1 into the sink, all equally
+   short, and two units to route: a search that stops at the sink keeps
+   the first residual edge into it that it relaxed, which is the newest
+   one (it leads node 1's edge list), so one search per path fills the
+   two newest edges.  The batched search must fill the same two. *)
+let test_ties_take_first_found () =
+  let net = Mcmf.create ~n_nodes:3 in
+  ignore (Mcmf.add_edge net ~src:0 ~dst:1 ~capacity:4. ~cost:1.);
+  let into = List.init 4 (fun _ -> Mcmf.add_edge net ~src:1 ~dst:2 ~capacity:1. ~cost:0.) in
+  let out = Mcmf.solve ~max_flow:2. net ~source:0 ~sink:2 in
+  check_close "cost" 2. out.Mcmf.cost;
+  Alcotest.(check (list (float 1e-12)))
+    "flow on the sink edges, oldest first" [ 0.; 0.; 1.; 1. ]
+    (List.map (Mcmf.flow_on net) into)
+
+(* One search certifies 0 -> a -> s1 -> sink (length 0) and
+   0 -> a -> s2 -> sink (length 1).  The first path fills 0 -> a, so the
+   second is no longer intact: the batch ends there, and a second search
+   finds 0 -> b -> s2 -> sink for the two units left.  Nodes: 0, a = 1,
+   b = 2, s1 = 3, s2 = 4, sink = 5. *)
+let test_broken_path_searched_again () =
+  let net = Mcmf.create ~n_nodes:6 in
+  ignore (Mcmf.add_edge net ~src:0 ~dst:1 ~capacity:1. ~cost:0.);
+  let to_b = Mcmf.add_edge net ~src:0 ~dst:2 ~capacity:5. ~cost:2. in
+  ignore (Mcmf.add_edge net ~src:1 ~dst:3 ~capacity:1. ~cost:0.);
+  let a_s2 = Mcmf.add_edge net ~src:1 ~dst:4 ~capacity:5. ~cost:1. in
+  ignore (Mcmf.add_edge net ~src:2 ~dst:4 ~capacity:5. ~cost:0.);
+  ignore (Mcmf.add_edge net ~src:3 ~dst:5 ~capacity:1. ~cost:0.);
+  ignore (Mcmf.add_edge net ~src:4 ~dst:5 ~capacity:5. ~cost:0.);
+  let out = Mcmf.solve ~max_flow:3. net ~source:0 ~sink:5 in
+  check_close "flow" 3. out.Mcmf.flow;
+  check_close "cost" 4. out.Mcmf.cost;
+  check_close "rest through b" 2. (Mcmf.flow_on net to_b);
+  check_close "nothing through a -> s2" 0. (Mcmf.flow_on net a_s2);
+  Alcotest.(check int) "searches" 2 (Mcmf.searches net);
+  Alcotest.(check int) "augmenting paths" 2 (Mcmf.augmentations net);
+  Alcotest.(check bool) "optimality certificate" true (Mcmf.no_negative_cycle net)
+
 let qsuite =
   List.map QCheck_alcotest.to_alcotest
     [ prop_mcmf_matches_simplex; prop_flow_bounded_by_capacity; prop_warm_resolve_equals_cold;
-      prop_per_source_matches_super_source; prop_per_source_widening_equals_cold ]
+      prop_per_source_matches_super_source; prop_per_source_widening_equals_cold;
+      prop_ties_match_cold_solves ]
 
 let () =
   Alcotest.run "rr_flow"
@@ -417,6 +611,13 @@ let () =
         [
           Alcotest.test_case "consumed network refused" `Quick test_consumed_raises;
           Alcotest.test_case "resolve needs a solve" `Quick test_resolve_requires_solve;
+        ] );
+      ( "batched paths",
+        [
+          Alcotest.test_case "one search per routed job" `Quick test_one_search_per_job;
+          Alcotest.test_case "ties take the first path found" `Quick test_ties_take_first_found;
+          Alcotest.test_case "a broken path is searched again" `Quick
+            test_broken_path_searched_again;
         ] );
       ("properties", qsuite);
     ]

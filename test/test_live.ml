@@ -576,6 +576,42 @@ let test_submit_validation () =
   expect_invalid "arrival in the simulated past" (fun () ->
       Live.submit live ~arrival:0. ~size:1.)
 
+(* An exhausted event budget: four unit jobs released at 0, 1, 2 and 3
+   and a budget of three events.  The engine stops at the third event
+   (t = 2); every later advance or drain is refused with that budget and
+   instant and leaves the statistics bit for bit as they were, while
+   submissions are still taken. *)
+let test_event_budget_exhausted () =
+  let bits (q : Live.stats) =
+    Printf.sprintf "%d %d %d %d %h %d %h %d %h %h %h %h %h %h %h" q.submitted q.completed q.alive
+      q.pending q.now q.events q.makespan q.max_alive q.mean_flow q.max_flow q.power_sum q.norm
+      q.p50 q.p90 q.p99
+  in
+  List.iter
+    (fun klass ->
+      let live = Live.create ~max_events:3 (Live.Classified klass) in
+      List.iter (fun a -> ignore (Live.submit live ~arrival:a ~size:1.)) [ 0.; 1.; 2.; 3. ];
+      let refused name f =
+        match f () with
+        | exception Rr_engine.Simulator.Event_limit_exceeded { limit; now } ->
+            Alcotest.(check int) (name ^ ": limit") 3 limit;
+            Alcotest.(check (float 0.)) (name ^ ": instant") 2. now
+        | () -> Alcotest.failf "%s: expected Event_limit_exceeded" name
+      in
+      refused "first advance" (fun () -> Live.advance live 100.);
+      let stats = Live.query live in
+      Alcotest.(check int) "events = max_events" 3 stats.Live.events;
+      Alcotest.(check (float 0.)) "now at the last event" 2. stats.Live.now;
+      Alcotest.(check int) "completed" 2 stats.Live.completed;
+      refused "second advance" (fun () -> Live.advance live 100.);
+      refused "drain" (fun () -> Live.drain live);
+      Alcotest.(check string) "refusals change nothing" (bits stats) (bits (Live.query live));
+      Alcotest.(check int) "submit still taken" 4 (Live.submit live ~arrival:5. ~size:1.))
+    [
+      Rr_engine.Policy_class.Equal_share;
+      Rr_engine.Policy_class.Static_key Rr_engine.Policy_class.Key_remaining;
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* Engine selection surface                                            *)
 (* ------------------------------------------------------------------ *)
@@ -677,7 +713,11 @@ let () =
             test_hybrid_live_table_grows;
         ] );
       ( "lifecycle",
-        [ Alcotest.test_case "submit validation and resume after drain" `Quick test_submit_validation ] );
+        [
+          Alcotest.test_case "submit validation and resume after drain" `Quick test_submit_validation;
+          Alcotest.test_case "exhausted event budget stops at the limit" `Quick
+            test_event_budget_exhausted;
+        ] );
       ( "selection",
         [
           Alcotest.test_case "selection_for surface" `Quick test_selection_surface;

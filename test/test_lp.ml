@@ -328,6 +328,177 @@ let prop_solution_feasible =
         slot_load;
       !ok)
 
+(* ------------------------------------------------------------------ *)
+(* Golden values                                                       *)
+(* ------------------------------------------------------------------ *)
+
+(* [Lp_bound.value] as exact hex floats on a fixed grid: batches of 12
+   Exp(1) jobs every 25 time units (each batch its own busy period, like
+   the benchmark's certify family) and Poisson arrivals at load 0.9 (long
+   busy periods), three seeds, m in {1, 2}, k in {1, 2}, both evaluation
+   modes, slot widths 1 and 0.5.  Recorded with the solver that ran one
+   Dijkstra search per augmenting path; batching the paths of a search
+   must reproduce every one bit for bit. *)
+let golden_instance shape ~seed ~machines =
+  let rng = Rr_util.Prng.create ~seed in
+  let sizes = Rr_workload.Distribution.Exponential { mean = 1. } in
+  match shape with
+  | "batched" ->
+      Rr_workload.Instance.generate ~rng
+        ~arrivals:(Rr_workload.Arrivals.Batched { batch = 12; interval = 25. })
+        ~sizes ~n:192 ()
+  | _ -> Rr_workload.Instance.generate_load ~rng ~sizes ~load:0.9 ~machines ~n:120 ()
+
+let golden =
+  [
+    ("batched/31/m1/k1/start/1", "0x1.92f7c8149a068p+9");
+    ("batched/31/m1/k1/start/0.5", "0x1.a65447cc31024p+9");
+    ("batched/31/m1/k1/end/1", "0x1.f2f7c8149a068p+9");
+    ("batched/31/m1/k1/end/0.5", "0x1.d65447cc31024p+9");
+    ("batched/31/m1/k2/start/1", "0x1.330d27bd58d64p+12");
+    ("batched/31/m1/k2/start/0.5", "0x1.45d53928b88bep+12");
+    ("batched/31/m1/k2/end/1", "0x1.89c2dec7becd2p+12");
+    ("batched/31/m1/k2/end/0.5", "0x1.709ba4a4de66dp+12");
+    ("batched/31/m2/k1/start/1", "0x1.d8b25ef780ce5p+8");
+    ("batched/31/m2/k1/start/0.5", "0x1.fb18b3ff9c317p+8");
+    ("batched/31/m2/k1/end/1", "0x1.4c592f7bc0672p+9");
+    ("batched/31/m2/k1/end/0.5", "0x1.2d8c59ffce18bp+9");
+    ("batched/31/m2/k2/start/1", "0x1.6368ef73ac9e4p+10");
+    ("batched/31/m2/k2/start/0.5", "0x1.851ac1a66bc7p+10");
+    ("batched/31/m2/k2/end/1", "0x1.0bd09982356d4p+11");
+    ("batched/31/m2/k2/end/0.5", "0x1.dbd078b0d1bdfp+10");
+    ("batched/32/m1/k1/start/1", "0x1.42d92c871b84ap+9");
+    ("batched/32/m1/k1/start/0.5", "0x1.55474ead4066ap+9");
+    ("batched/32/m1/k1/end/1", "0x1.a2d92c871b84ap+9");
+    ("batched/32/m1/k1/end/0.5", "0x1.85474ead4066ap+9");
+    ("batched/32/m1/k2/start/1", "0x1.acc40bde1475bp+11");
+    ("batched/32/m1/k2/start/0.5", "0x1.caa5d63f9ec2bp+11");
+    ("batched/32/m1/k2/end/1", "0x1.1dd30cad9c6dfp+12");
+    ("batched/32/m1/k2/end/0.5", "0x1.085932c3dd172p+12");
+    ("batched/32/m2/k1/start/1", "0x1.77bcaf87782cp+8");
+    ("batched/32/m2/k1/start/0.5", "0x1.97ee3e13ee3cdp+8");
+    ("batched/32/m2/k1/end/1", "0x1.1bde57c3bc16p+9");
+    ("batched/32/m2/k1/end/0.5", "0x1.f7ee3e13ee3cep+8");
+    ("batched/32/m2/k2/start/1", "0x1.e38bc12c760f8p+9");
+    ("batched/32/m2/k2/start/0.5", "0x1.0c5d773b8fc95p+10");
+    ("batched/32/m2/k2/end/1", "0x1.888f26cd24658p+10");
+    ("batched/32/m2/k2/end/0.5", "0x1.53ce7dfa21fc6p+10");
+    ("batched/33/m1/k1/start/1", "0x1.788e4de026c03p+9");
+    ("batched/33/m1/k1/start/0.5", "0x1.8c3e2d833d41dp+9");
+    ("batched/33/m1/k1/end/1", "0x1.d88e4de026c03p+9");
+    ("batched/33/m1/k1/end/0.5", "0x1.bc3e2d833d41dp+9");
+    ("batched/33/m1/k2/start/1", "0x1.0e18989813756p+12");
+    ("batched/33/m1/k2/start/0.5", "0x1.1f9fc0dfe623fp+12");
+    ("batched/33/m1/k2/end/1", "0x1.5f7f30f8bcca4p+12");
+    ("batched/33/m1/k2/end/0.5", "0x1.47c909049d9e9p+12");
+    ("batched/33/m2/k1/start/1", "0x1.b7e814d7c439ep+8");
+    ("batched/33/m2/k1/start/0.5", "0x1.db823a3da82cep+8");
+    ("batched/33/m2/k1/end/1", "0x1.3bf40a6be21cfp+9");
+    ("batched/33/m2/k1/end/0.5", "0x1.1dc11d1ed4167p+9");
+    ("batched/33/m2/k2/start/1", "0x1.3be24955ee893p+10");
+    ("batched/33/m2/k2/start/0.5", "0x1.5afd7cf50fef7p+10");
+    ("batched/33/m2/k2/end/1", "0x1.e4e267644f398p+10");
+    ("batched/33/m2/k2/end/0.5", "0x1.ac641555b9446p+10");
+    ("poisson/31/m1/k1/start/1", "0x1.c112354bdc9f6p+7");
+    ("poisson/31/m1/k1/start/0.5", "0x1.dfdfc01693ff4p+7");
+    ("poisson/31/m1/k1/end/1", "0x1.3b724e385c2cap+8");
+    ("poisson/31/m1/k1/end/0.5", "0x1.213b6961dc583p+8");
+    ("poisson/31/m1/k2/start/1", "0x1.d125dce948b07p+9");
+    ("poisson/31/m1/k2/start/0.5", "0x1.f3cf7d6cdbf73p+9");
+    ("poisson/31/m1/k2/end/1", "0x1.3dd699affc0fp+10");
+    ("poisson/31/m1/k2/end/0.5", "0x1.2462f6f621fcbp+10");
+    ("poisson/31/m2/k1/start/1", "0x1.3cefa494ced02p+7");
+    ("poisson/31/m2/k1/start/0.5", "0x1.5780873e8af5fp+7");
+    ("poisson/31/m2/k1/end/1", "0x1.dca2f15a9eef2p+7");
+    ("poisson/31/m2/k1/end/0.5", "0x1.b269bad0f8d2ep+7");
+    ("poisson/31/m2/k2/start/1", "0x1.68efdcbfc3b54p+8");
+    ("poisson/31/m2/k2/start/0.5", "0x1.96194796a2d76p+8");
+    ("poisson/31/m2/k2/end/1", "0x1.06b62676da05ep+9");
+    ("poisson/31/m2/k2/end/0.5", "0x1.eb5cf2d1fa8e2p+8");
+    ("poisson/32/m1/k1/start/1", "0x1.215eda0b8caefp+8");
+    ("poisson/32/m1/k1/start/0.5", "0x1.309892bc570b1p+8");
+    ("poisson/32/m1/k1/end/1", "0x1.8238db20078a6p+8");
+    ("poisson/32/m1/k1/end/0.5", "0x1.637199883df04p+8");
+    ("poisson/32/m1/k2/start/1", "0x1.af714daa781cfp+10");
+    ("poisson/32/m1/k2/start/0.5", "0x1.cd8b6f496eeabp+10");
+    ("poisson/32/m1/k2/end/1", "0x1.1e3f39c8b961ap+11");
+    ("poisson/32/m1/k2/end/0.5", "0x1.09b3e18d5307bp+11");
+    ("poisson/32/m2/k1/start/1", "0x1.8185bc6e06c12p+7");
+    ("poisson/32/m2/k1/start/0.5", "0x1.972eafd90dddp+7");
+    ("poisson/32/m2/k1/end/1", "0x1.197ec2e865367p+8");
+    ("poisson/32/m2/k1/end/0.5", "0x1.f808b0ed88b88p+7");
+    ("poisson/32/m2/k2/start/1", "0x1.0cae77c74bb22p+9");
+    ("poisson/32/m2/k2/start/0.5", "0x1.264adceff6792p+9");
+    ("poisson/32/m2/k2/end/1", "0x1.9c461706ccdd5p+9");
+    ("poisson/32/m2/k2/end/0.5", "0x1.6cd16fe373cc6p+9");
+    ("poisson/33/m1/k1/start/1", "0x1.59882a4fe9dccp+7");
+    ("poisson/33/m1/k1/start/0.5", "0x1.753f7d49aea1bp+7");
+    ("poisson/33/m1/k1/end/1", "0x1.088212187a1b9p+8");
+    ("poisson/33/m1/k1/end/0.5", "0x1.d905f3136a1d3p+7");
+    ("poisson/33/m1/k2/start/1", "0x1.9b8963e4989fcp+8");
+    ("poisson/33/m1/k2/start/0.5", "0x1.d994265a80f41p+8");
+    ("poisson/33/m1/k2/end/1", "0x1.4addad5d42588p+9");
+    ("poisson/33/m1/k2/end/0.5", "0x1.2a94650c34a59p+9");
+    ("poisson/33/m2/k1/start/1", "0x1.06bfbe4c8a04ep+7");
+    ("poisson/33/m2/k1/start/0.5", "0x1.16ca28fcd327ep+7");
+    ("poisson/33/m2/k1/end/1", "0x1.a99ac03dcff9bp+7");
+    ("poisson/33/m2/k1/end/0.5", "0x1.728825ed58551p+7");
+    ("poisson/33/m2/k2/start/1", "0x1.ba70905405897p+7");
+    ("poisson/33/m2/k2/start/0.5", "0x1.db35e437ba3afp+7");
+    ("poisson/33/m2/k2/end/1", "0x1.619ff4dd7675p+8");
+    ("poisson/33/m2/k2/end/0.5", "0x1.2c276fd15821dp+8");
+  ]
+
+let test_golden_values () =
+  List.iter
+    (fun shape ->
+      List.iter
+        (fun seed ->
+          List.iter
+            (fun machines ->
+              let inst = golden_instance shape ~seed ~machines in
+              List.iter
+                (fun k ->
+                  List.iter
+                    (fun (mname, mode) ->
+                      List.iter
+                        (fun delta ->
+                          let key =
+                            Printf.sprintf "%s/%d/m%d/k%d/%s/%g" shape seed machines k mname delta
+                          in
+                          Alcotest.(check string)
+                            key (List.assoc key golden)
+                            (Printf.sprintf "%h" (Lp_bound.value ~mode ~k ~machines ~delta inst)))
+                        [ 1.; 0.5 ])
+                    [ ("start", Lp_bound.Slot_start); ("end", Lp_bound.Slot_end) ])
+                [ 1; 2 ])
+            [ 1; 2 ])
+        [ 31; 32; 33 ])
+    [ "batched"; "poisson" ]
+
+(* Networks are per solve: two LPs solved at once on two domains, the
+   way [Bound] solves a level's two modes, give the sequential values
+   bit for bit. *)
+let test_pool_matches_sequential () =
+  let reqs =
+    List.concat_map
+      (fun seed ->
+        List.map
+          (fun mode -> (golden_instance "poisson" ~seed ~machines:1, mode))
+          [ Lp_bound.Slot_start; Lp_bound.Slot_end ])
+      [ 31; 32; 33 ]
+  in
+  let solve (inst, mode) = Lp_bound.value ~mode ~k:2 ~machines:1 ~delta:0.5 inst in
+  let sequential = List.map solve reqs in
+  let pooled =
+    Temporal_fairness.Pool.with_pool ~domains:2 (fun pool ->
+        Temporal_fairness.Pool.map ~chunk:(`Fixed 1) pool solve reqs)
+  in
+  List.iter2
+    (fun s p ->
+      Alcotest.(check string) "pooled = sequential" (Printf.sprintf "%h" s) (Printf.sprintf "%h" p))
+    sequential pooled
+
 let qsuite =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -369,6 +540,11 @@ let () =
           Alcotest.test_case "solution extraction" `Quick test_solution_single_job;
           Alcotest.test_case "interval converges" `Quick test_value_interval_converges;
           Alcotest.test_case "interval empty" `Quick test_value_interval_empty;
+        ] );
+      ( "golden",
+        [
+          Alcotest.test_case "values on a fixed grid" `Quick test_golden_values;
+          Alcotest.test_case "two domains = sequential" `Quick test_pool_matches_sequential;
         ] );
       ("properties", qsuite);
     ]

@@ -94,9 +94,11 @@ let stop_text path =
 (* Spawn a server domain on a fresh socket, run [f path], then close the
    raw connections [f] left open, stop the server (best-effort, in case
    [f] already did) and join the domain. *)
-let with_server ?config ~proto f =
+let with_server ?config ?max_events ~proto f =
   let path = temp_sock () in
-  let engine = ref (Live.create (Live.Classified Rr_engine.Policy_class.Equal_share)) in
+  let engine =
+    ref (Live.create ?max_events (Live.Classified Rr_engine.Policy_class.Equal_share))
+  in
   let d = Domain.spawn (fun () -> Server.run ?config ~proto ~engine ~path ()) in
   let outer = !raw_open in
   Fun.protect
@@ -400,6 +402,28 @@ let test_binary_err_keeps_connection () =
       Alcotest.(check int) "connection still usable" 1 (Client.submit c ~arrival:6. ~size:1.);
       let s = Client.stats c in
       Alcotest.(check int) "only valid submits counted" 2 s.Live.submitted;
+      Client.shutdown c)
+
+(* An ADVANCE past the event budget answers ERR and the connection stays
+   open; STATS shows the engine stopped at the limit, and a second
+   refused ADVANCE changes nothing. *)
+let test_binary_event_budget () =
+  with_server ~max_events:3 ~proto:Server.Binary (fun path ->
+      let c = Client.connect path in
+      ignore
+        (Client.submit_batch c ~arrivals:[| 0.; 1.; 2.; 3. |] ~sizes:[| 1.; 1.; 1.; 1. |] ()
+          : int);
+      let refused () =
+        match Client.advance c 100. with
+        | _ -> Alcotest.fail "advance past the event budget accepted"
+        | exception Client.Server_error _ -> ()
+      in
+      refused ();
+      let s = Client.stats c in
+      Alcotest.(check int) "events = limit" 3 s.Live.events;
+      refused ();
+      check_stats_equal "second refusal" s (Client.stats c);
+      Alcotest.(check int) "connection still usable" 4 (Client.submit c ~arrival:5. ~size:1.);
       Client.shutdown c)
 
 let test_binary_snapshot_restore_across_servers () =
@@ -1255,6 +1279,8 @@ let () =
             test_binary_matches_inprocess;
           Alcotest.test_case "engine fault answers ERR, connection lives" `Quick
             test_binary_err_keeps_connection;
+          Alcotest.test_case "advance past the event budget answers ERR" `Quick
+            test_binary_event_budget;
           Alcotest.test_case "snapshot/restore across servers" `Quick
             test_binary_snapshot_restore_across_servers;
           Alcotest.test_case "wrapped pending ring, snapshot and restore" `Quick
