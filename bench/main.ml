@@ -19,8 +19,10 @@
    feed's allocated words per job, and
    the B7 certified-bound benchmark gating the sparse LP network against
    the frozen dense lp-bound-n40 baseline (>= 25x, equal value), warm
-   resolves against cold solves (<= 1e-9), and the wall-clock of a
-   certified ratio curve up to n = 2000, and the B8 serving benchmark
+   resolves against cold solves (<= 1e-9), the wall-clock of a
+   certified ratio curve up to n = 2000 and the allocation of a warm
+   certify LP (<= 5% of the major words it took before the network was
+   recycled, <= 1.6 minor words per edge), and the B8 serving benchmark
    driving a live rr_cli-serve daemon over its Unix socket with the
    loadgen client, gating the binary framed protocol (>= 500k events/s
    at full scale, >= 10x over the text line protocol) and requiring the
@@ -527,15 +529,13 @@ type b4_report = { b4_points : b4_point list; b4_failures : string list }
    and a peak live heap an order of magnitude under the materialized
    pipeline's at the largest size.  This path hands every completion to
    a caller's sink, so each job boxes its arrival and flow for that call
-   (4 words), and the lk fold this bench's sink feeds boxes one more
-   float per update (2 words); the kernel, the source and the driver
-   allocate nothing.  Counted with [Gc.minor_words], as B5 and B6 count,
-   the release profile reads 6.0 words/job at n = 10^4 and at n = 10^5
-   alike ([Gc.allocated_bytes] advances only at minor collections and
-   read 0.8 and 5.3 for the same path); anything past 8 means a per-job
-   allocation leaked back in.  The gate assumes the release profile: the
-   dev profile passes [-opaque], which kills cross-module inlining and
-   multiplies the figure — run the bench with
+   (4 words); the lk fold this bench's sink feeds, the kernel, the
+   source and the driver allocate nothing.  Counted with
+   [Gc.minor_words], as B5 and B6 count, the release profile reads 4.0
+   words/job at n = 10^4 and at n = 10^5 alike; anything past 8 means a
+   per-job allocation leaked back in.  The gate assumes the release
+   profile: the dev profile passes [-opaque], which kills cross-module
+   inlining and multiplies the figure — run the bench with
    [dune exec --profile release]. *)
 let b4_max_words_per_job = 8.
 let b4_min_peak_ratio = 10.
@@ -1220,7 +1220,26 @@ type b7_point = {
   bp_solves : int;
 }
 
+(* Routing counters over one LP solve ({!Rr_lp.Lp_bound.routing}). *)
+type b7_routing = {
+  br_what : string;
+  br_seed : int;
+  br_n : int;
+  br_mode : string;
+  br_counts : Rr_lp.Lp_bound.routing;
+}
+
+type b7_alloc = {
+  ba_minor_words : float;  (* warm certify value_interval *)
+  ba_major_words : float;
+  ba_major_collections : int;
+  ba_solve_edges : int;  (* warm Delta = 0.5 solve *)
+  ba_solve_minor_words : float;
+}
+
 type b7_report = {
+  b7_alloc : b7_alloc;
+  b7_routing : b7_routing list;
   b7_dense_ns : float;
   b7_sparse_ns : float;
   b7_rel_diff : float;
@@ -1247,6 +1266,23 @@ let b7_n40_rtol = 1e-6
 let b7_curve_ceiling_s = 2.25
 let b7_curve_tol = 0.1
 let b7_warm_rtol = 1e-9
+
+(* Major-heap words of one warm certify [value_interval] (the benchmark's
+   certify instance: batches of 20 Exp(1) jobs every 40, n = 1000, seed
+   1, tol 0.125, four solves), counted with [Gc.counters] after one
+   warm-up call.  Before the LP network was recycled each of the
+   component networks went to the major heap: 1,116,640 words and 19
+   major collections per call.  The recycled network reads ~4K words
+   (the job array each solve copies), and more than 5% of the old
+   figure means a network is allocated per solve again. *)
+let b7_baseline_major_words = 1_116_640.
+let b7_major_share = 0.05
+
+(* Minor words per edge of a warm Delta = 0.5 solve of the same
+   instance: ~0.6, against 5.6 when [Mcmf.add_edge] boxed its capacity
+   and cost.  Release profile only, like B4's ceiling: the dev profile's
+   [-opaque] keeps [add_edge] out of line. *)
+let b7_words_per_edge_ceiling = 1.6
 
 (* Random transportation network in the LP's shape — per-job arc costs
    non-decreasing in slot index — split into an initial slot range plus a
@@ -1301,10 +1337,78 @@ let b7_warm_case rng =
     (rel warm_out.Rr_flow.Mcmf.flow cold_out.Rr_flow.Mcmf.flow)
     (rel warm_out.Rr_flow.Mcmf.cost cold_out.Rr_flow.Mcmf.cost)
 
+let b7_certify_instance =
+  Rr_workload.Instance.generate ~rng:(Prng.create ~seed:1)
+    ~arrivals:(Rr_workload.Arrivals.Batched { batch = 20; interval = 40. })
+    ~sizes:(Rr_workload.Distribution.Exponential { mean = 1. })
+    ~n:1000 ()
+
+(* Allocation of the certify LP on this domain's recycled network, each
+   figure after one warm-up call of its own. *)
+let b7_alloc () =
+  let inst = b7_certify_instance in
+  let interval () = Rr_lp.Lp_bound.value_interval ~tol:0.125 ~k:2 ~machines:1 inst in
+  ignore (interval ());
+  Gc.full_major ();
+  let majors0 = (Gc.quick_stat ()).Gc.major_collections in
+  let minor0, _, major0 = Gc.counters () in
+  ignore (Sys.opaque_identity (interval ()));
+  let minor1, _, major1 = Gc.counters () in
+  let majors1 = (Gc.quick_stat ()).Gc.major_collections in
+  let solve () =
+    Rr_lp.Lp_bound.value ~mode:Rr_lp.Lp_bound.Slot_start ~k:2 ~machines:1 ~delta:0.5 inst
+  in
+  ignore (solve ());
+  let edges0 = (Rr_lp.Lp_bound.routing ()).edges and words0 = Gc.minor_words () in
+  ignore (Sys.opaque_identity (solve ()));
+  let words1 = Gc.minor_words () and edges1 = (Rr_lp.Lp_bound.routing ()).edges in
+  {
+    ba_minor_words = minor1 -. minor0;
+    ba_major_words = major1 -. major0;
+    ba_major_collections = majors1 - majors0;
+    ba_solve_edges = edges1 - edges0;
+    ba_solve_minor_words = words1 -. words0;
+  }
+
+(* Why each search's batch ended, over one Delta = 0.5 solve. *)
+let b7_route ~what ~seed inst mode =
+  let before = Rr_lp.Lp_bound.routing () in
+  ignore (Rr_lp.Lp_bound.value ~mode ~k:2 ~machines:1 ~delta:0.5 inst);
+  let after = Rr_lp.Lp_bound.routing () in
+  let d f = f after - f before in
+  {
+    br_what = what;
+    br_seed = seed;
+    br_n = Rr_workload.Instance.n inst;
+    br_mode = (match mode with Rr_lp.Lp_bound.Slot_start -> "start" | Slot_end -> "end");
+    br_counts =
+      {
+        edges = d (fun r -> r.Rr_lp.Lp_bound.edges);
+        searches = d (fun r -> r.searches);
+        augmentations = d (fun r -> r.augmentations);
+        path_cut = d (fun r -> r.path_cut);
+        room_left = d (fun r -> r.room_left);
+        entries_used = d (fun r -> r.entries_used);
+        supply_routed = d (fun r -> r.supply_routed);
+        sink_unreachable = d (fun r -> r.sink_unreachable);
+      };
+  }
+
 let run_bound_bench pool =
   let failures = ref [] in
   let fail fmt = Printf.ksprintf (fun m -> failures := m :: !failures) fmt in
   let gate_scale = if quick then 0.5 else 1.0 in
+  (* -- allocation of the recycled network ----------------------------- *)
+  let alloc = b7_alloc () in
+  let major_ceiling = b7_major_share *. b7_baseline_major_words in
+  if alloc.ba_major_words > major_ceiling then
+    fail "certify value_interval allocated %.0f major words (> %.0f, %.0f%% of the %.0f before \
+          the network was recycled)"
+      alloc.ba_major_words major_ceiling (100. *. b7_major_share) b7_baseline_major_words;
+  let words_per_edge = alloc.ba_solve_minor_words /. Float.of_int (Int.max 1 alloc.ba_solve_edges) in
+  if words_per_edge > b7_words_per_edge_ceiling then
+    fail "a Delta = 0.5 certify solve allocated %.2f minor words per edge (> %.1f)" words_per_edge
+      b7_words_per_edge_ceiling;
   (* -- n40: sparse vs dense at the B1 operating point ---------------- *)
   let dense () =
     Rr_lp.Lp_bound.value ~windows:Rr_lp.Lp_bound.Dense ~k:2 ~machines:1 ~delta:0.5
@@ -1382,8 +1486,25 @@ let run_bound_bench pool =
       if p.bp_lp_solved && p.bp_lo > p.bp_hi *. (1. +. 1e-9) then
         fail "certified interval inverted at n=%d: lo %.6g > hi %.6g" p.bp_n p.bp_lo p.bp_hi)
     points;
-  (* -- cheap filter cost (context for the curve) --------------------- *)
+  (* -- batch ends ------------------------------------------------------ *)
   let big = curve_inst 2000 in
+  let routing =
+    [
+      b7_route ~what:"certify" ~seed:1 b7_certify_instance Rr_lp.Lp_bound.Slot_start;
+      b7_route ~what:"certify" ~seed:1 b7_certify_instance Rr_lp.Lp_bound.Slot_end;
+      b7_route ~what:"curve" ~seed:2040 big Rr_lp.Lp_bound.Slot_start;
+    ]
+  in
+  List.iter
+    (fun r ->
+      let c = r.br_counts in
+      if
+        c.path_cut + c.room_left + c.entries_used + c.supply_routed + c.sink_unreachable
+        <> c.searches
+      then fail "%s n=%d %s: batch ends do not sum to the %d searches" r.br_what r.br_n r.br_mode
+          c.searches)
+    routing;
+  (* -- cheap filter cost (context for the curve) --------------------- *)
   let cheap_ns =
     time_per_run reps (fun () ->
         ignore (Rr_lp.Lp_bound.cheap_lower_bound ~k:2 ~machines:1 big))
@@ -1401,6 +1522,24 @@ let run_bound_bench pool =
     [ "warm vs cold max rel diff"; Printf.sprintf "%.2e (%d cases)" !warm_max_rel warm_cases ];
   Table.add_row table
     [ "cheap filter n=2000"; Printf.sprintf "%.3f ms" (cheap_ns /. 1e6) ];
+  Table.add_row table
+    [ "certify interval, warm";
+      Printf.sprintf "%.0f major words (ceiling %.0f), %d major GCs, %.0f minor words"
+        alloc.ba_major_words major_ceiling alloc.ba_major_collections alloc.ba_minor_words ];
+  Table.add_row table
+    [ "certify solve d=0.5, warm";
+      Printf.sprintf "%.2f minor words/edge over %d edges (ceiling %.1f)" words_per_edge
+        alloc.ba_solve_edges b7_words_per_edge_ceiling ];
+  List.iter
+    (fun r ->
+      let c = r.br_counts in
+      Table.add_row table
+        [ Printf.sprintf "batch ends %s n=%d %s" r.br_what r.br_n r.br_mode;
+          Printf.sprintf
+            "%d searches, %d paths: cut %d, room %d, used %d, routed %d, unreachable %d"
+            c.searches c.augmentations c.path_cut c.room_left c.entries_used c.supply_routed
+            c.sink_unreachable ])
+    routing;
   List.iter
     (fun p ->
       Table.add_row table
@@ -1411,6 +1550,8 @@ let run_bound_bench pool =
     points;
   Table.print table;
   {
+    b7_alloc = alloc;
+    b7_routing = routing;
     b7_dense_ns = dense_ns;
     b7_sparse_ns = sparse_ns;
     b7_rel_diff = rel_diff;
@@ -1428,7 +1569,7 @@ let write_bound_json (b7 : b7_report) =
   let buf = Buffer.create 1024 in
   let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   add "{\n";
-  add "  \"schema\": \"bench_bound/v1\",\n";
+  add "  \"schema\": \"bench_bound/v2\",\n";
   add "  \"scale\": %S,\n" (if quick then "quick" else "full");
   add
     "  \"n40\": {\"dense_ns\": %.1f, \"sparse_ns\": %.1f, \"rel_diff\": %.3e, \"rtol\": \
@@ -1439,6 +1580,30 @@ let write_bound_json (b7 : b7_report) =
   add "  \"warm\": {\"max_rel_diff\": %.3e, \"rtol\": %.0e, \"cases\": %d},\n"
     b7.b7_warm_max_rel b7_warm_rtol b7.b7_warm_cases;
   add "  \"cheap\": {\"n\": 2000, \"ns_per_run\": %.1f},\n" b7.b7_cheap_ns;
+  let a = b7.b7_alloc in
+  add
+    "  \"alloc\": {\"warmup_calls\": 1, \"interval_minor_words\": %.0f, \"interval_major_words\": \
+     %.0f, \"major_ceiling\": %.0f, \"baseline_major_words\": %.0f, \"major_collections\": %d, \
+     \"solve_edges\": %d, \"solve_minor_words\": %.0f, \"solve_minor_words_per_edge\": %.3f, \
+     \"words_per_edge_ceiling\": %.1f},\n"
+    a.ba_minor_words a.ba_major_words (b7_major_share *. b7_baseline_major_words)
+    b7_baseline_major_words a.ba_major_collections a.ba_solve_edges a.ba_solve_minor_words
+    (a.ba_solve_minor_words /. Float.of_int (Int.max 1 a.ba_solve_edges))
+    b7_words_per_edge_ceiling;
+  add "  \"routing\": [\n";
+  List.iteri
+    (fun i r ->
+      let c = r.br_counts in
+      add
+        "    {\"instance\": %S, \"seed\": %d, \"n\": %d, \"delta\": 0.5, \"mode\": %S, \
+         \"edges\": %d, \"searches\": %d, \"augmentations\": %d, \"path_cut\": %d, \
+         \"room_left\": %d, \"entries_used\": %d, \"supply_routed\": %d, \
+         \"sink_unreachable\": %d}%s\n"
+        r.br_what r.br_seed r.br_n r.br_mode c.edges c.searches c.augmentations c.path_cut
+        c.room_left c.entries_used c.supply_routed c.sink_unreachable
+        (if i = List.length b7.b7_routing - 1 then "" else ","))
+    b7.b7_routing;
+  add "  ],\n";
   add "  \"curve\": {\"tol\": %.3g, \"ceiling_s\": %.1f, \"points\": [\n" b7_curve_tol
     (b7_curve_ceiling_s /. if quick then 0.5 else 1.0);
   List.iteri

@@ -59,25 +59,86 @@
     ones a search per path would give, ties between equally short paths
     going to the edge recorded first.  Routing one job's p_j into the
     LP's slots takes about one search however many slots it fills
-    ({!searches}, {!augmentations}). *)
+    ({!searches}, {!augmentations}); {!batches_ended} says why each
+    batch stopped.
+
+    {2 Layout}
+
+    {!add_edge} appends an edge to a list of edge pairs (both endpoints,
+    capacity, cost), and the handle it returns names the pair: [2i] the
+    forward edge, [2i + 1] its residual twin.  Before the first search,
+    and again before the first search after more edges were added, the
+    network lays the arcs out by tail node in compressed sparse rows:
+    each node's arcs in one contiguous run, newest first, each arc
+    holding its head, its cost, its twin, its own residual capacity and,
+    beside it, its twin's.  So the residual test of a search reads
+    nothing outside the node's run.  An augmentation writes each new
+    capacity twice, on its own arc and beside its twin; the two copies
+    are the same float.  A handle maps to its arc through the layout, so
+    {!flow_on} and the handle-ordered Bellman-Ford passes ({!resolve}'s
+    repair, {!no_negative_cycle}) work across layouts.
+
+    {e Why no float depends on the layout.}  The layout decides where an
+    arc is stored, not which arcs a search relaxes, in which order, or
+    with which operands.  A node's run lists its arcs newest first, the
+    order of a per-node list that each {!add_edge} prepends to; the
+    saturation test compares an arc's capacity with its twin's, whichever
+    copy it reads; and the repair relaxes edges in handle order.  The
+    scan order decides which of two equally short labels a search keeps,
+    so it is part of every potential, flow and cost the solver returns,
+    and it is fixed by the order of the {!add_edge} calls alone.
+
+    {2 Recycling}
+
+    {!reset} empties a network for a new problem and keeps its storage.
+    Every array grows to the largest size asked of it ({!reserve} sizes
+    the edge list exactly) and never shrinks, so a caller that solves
+    many problems in turn allocates nothing once the network has seen
+    its largest one.  {!Rr_lp.Lp_bound} solves every component of every
+    LP on one network per domain.  A network must not be shared between
+    domains. *)
 
 type t
+
+type batch_end =
+  | Path_cut
+      (** A certified path was no longer intact: an earlier path of the
+          batch saturated one of its arcs. *)
+  | Room_left
+      (** The previous entry's sink arc still had room, so the next
+          entry's path need not be a shortest one. *)
+  | Entries_used  (** Every certified entry was augmented, with supply left. *)
+  | Supply_routed  (** The supply asked for is routed. *)
+  | Sink_unreachable  (** The search certified no entry: the sink is out of reach. *)
+(** Why a search's batch of augmentations ended.  Every search ends one
+    batch, for one cause: no certified entry is [Sink_unreachable]; else
+    a cut path, then a sink arc with room, then routed supply, then
+    used-up entries. *)
 
 val create : n_nodes:int -> t
 (** Network with nodes [0 .. n_nodes-1] and no edges.
     @raise Invalid_argument when [n_nodes < 1]. *)
 
+val reset : t -> n_nodes:int -> unit
+(** [reset t ~n_nodes] empties [t] into a network with nodes
+    [0 .. n_nodes-1], no edges, zero potentials and no flow — what
+    {!create} would build — keeping its storage.  Handles of the previous
+    problem are void.  The counters ({!edges_added}, {!searches},
+    {!augmentations}, {!batches_ended}) keep counting.
+    @raise Invalid_argument when [n_nodes < 1]. *)
+
 val reserve : t -> edges:int -> unit
-(** [reserve t ~edges] makes room for [edges] more {!add_edge} calls, so
-    a caller that knows its edge count builds the network without
-    regrowing it.  Adding more still works.
+(** [reserve t ~edges] makes room for exactly [edges] more {!add_edge}
+    calls, so a caller that knows its edge count builds the network
+    without regrowing it.  Adding more still works.
     @raise Invalid_argument when [edges < 0]. *)
 
 val add_edge : t -> src:int -> dst:int -> capacity:float -> cost:float -> int
 (** Add a directed edge and its implicit residual reverse edge; returns an
     edge handle usable with {!flow_on}.  Edges may also be added {e after}
     a solve: they join the residual network and take part in the next
-    {!resolve}.
+    {!resolve}, which lays the network out again first.  Inlined (release
+    builds), so a caller's two floats are not boxed.
     @raise Invalid_argument on out-of-range endpoints, negative or
     non-finite capacity, or negative or non-finite cost. *)
 
@@ -114,14 +175,22 @@ val solved : t -> bool
 (** Whether {!solve} has consumed this network (i.e. whether the next
     entry point is {!resolve}). *)
 
+val edges_added : t -> int
+(** {!add_edge} calls on this network so far, across {!reset}s. *)
+
 val searches : t -> int
-(** Dijkstra searches run on this network so far. *)
+(** Dijkstra searches run on this network so far, across {!reset}s. *)
 
 val augmentations : t -> int
-(** Augmenting paths pushed on this network so far. *)
+(** Augmenting paths pushed on this network so far, across {!reset}s. *)
+
+val batches_ended : t -> batch_end -> int
+(** Searches on this network so far, across {!reset}s, whose batch ended
+    for the given cause.  Over the five causes they sum to {!searches}. *)
 
 val flow_on : t -> int -> float
-(** Flow routed over the edge with the given handle after {!solve}. *)
+(** Flow routed over the edge with the given handle after {!solve}; [0.]
+    for an edge added since the last solve or resolve. *)
 
 val no_negative_cycle : t -> bool
 (** Optimality self-certificate: after {!solve} (or {!resolve}), the

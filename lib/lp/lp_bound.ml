@@ -71,7 +71,7 @@ let slot_count ~machines ~delta inst =
    the idle gap after the busy period without rebuilding).  [members] are
    global job indices.  Returns the component's objective; [on_arc], when
    given, receives [(job, slot_start, flow)] for every job arc of the
-   solved network, which is dropped on return.
+   solved network.  [net] is reset for the component and built in place.
 
    There is no super source: each member's p_j is routed from its own
    node (successive shortest paths with node imbalances), in release
@@ -80,12 +80,12 @@ let slot_count ~machines ~delta inst =
    so the order cannot change the optimum; it only decides how often a
    later path must cancel earlier flow through a reverse arc, and this
    one is the order the optimum tends to fill slots in. *)
-let solve_part ~mode ~gamma ~k ~machines ~delta ~(jobs : Rr_engine.Job.t array) ~members
+let solve_part net ~mode ~gamma ~k ~machines ~delta ~(jobs : Rr_engine.Job.t array) ~members
     ~s_lo ~s_hi_init ~s_reach ~on_arc =
   let nm = Array.length members in
   let slot_node s = nm + (s - s_lo) in
   let sink = nm + (s_reach - s_lo) in
-  let net = Rr_flow.Mcmf.create ~n_nodes:(sink + 1) in
+  Rr_flow.Mcmf.reset net ~n_nodes:(sink + 1);
   let member_lo =
     Array.map (fun ji -> Int.max s_lo (int_of_float (jobs.(ji).arrival /. delta))) members
   in
@@ -167,6 +167,52 @@ let solve_part ~mode ~gamma ~k ~machines ~delta ~(jobs : Rr_engine.Job.t array) 
     on_arc;
   (!routed).cost
 
+(* One network per domain, lent to one LP at a time and reset for each of
+   its components, the way Rr_engine.Arena lends simulation scratch: a
+   run of solves on one domain reuses storage already grown to its
+   largest component, so a warm solve allocates no network at all.  Each
+   domain has its own, so [Bound] can solve a level's two modes at once
+   on a two-domain Pool.  A re-entrant solve (an [on_arc] callback that
+   solves another LP on the same domain) finds the network lent and
+   builds a fresh one. *)
+type lender = { net : Rr_flow.Mcmf.t; mutable lent : bool }
+
+let lender =
+  Domain.DLS.new_key (fun () -> { net = Rr_flow.Mcmf.create ~n_nodes:1; lent = false })
+
+let with_network f =
+  let l = Domain.DLS.get lender in
+  if l.lent then f (Rr_flow.Mcmf.create ~n_nodes:1)
+  else begin
+    l.lent <- true;
+    Fun.protect ~finally:(fun () -> l.lent <- false) (fun () -> f l.net)
+  end
+
+type routing = {
+  edges : int;
+  searches : int;
+  augmentations : int;
+  path_cut : int;
+  room_left : int;
+  entries_used : int;
+  supply_routed : int;
+  sink_unreachable : int;
+}
+
+let routing () =
+  let net = (Domain.DLS.get lender).net in
+  let ended = Rr_flow.Mcmf.batches_ended net in
+  {
+    edges = Rr_flow.Mcmf.edges_added net;
+    searches = Rr_flow.Mcmf.searches net;
+    augmentations = Rr_flow.Mcmf.augmentations net;
+    path_cut = ended Path_cut;
+    room_left = ended Room_left;
+    entries_used = ended Entries_used;
+    supply_routed = ended Supply_routed;
+    sink_unreachable = ended Sink_unreachable;
+  }
+
 (* Build and solve the transportation network(s) for LP_primal.  With
    [Sparse] windows the problem decomposes: jobs of different busy periods
    have disjoint slot windows, so each (merged) group of overlapping
@@ -175,8 +221,8 @@ let solve_part ~mode ~gamma ~k ~machines ~delta ~(jobs : Rr_engine.Job.t array) 
    superlinear in component size, so solving many 1/(1-rho)-sized
    components is the difference between seconds and hours at n = 2000.
    [Dense] keeps the original single O(n·slots) network as the
-   differential oracle.  Each component's network is dropped as soon as
-   its cost is read. *)
+   differential oracle.  Every component is solved on the domain's
+   network, reset in turn. *)
 let solve_network ~mode ~gamma ~k ~machines ~delta ~windows ~on_arc inst =
   validate ~k ~machines ~delta;
   let jobs = Array.of_list (Rr_workload.Instance.jobs inst) in
@@ -230,21 +276,24 @@ let solve_network ~mode ~gamma ~k ~machines ~delta ~windows ~on_arc inst =
           with_reach (List.rev merged)
     in
     let total = Rr_util.Kahan.create () in
-    List.iter
-      (fun (members, s_lo, s_hi_init, s_reach) ->
-        Rr_util.Kahan.add total
-          (solve_part ~mode ~gamma ~k ~machines ~delta ~jobs ~members ~s_lo ~s_hi_init
-             ~s_reach ~on_arc))
-      components;
+    with_network (fun net ->
+        List.iter
+          (fun (members, s_lo, s_hi_init, s_reach) ->
+            Rr_util.Kahan.add total
+              (solve_part net ~mode ~gamma ~k ~machines ~delta ~jobs ~members ~s_lo ~s_hi_init
+                 ~s_reach ~on_arc))
+          components);
     Rr_util.Kahan.total total
   end
 
 let value ?(mode = Slot_start) ?(gamma = 1.) ?(windows = Sparse) ~k ~machines ~delta inst =
   solve_network ~mode ~gamma ~k ~machines ~delta ~windows ~on_arc:None inst
 
-let solve ?(mode = Slot_start) ?(gamma = 1.) ?(windows = Sparse) ~k ~machines ~delta inst =
+let solve ?(mode = Slot_start) ?(gamma = 1.) ?(windows = Sparse) ?on_arc ~k ~machines ~delta
+    inst =
   let allocation = Array.make (Rr_workload.Instance.n inst) [] in
   let on_arc ji slot_start f =
+    Option.iter (fun g -> g ji slot_start f) on_arc;
     if f > 1e-12 then allocation.(ji) <- (slot_start, f) :: allocation.(ji)
   in
   let v =

@@ -60,10 +60,20 @@
     sink edges it has certified can take the job's work, and the
     solver augments along their shortest-path-tree paths in turn (see
     {!Rr_flow.Mcmf}), with the same flows as one search per path
-    (1,002 searches for 2,976 paths at Δ = 0.5 on that instance).  Each
-    network's edge arrays are sized once, from its slot count plus its
-    members' windows.  {!value} keeps no network once its cost is
-    read. *)
+    (1,002 searches for 2,976 paths at Δ = 0.5 on that instance);
+    {!routing} counts the searches and why each one's batch ended.
+
+    Every component of every LP solved on a domain is built on that
+    domain's one network ({!Rr_flow.Mcmf.reset}), lent to one solve at a
+    time and never shared between domains: {!Temporal_fairness.Bound}
+    solves a level's two modes at once on a two-domain [Pool], and each
+    domain routes on its own.  The network keeps the largest size asked
+    of it, its edge list sized exactly from each component's slot count
+    plus its members' windows, so a warm solve allocates no network, and
+    a certify call runs no major collection.  A solve started while the
+    domain's network is lent (from an [on_arc] callback of {!solve})
+    builds a fresh one.  A reset network solves exactly as a fresh one
+    ({!Rr_flow.Mcmf.reset}), so recycling moves no value by a bit. *)
 
 type mode = Slot_start | Slot_end
 
@@ -189,6 +199,7 @@ val solve :
   ?mode:mode ->
   ?gamma:float ->
   ?windows:windows ->
+  ?on_arc:(int -> float -> float -> unit) ->
   k:int ->
   machines:int ->
   delta:float ->
@@ -197,7 +208,32 @@ val solve :
 (** Like {!value} but also extracts the optimal fractional schedule from
     the flow network — how the LP chooses to spread each job's work over
     time.  The test suite checks the LP-feasibility invariants on it
-    (release times respected, all work scheduled, slot capacity obeyed). *)
+    (release times respected, all work scheduled, slot capacity obeyed).
+    [on_arc job slot_start work], when given, sees every job arc of every
+    component, zero-work arcs included, as soon as its component is
+    solved; it may itself solve LPs (it gets a network of its own). *)
+
+type routing = {
+  edges : int;  (** Edges built: one slot arc per slot, one job arc per
+                    job and slot of its window. *)
+  searches : int;  (** Dijkstra searches. *)
+  augmentations : int;  (** Augmenting paths. *)
+  path_cut : int;  (** Batches ended by a path an earlier one cut. *)
+  room_left : int;  (** Batches ended by a sink arc left with room. *)
+  entries_used : int;  (** Batches ended with every certified entry used. *)
+  supply_routed : int;  (** Batches ended with the job's supply routed. *)
+  sink_unreachable : int;  (** Searches that found no way into the sink. *)
+}
+(** Counters of the calling domain's network ({!Rr_flow.Mcmf.edges_added},
+    {!Rr_flow.Mcmf.searches},
+    {!Rr_flow.Mcmf.augmentations}, {!Rr_flow.Mcmf.batches_ended}).  The
+    five batch ends sum to [searches]. *)
+
+val routing : unit -> routing
+(** The counters of the network this domain lends to its solves, summed
+    over every solve on this domain so far; the difference of two
+    readings counts the solves between them (a re-entrant solve, which
+    builds its own network, is not counted). *)
 
 val completion_profile : solution -> job:int -> float
 (** The fractional completion time of a job in the LP solution: the end of

@@ -62,7 +62,11 @@ let power_sum ~k () =
     push =
       (fun f ->
         if f < 0. then invalid_arg "Sink.power_sum: negative flow time";
-        Rr_util.Kahan.add acc (Rr_util.Floatx.powi f k));
+        (* [f] arrives boxed, and the inlined [powi] returns it as is at
+           k = 1, so its other branches would box their result to join
+           it.  [f *. 1.] is the same float (zeros keep their sign) and
+           reaches [powi] unboxed: nothing is allocated per flow. *)
+        Rr_util.Kahan.add acc (Rr_util.Floatx.powi (f *. 1.) k));
     value = (fun () -> Rr_util.Kahan.total acc);
   }
 

@@ -1,77 +1,3 @@
-type 'a t = { cmp : 'a -> 'a -> int; mutable data : 'a array; mutable size : int }
-
-let create ~cmp () = { cmp; data = [||]; size = 0 }
-
-let length t = t.size
-
-let is_empty t = t.size = 0
-
-let grow t x =
-  let cap = Array.length t.data in
-  if t.size = cap then begin
-    let ncap = Int.max 8 (2 * cap) in
-    let nd = Array.make ncap x in
-    Array.blit t.data 0 nd 0 t.size;
-    t.data <- nd
-  end
-
-let rec sift_up t i =
-  if i > 0 then begin
-    let parent = (i - 1) / 2 in
-    if t.cmp t.data.(i) t.data.(parent) < 0 then begin
-      let tmp = t.data.(i) in
-      t.data.(i) <- t.data.(parent);
-      t.data.(parent) <- tmp;
-      sift_up t parent
-    end
-  end
-
-let rec sift_down t i =
-  let l = (2 * i) + 1 and r = (2 * i) + 2 in
-  let smallest = ref i in
-  if l < t.size && t.cmp t.data.(l) t.data.(!smallest) < 0 then smallest := l;
-  if r < t.size && t.cmp t.data.(r) t.data.(!smallest) < 0 then smallest := r;
-  if !smallest <> i then begin
-    let tmp = t.data.(i) in
-    t.data.(i) <- t.data.(!smallest);
-    t.data.(!smallest) <- tmp;
-    sift_down t !smallest
-  end
-
-let add t x =
-  grow t x;
-  t.data.(t.size) <- x;
-  t.size <- t.size + 1;
-  sift_up t (t.size - 1)
-
-let of_array ~cmp a =
-  let t = { cmp; data = Array.copy a; size = Array.length a } in
-  for i = (t.size / 2) - 1 downto 0 do
-    sift_down t i
-  done;
-  t
-
-let peek t = if t.size = 0 then None else Some t.data.(0)
-
-let pop t =
-  if t.size = 0 then None
-  else begin
-    let top = t.data.(0) in
-    t.size <- t.size - 1;
-    if t.size > 0 then begin
-      t.data.(0) <- t.data.(t.size);
-      sift_down t 0
-    end;
-    Some top
-  end
-
-let pop_exn t =
-  match pop t with Some x -> x | None -> invalid_arg "Heap.pop_exn: empty heap"
-
-let drain t =
-  let rec go acc = match pop t with None -> List.rev acc | Some x -> go (x :: acc) in
-  go []
-
 (* ------------------------------------------------------------------ *)
 (* Scalar heap: float keys, int payloads, zero allocation per op       *)
 (* ------------------------------------------------------------------ *)

@@ -1,34 +1,13 @@
-(** Array-backed binary min-heap, parameterised by an explicit comparator.
+(** Array-backed binary min-heaps with unboxed float keys and int
+    payloads, plus zero, two or three unboxed float satellites per
+    element.
 
-    Used by the event loop of the simulator (pending arrivals) and by the
-    Dijkstra inner loop of the min-cost-flow solver. *)
-
-type 'a t
-
-val create : cmp:('a -> 'a -> int) -> unit -> 'a t
-(** Empty heap ordered by [cmp] (smallest element on top). *)
-
-val of_array : cmp:('a -> 'a -> int) -> 'a array -> 'a t
-(** Heapify an array in O(n). *)
-
-val length : 'a t -> int
-
-val is_empty : 'a t -> bool
-
-val add : 'a t -> 'a -> unit
-(** O(log n) insertion. *)
-
-val peek : 'a t -> 'a option
-(** Smallest element without removing it. *)
-
-val pop : 'a t -> 'a option
-(** Remove and return the smallest element. *)
-
-val pop_exn : 'a t -> 'a
-(** @raise Invalid_argument on an empty heap. *)
-
-val drain : 'a t -> 'a list
-(** Pop everything, smallest first. *)
+    The simulation kernels of {!Rr_engine} order their jobs in these,
+    usually borrowed from a per-domain {!Rr_engine.Arena}.  Every
+    operation compares keys with a
+    primitive float comparison and allocates nothing outside capacity
+    doubling.  The min-cost-flow solver's Dijkstra keeps its own indexed
+    heap inside {!Rr_flow.Mcmf}. *)
 
 (** Specialised min-heap with unboxed float keys and int payloads.
 

@@ -587,11 +587,135 @@ let test_broken_path_searched_again () =
   Alcotest.(check int) "augmenting paths" 2 (Mcmf.augmentations net);
   Alcotest.(check bool) "optimality certificate" true (Mcmf.no_negative_cycle net)
 
+(* Every search ends one batch, for one cause. *)
+let check_batch_ends net =
+  let ends =
+    List.map (Mcmf.batches_ended net)
+      [ Mcmf.Path_cut; Room_left; Entries_used; Supply_routed; Sink_unreachable ]
+  in
+  Alcotest.(check int) "batch ends sum to searches" (Mcmf.searches net) (List.fold_left ( + ) 0 ends)
+
+(* The twenty jobs of [batch_network] each end their one batch with
+   their supply routed, and the broken path of
+   [test_broken_path_searched_again] ends the first of its two batches. *)
+let test_batch_end_causes () =
+  let net, sink, sizes, _ = batch_network () in
+  let _ = route_each net ~sink ~supplies:sizes (List.init (Array.length sizes) Fun.id) in
+  check_batch_ends net;
+  Alcotest.(check int) "routed" 20 (Mcmf.batches_ended net Supply_routed);
+  let net = Mcmf.create ~n_nodes:3 in
+  ignore (Mcmf.add_edge net ~src:0 ~dst:1 ~capacity:1. ~cost:0.);
+  ignore (Mcmf.add_edge net ~src:1 ~dst:2 ~capacity:1. ~cost:0.);
+  ignore (Mcmf.solve net ~source:0 ~sink:2);
+  check_batch_ends net;
+  Alcotest.(check int) "used up, then unreachable" 1 (Mcmf.batches_ended net Entries_used);
+  Alcotest.(check int) "unreachable" 1 (Mcmf.batches_ended net Sink_unreachable)
+
+(* Networks in the LP's shape with parallel slot arcs, solved, widened
+   with dearer slots and resolved.  After each call the handles still
+   name their edges: the cost they carry adds up to the returned cost,
+   and flow is conserved at every node but the source and the sink. *)
+let prop_handles_survive_layout =
+  QCheck2.Test.make ~name:"handles survive the layout: cost and conservation" ~count:200
+    QCheck2.Gen.(pair warm_gen (int_range 1 3))
+    (fun ((supplies, caps, split, increments), copies) ->
+      let ns = List.length supplies and nd = List.length caps in
+      let supplies = Array.of_list supplies and caps = Array.of_list caps in
+      let increments = Array.of_list increments in
+      (* Non-decreasing in the slot, so widening creates no negative
+         residual cycle (see [warm_gen]). *)
+      let costs =
+        Array.init ns (fun i ->
+            let acc = ref 0. in
+            Array.init nd (fun j ->
+                acc := !acc +. increments.((i * nd) + j);
+                !acc))
+      in
+      let source = 0 and sink = ns + nd + 1 in
+      let net = Mcmf.create ~n_nodes:(ns + nd + 2) in
+      let handles = ref [] in
+      let add ~src ~dst ~capacity ~cost =
+        handles := (Mcmf.add_edge net ~src ~dst ~capacity ~cost, src, dst, cost) :: !handles
+      in
+      Array.iteri (fun i s -> add ~src:source ~dst:(1 + i) ~capacity:s ~cost:0.) supplies;
+      let add_slots lo hi =
+        for j = lo to hi - 1 do
+          for _ = 1 to copies do
+            add ~src:(1 + ns + j) ~dst:sink ~capacity:(caps.(j) /. Float.of_int copies) ~cost:0.
+          done;
+          for i = 0 to ns - 1 do
+            add ~src:(1 + i) ~dst:(1 + ns + j) ~capacity:10. ~cost:costs.(i).(j)
+          done
+        done
+      in
+      let consistent (out : Mcmf.outcome) =
+        let balance = Array.make (ns + nd + 2) 0. in
+        let carried = Rr_util.Kahan.create () in
+        List.iter
+          (fun (e, src, dst, cost) ->
+            let f = Mcmf.flow_on net e in
+            balance.(src) <- balance.(src) -. f;
+            balance.(dst) <- balance.(dst) +. f;
+            Rr_util.Kahan.add carried (f *. cost))
+          !handles;
+        let close a b = Float.abs (a -. b) <= 1e-9 *. (1. +. Float.abs b) in
+        close (Rr_util.Kahan.total carried) out.Mcmf.cost
+        && close (-.balance.(source)) out.Mcmf.flow
+        && Array.for_all Fun.id
+             (Array.mapi
+                (fun v b -> v = source || v = sink || Float.abs b <= 1e-9)
+                balance)
+      in
+      add_slots 0 split;
+      let first = Mcmf.solve net ~source ~sink in
+      let ok_first = consistent first in
+      add_slots split nd;
+      let widened = Mcmf.resolve net ~source ~sink in
+      ok_first && consistent widened && Mcmf.no_negative_cycle net)
+
+(* A network emptied with [reset] and rebuilt solves exactly like a
+   fresh one: same cost, flow, counts and flows, bit for bit, whether it
+   grows past its old size or shrinks. *)
+let prop_reset_equals_fresh =
+  QCheck2.Test.make ~name:"a reset network = a fresh one, bit for bit" ~count:150
+    QCheck2.Gen.(pair transportation_gen transportation_gen)
+    (fun (first, second) ->
+      let build net (supplies, caps, costs) =
+        let ns = List.length supplies and nd = List.length caps in
+        let sink = ns + nd + 1 in
+        List.iteri
+          (fun i s -> ignore (Mcmf.add_edge net ~src:0 ~dst:(1 + i) ~capacity:s ~cost:0.))
+          supplies;
+        List.iteri
+          (fun j c -> ignore (Mcmf.add_edge net ~src:(1 + ns + j) ~dst:sink ~capacity:c ~cost:0.))
+          caps;
+        let costs = Array.of_list costs in
+        let handles =
+          List.concat
+            (List.init ns (fun i ->
+                 List.init nd (fun j ->
+                     Mcmf.add_edge net ~src:(1 + i) ~dst:(1 + ns + j) ~capacity:1e9
+                       ~cost:costs.((i * nd) + j))))
+        in
+        let out = Mcmf.solve net ~source:0 ~sink in
+        ( Printf.sprintf "%h %h" out.Mcmf.flow out.Mcmf.cost,
+          List.map (fun e -> Printf.sprintf "%h" (Mcmf.flow_on net e)) handles )
+      in
+      let nodes (s, c, _) = List.length s + List.length c + 2 in
+      let recycled = Mcmf.create ~n_nodes:(nodes first) in
+      ignore (build recycled first);
+      let searches = Mcmf.searches recycled in
+      Mcmf.reset recycled ~n_nodes:(nodes second);
+      let again = build recycled second in
+      let fresh_net = Mcmf.create ~n_nodes:(nodes second) in
+      let fresh = build fresh_net second in
+      again = fresh && Mcmf.searches recycled - searches = Mcmf.searches fresh_net)
+
 let qsuite =
   List.map QCheck_alcotest.to_alcotest
     [ prop_mcmf_matches_simplex; prop_flow_bounded_by_capacity; prop_warm_resolve_equals_cold;
       prop_per_source_matches_super_source; prop_per_source_widening_equals_cold;
-      prop_ties_match_cold_solves ]
+      prop_ties_match_cold_solves; prop_handles_survive_layout; prop_reset_equals_fresh ]
 
 let () =
   Alcotest.run "rr_flow"
@@ -618,6 +742,7 @@ let () =
           Alcotest.test_case "ties take the first path found" `Quick test_ties_take_first_found;
           Alcotest.test_case "a broken path is searched again" `Quick
             test_broken_path_searched_again;
+          Alcotest.test_case "why each batch ended" `Quick test_batch_end_causes;
         ] );
       ("properties", qsuite);
     ]

@@ -137,42 +137,6 @@ let test_min_max_arr () =
       ignore (Floatx.min_arr [||]))
 
 (* ------------------------------------------------------------------ *)
-(* Heap                                                                *)
-(* ------------------------------------------------------------------ *)
-
-let test_heap_basic () =
-  let h = Heap.create ~cmp:Int.compare () in
-  List.iter (Heap.add h) [ 5; 1; 4; 2; 3 ];
-  Alcotest.(check (list int)) "drains sorted" [ 1; 2; 3; 4; 5 ] (Heap.drain h)
-
-let test_heap_of_array () =
-  let h = Heap.of_array ~cmp:Int.compare [| 9; 7; 8; 1 |] in
-  Alcotest.(check (option int)) "peek" (Some 1) (Heap.peek h);
-  Alcotest.(check int) "length" 4 (Heap.length h)
-
-let test_heap_empty () =
-  let h = Heap.create ~cmp:Int.compare () in
-  Alcotest.(check bool) "is_empty" true (Heap.is_empty h);
-  Alcotest.(check (option int)) "pop" None (Heap.pop h);
-  Alcotest.check_raises "pop_exn" (Invalid_argument "Heap.pop_exn: empty heap") (fun () ->
-      ignore (Heap.pop_exn h))
-
-let prop_heap_sorts =
-  QCheck2.Test.make ~name:"heap drains any list sorted" ~count:200
-    QCheck2.Gen.(list int)
-    (fun xs ->
-      let h = Heap.create ~cmp:Int.compare () in
-      List.iter (Heap.add h) xs;
-      Heap.drain h = List.sort Int.compare xs)
-
-let prop_heap_of_array_sorts =
-  QCheck2.Test.make ~name:"heapify drains sorted" ~count:200
-    QCheck2.Gen.(array int)
-    (fun xs ->
-      let h = Heap.of_array ~cmp:Int.compare xs in
-      Heap.drain h = List.sort Int.compare (Array.to_list xs))
-
-(* ------------------------------------------------------------------ *)
 (* Welford / Stats                                                     *)
 (* ------------------------------------------------------------------ *)
 
@@ -341,7 +305,7 @@ let test_fcell () =
   Alcotest.(check string) "tiny" "1.000e-09" (Table.fcell 1e-9)
 
 let qsuite = List.map QCheck_alcotest.to_alcotest
-  [ prop_heap_sorts; prop_heap_of_array_sorts; prop_welford_matches_direct; prop_jain_bounds ]
+  [ prop_welford_matches_direct; prop_jain_bounds ]
 
 let () =
   Alcotest.run "rr_util"
@@ -372,12 +336,6 @@ let () =
           Alcotest.test_case "clamp" `Quick test_clamp;
           Alcotest.test_case "approx_equal" `Quick test_approx_equal;
           Alcotest.test_case "min/max" `Quick test_min_max_arr;
-        ] );
-      ( "heap",
-        [
-          Alcotest.test_case "basic" `Quick test_heap_basic;
-          Alcotest.test_case "of_array" `Quick test_heap_of_array;
-          Alcotest.test_case "empty" `Quick test_heap_empty;
         ] );
       ( "stats",
         [
